@@ -66,7 +66,10 @@ def _load(path, args):
     if getattr(args, "sample_dt", None) is not None:
         integ["sample_dt"] = args.sample_dt
     if integ:
-        changes["integrator"] = replace(sc.integrator, **integ)
+        try:
+            changes["integrator"] = replace(sc.integrator, **integ)
+        except ValueError as exc:
+            raise ScenarioValidationError("integrator", str(exc)) from exc
     return replace(sc, **changes) if changes else sc
 
 

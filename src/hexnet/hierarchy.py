@@ -23,7 +23,6 @@ __all__ = [
     "digraph_from_edges",
     "adjacency",
     "out_neighbors",
-    "in_neighbors",
     "edge_list",
     "validate_digraph",
     "validate_hierarchy",
@@ -118,12 +117,6 @@ def out_neighbors(d: Digraph, i: int) -> set[int]:
     if not 0 <= i < d.n_vertices:
         raise VertexOutOfRangeError(f"vertex {i + 1} outside range 1..{d.n_vertices}")
     return {k for (a, k) in d.edges if a == i}
-
-
-def in_neighbors(d: Digraph, k: int) -> set[int]:
-    if not 0 <= k < d.n_vertices:
-        raise VertexOutOfRangeError(f"vertex {k + 1} outside range 1..{d.n_vertices}")
-    return {i for (i, b) in d.edges if b == k}
 
 
 def edge_list(d: Digraph) -> list[tuple[int, int]]:

@@ -97,13 +97,6 @@ class BlockLayout:
         off = self.sub_offset(j)
         return slice(off, off + self.block_sizes[j])
 
-    def block_starts(self) -> np.ndarray:
-        """Start offsets of the N+1 blocks, for segmented reductions."""
-        starts = [0, self.n_super]
-        for nj in self.block_sizes[:-1]:
-            starts.append(starts[-1] + nj)
-        return np.asarray(starts, dtype=np.intp)
-
     def sub_block_index(self) -> np.ndarray:
         """For each substructure coordinate, the index j of its block."""
         return np.repeat(np.arange(self.n_super), self.block_sizes)
@@ -112,16 +105,6 @@ class BlockLayout:
         """Views (X, [x^1, ..., x^N]) of a flat state vector."""
         X = state[self.super_slice]
         return X, [state[self.sub_slice(j)] for j in range(self.n_super)]
-
-    def pack(self, X, xs) -> np.ndarray:
-        parts = [np.asarray(X, dtype=float)]
-        parts += [np.asarray(x, dtype=float) for x in xs]
-        out = np.concatenate(parts)
-        if out.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"packed state has length {out.shape[0]}, expected {self.dimension}"
-            )
-        return out
 
     def coord_names(self) -> list[str]:
         names = [f"X{j + 1}" for j in range(self.n_super)]
@@ -380,8 +363,8 @@ class FieldParams:
     variant: str = VARIANT_STANDARD
 
     layout: BlockLayout = field(init=False, repr=False, compare=False)
-    _coupling: np.ndarray = field(init=False, repr=False, compare=False)
-    _block_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _rate_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _rate_offset: np.ndarray = field(init=False, repr=False, compare=False)
     _sub_block_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -421,15 +404,24 @@ class FieldParams:
                 )
         self._check_sign_pattern()
 
-        coupling = np.zeros((layout.dimension, layout.dimension))
-        coupling[layout.super_slice, layout.super_slice] = self.coeffs.a
-        for j in range(n):
-            sl = layout.sub_slice(j)
-            coupling[sl, sl] = self.coeffs.alphas[j]
+        # Ungated rates are offset + matrix @ state**2. Each diagonal block is
+        # the block's coefficient matrix minus all-ones (the -|block|^2 term),
+        # scaled by phi (superstructure) or psi (substructures); the last row
+        # gives 1 + |X|^2, from which the gate distances follow.
+        d = layout.dimension
+        matrix = np.zeros((d + 1, d))
+        offset = np.empty(d + 1)
+        blocks = [(layout.super_slice, self.coeffs.a, self.phi)]
+        blocks += [(layout.sub_slice(j), self.coeffs.alphas[j], self.psi) for j in range(n)]
+        for sl, coeffs, scale in blocks:
+            matrix[sl, sl] = scale * (coeffs - 1.0)
+            offset[sl] = scale
+        matrix[d, layout.super_slice] = 1.0
+        offset[d] = 1.0
 
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_coupling", coupling)
-        object.__setattr__(self, "_block_starts", layout.block_starts())
+        object.__setattr__(self, "_rate_matrix", matrix)
+        object.__setattr__(self, "_rate_offset", offset)
         object.__setattr__(self, "_sub_block_index", layout.sub_block_index())
 
     def _check_sign_pattern(self):
@@ -474,21 +466,17 @@ def growth_rates(v: np.ndarray, p: FieldParams) -> np.ndarray:
     Hot path: no input validation, no errstate (callers own both).
     """
     n = p.layout.n_super
-    s = v * v
-    block_sums = np.add.reduceat(s, p._block_starts)
-    coup = p._coupling @ s
-    norm_x = block_sums[0]
-    z = norm_x - 2.0 * v[:n] + 1.0
-    b = _bump_array(z, p.epsilon)
-    rates = np.empty_like(v)
-    rates[:n] = p.phi * (1.0 - norm_x + coup[:n])
+    r = p._rate_matrix @ (v * v)
+    r += p._rate_offset
+    b = _bump_array(r[-1] - 2.0 * v[:n], p.epsilon)
     bs = b[p._sub_block_index]
-    g_sub = 1.0 - block_sums[1:][p._sub_block_index] + coup[n:]
+    rates = r[:-1]
+    sub = rates[n:]
+    sub *= bs
     if p.variant == VARIANT_STANDARD:
-        decay = p.omega * (1.0 - bs)
+        sub -= p.omega * (1.0 - bs)
     else:
-        decay = p.omega * (1.0 - bs) * (1.0 - v[n:])
-    rates[n:] = p.psi * g_sub * bs - decay
+        sub -= p.omega * (1.0 - bs) * (1.0 - v[n:])
     return rates
 
 

@@ -1,7 +1,9 @@
 """Adaptive log-chart integration.
 
 Claims covered:
-    - tableau consistency (order conditions, interpolant endpoint identity)
+    - DOP853 tableau: reference coefficients, order conditions, dense-output
+      endpoints on a real step, dense output against scipy's on one step
+    - non-finite configuration values are rejected
     - equilibria give constant trajectories; exact zeros stay bitwise zero
     - dense-output grid shape, sample_at semantics and range errors
     - agreement with an independent original-chart integration (scipy RK45)
@@ -9,19 +11,21 @@ Claims covered:
     - halving tolerances: identical symbolic itinerary, small state shifts
     - time-reversal consistency
     - backward divergence detection with coordinate attribution
-    - step statistics and failure modes
+    - step statistics (exact RHS call count) and failure modes
 """
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from hexnet.errors import TimeOutOfRangeError
+import hexnet.integrator as integrator
 from hexnet.integrator import (
     _A,
     _B,
     _C,
-    _E,
-    _P,
+    _D,
+    _E3,
+    _E5,
     DIVERGENCE_BOUND,
     IntegratorConfig,
     TERMINATION_COMPLETED,
@@ -30,23 +34,73 @@ from hexnet.integrator import (
     sample_at,
 )
 from hexnet.analysis import LEVEL_SUPER, extract_itinerary
-from hexnet.vectorfield import designed_equilibria, eval_field
+from hexnet.vectorfield import designed_equilibria, eval_field, eval_field_log, growth_rates
+
+
+def test_tableau_matches_reference_coefficients():
+    # scipy ships the DOP853 coefficients; it is the offline oracle here
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert np.array_equal(_C, ref.C)
+    assert np.array_equal(_A, ref.A)
+    assert np.array_equal(_B, ref.B)
+    assert np.array_equal(_D, ref.D)
+    # the reference carries a 13th, zero, weight for the FSAL stage
+    assert np.array_equal(_E5, ref.E5[:12]) and ref.E5[12] == 0.0
+    assert np.array_equal(_E3, ref.E3[:12]) and ref.E3[12] == 0.0
 
 
 def test_tableau_order_conditions():
-    assert abs(_B.sum() - 1.0) <= 1e-15
-    assert abs(_B @ _C - 0.5) <= 1e-15
-    assert abs(_B @ _C**2 - 1.0 / 3.0) <= 1e-15
-    assert abs(_B @ _C**3 - 0.25) <= 1e-15
-    assert abs(_B @ _C**4 - 0.2) <= 1e-15
-    for i in range(1, 7):
-        assert abs(_A[i].sum() - _C[i]) <= 1e-15
-    assert abs(_E.sum()) <= 1e-15  # embedded method is also consistent
+    for k in range(8):
+        assert abs(_B @ _C[:12] ** k - 1.0 / (k + 1)) <= 1e-14
+    for i in range(1, 16):
+        assert abs(_A[i].sum() - _C[i]) <= 1e-14
+    # both embedded solutions are consistent, so their differences sum to 0
+    assert abs(_E5.sum()) <= 1e-14
+    assert abs(_E3.sum()) <= 1e-14
 
 
-def test_interpolant_reproduces_endpoint():
-    # at theta = 1 the dense output must return the 5th-order step
-    assert np.abs(_P.sum(axis=1) - _B).max() <= 1e-12
+def test_interpolant_reproduces_endpoint(example1, monkeypatch):
+    # the dense output of a real step returns u at theta = 0 and u_new at 1
+    _, p, s0 = example1
+    steps = []
+
+    def recording(u, u_new, h, K, F, theta):
+        steps.append((u.copy(), u_new.copy(), h, K.copy()))
+        return dense_output(u, u_new, h, K, F, theta)
+
+    dense_output = integrator._dense_output
+    monkeypatch.setattr(integrator, "_dense_output", recording)
+    integrate(s0, p, IntegratorConfig(t_end=0.5, sample_dt=0.1))
+    assert steps
+    u, u_new, h, K = max(steps, key=lambda step: step[2])
+    ends = dense_output(u, u_new, h, K, np.empty((7, u.size)), np.array([0.0, 1.0]))
+    assert np.array_equal(ends[0], u)
+    assert np.abs(ends[1] - u_new).max() <= 4 * np.finfo(float).eps * np.abs(u_new).max()
+
+
+def test_dense_output_matches_reference(example1):
+    # scipy's DOP853 takes one step of the log-chart field; its own dense
+    # output of that step is the reference for ours on the same stages
+    from scipy.integrate import DOP853
+
+    _, p, s0 = example1
+    mask = s0 == 0.0
+    u0 = np.zeros(s0.size)
+    u0[~mask] = np.log(s0[~mask])
+    solver = DOP853(
+        lambda t, u: eval_field_log(u, mask, p), 0.0, u0, 1.0,
+        first_step=1e-3, rtol=1e-6, atol=1e-6,
+    )
+    solver.step()
+    h = solver.t - solver.t_old
+    reference = solver.dense_output()
+    theta = np.linspace(0.0, 1.0, 9)
+    ours = integrator._dense_output(
+        solver.y_old, solver.y, h, solver.K_extended, np.empty((7, u0.size)), theta
+    )
+    expected = reference(solver.t_old + theta * h).T
+    assert np.abs(ours - expected).max() <= 4 * np.finfo(float).eps * np.abs(expected).max()
 
 
 def test_config_validation():
@@ -58,6 +112,13 @@ def test_config_validation():
         IntegratorConfig(t_end=1.0, sample_dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=1.0, direction="sideways")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["t_end", "sample_dt", "rtol", "atol", "max_step"])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        IntegratorConfig(**{"t_end": 1.0, name: value})
 
 
 def test_equilibrium_constant_trajectory(example1):
@@ -199,12 +260,22 @@ def test_backward_divergence_detection(example1):
     assert traj.diverged_time < 200.0
 
 
-def test_step_statistics(example1):
+def test_step_statistics(example1, monkeypatch):
+    # the stepper must reach the RHS through the module-level name, once per
+    # evaluation it counts
     _, p, s0 = example1
+    calls = 0
+
+    def counting(v, params):
+        nonlocal calls
+        calls += 1
+        return growth_rates(v, params)
+
+    monkeypatch.setattr(integrator, "growth_rates", counting)
     traj = integrate(s0, p, IntegratorConfig(t_end=2.0))
     assert traj.stats.accepted > 0
     assert traj.stats.final_step > 0.0
-    assert traj.stats.n_evals == 1 + 6 * (traj.stats.accepted + traj.stats.rejected)
+    assert traj.stats.n_evals == calls
 
 
 def test_deterministic_repeat(example1):

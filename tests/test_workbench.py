@@ -108,6 +108,16 @@ def test_initial_state_length_checked(tmp_path):
     assert "initial_state.X" in str(err.value)
 
 
+def test_non_finite_t_end_rejected(tmp_path):
+    doc = yaml.safe_load(bundled_scenario_path("example1").read_text(encoding="utf-8"))
+    doc["integrator"]["t_end"] = float("nan")
+    path = tmp_path / "d.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(path)
+    assert "t_end must be finite" in str(err.value)
+
+
 def test_round_trip_bundled(tmp_path):
     for name in ("example1", "example2"):
         sc = load_scenario(bundled_scenario_path(name))
@@ -277,6 +287,15 @@ def test_cli_simulate(tmp_path, small_scenario_file, capsys):
 
 def test_cli_simulate_missing_scenario(tmp_path):
     assert main(["simulate", str(tmp_path / "no.yaml"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "override", [["--sample-dt", "0"], ["--t-end", "-1"], ["--t-end", "nan"]]
+)
+def test_cli_simulate_invalid_integrator_override(tmp_path, small_scenario_file, capsys, override):
+    code = main(["simulate", str(small_scenario_file), "--out", str(tmp_path), *override])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: integrator: ")
 
 
 def test_cli_verify_small(tmp_path, small_scenario_file, capsys):
