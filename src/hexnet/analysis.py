@@ -24,9 +24,10 @@ from .vectorfield import (
     VARIANT_BOUNDED,
     Equilibrium,
     FieldParams,
-    bump,
+    bump_j,
     designed_equilibria,
     eval_field,
+    gate_distances,
     jacobian,
 )
 
@@ -44,6 +45,7 @@ __all__ = [
     "verify_equilibria",
     "eigen_at",
     "check_edge_eigen_correspondence",
+    "run_bounds",
     "extract_itinerary",
     "check_itinerary_against",
     "witness_initial_condition",
@@ -213,27 +215,41 @@ def _vertex_stream(block: np.ndarray, near_tol: float) -> np.ndarray:
     return np.where(top > 1.0 - near_tol, am, -1)
 
 
+def run_bounds(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) indices of the maximal runs of equal
+    consecutive entries of a 1-d array, in order."""
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    cuts = np.flatnonzero(np.diff(labels)) + 1
+    return np.concatenate(([0], cuts)), np.concatenate((cuts, [n]))
+
+
 def _runs_to_visits(
     vert: np.ndarray,
     times: np.ndarray,
     min_dwell: float,
-    window_of: np.ndarray | None,
+    window_starts: np.ndarray | None,
 ) -> list[Visit]:
-    visits = []
-    cur = -1
-    start = 0
-    n = vert.shape[0]
-    for idx in range(n + 1):
-        v = vert[idx] if idx < n else -1
-        if idx < n and v == cur:
-            continue
-        if cur >= 0:
-            t0, t1 = float(times[start]), float(times[idx - 1])
-            if t1 - t0 >= min_dwell:
-                win = int(window_of[start]) if window_of is not None else None
-                visits.append(Visit(int(cur), t0, t1, win))
-        cur, start = v, idx
-    return visits
+    """Visits from the runs of a vertex stream (-1 = no vertex) that last at
+    least min_dwell; a visit's window is the last window starting at or
+    before it."""
+    starts, ends = run_bounds(vert)
+    t0 = times[starts]
+    t1 = times[ends - 1]
+    keep = (vert[starts] >= 0) & (t1 - t0 >= min_dwell)
+    starts = starts[keep]
+    if window_starts is None:
+        windows = [None] * starts.shape[0]
+    else:
+        windows = (np.searchsorted(window_starts, starts, side="right") - 1).tolist()
+    return [
+        Visit(v, a, b, win)
+        for v, a, b, win in zip(
+            vert[starts].tolist(), t0[keep].tolist(), t1[keep].tolist(), windows
+        )
+    ]
 
 
 def extract_itinerary(
@@ -260,24 +276,15 @@ def extract_itinerary(
 
     if level != LEVEL_SUB or j is None:
         raise ValueError("level must be 'super' or 'sub' (with block index j)")
-    z = (X * X).sum(axis=1) - 2.0 * X[:, j] + 1.0
-    active = z < p.epsilon  # bump_j(X) > 0
-    windows: list[tuple[float, float]] = []
-    window_of = np.full(traj.times.shape[0], -1, dtype=int)
-    in_win = False
-    for idx, flag in enumerate(active):
-        if flag:
-            if not in_win:
-                windows.append((float(traj.times[idx]), float(traj.times[idx])))
-                in_win = True
-            windows[-1] = (windows[-1][0], float(traj.times[idx]))
-            window_of[idx] = len(windows) - 1
-        else:
-            in_win = False
+    active = gate_distances(X)[:, j] < p.epsilon  # bump_j(X) > 0
+    starts, ends = run_bounds(active)
+    on = active[starts]
+    starts, ends = starts[on], ends[on]
+    windows = list(zip(traj.times[starts].tolist(), traj.times[ends - 1].tolist()))
     block = traj.states[:, layout.sub_slice(j)]
     vert = _vertex_stream(block, near_tol)
     vert = np.where(active, vert, -1)
-    visits = _runs_to_visits(vert, traj.times, min_dwell, window_of)
+    visits = _runs_to_visits(vert, traj.times, min_dwell, starts)
     return ItineraryReport(LEVEL_SUB, j, visits, windows, near_tol, min_dwell)
 
 
@@ -454,11 +461,7 @@ def run_witness(
         name = layout.coord_names()[coord]
         level, j, _ = layout.coord_level(coord)
         if level == LEVEL_SUB:
-            gate = float(bump(
-                float(bstate[layout.super_slice] @ bstate[layout.super_slice])
-                - 2.0 * float(bstate[j]) + 1.0,
-                p_run.epsilon,
-            ))
+            gate = bump_j(bstate[layout.super_slice], j, p_run.epsilon)
     gap = float(np.abs(bstate[sub_live] - 1.0).max()) if sub_live.any() else None
 
     return WitnessResult(

@@ -1,13 +1,16 @@
 """Adaptive DOP853 integration of the field in the log chart.
 
 Coordinates that start at exactly zero span invariant subspaces; they are
-masked out of the integration entirely and stay bitwise zero in every output
-sample. All positive coordinates are integrated as logarithms, which keeps
-deeply decayed components representable and their growth rates finite. The
-stepper is Dormand and Prince's 8th-order pair with its combined 5th/3rd-order
-error estimate. Dense output on a uniform sample grid comes from its
-7th-order continuous extension, which costs three extra stages in each step
-that covers a sample.
+masked out and stay bitwise zero in every output sample. Only the live
+subsystem is integrated: the stepper works on arrays of the live
+coordinates, whose rates come from the field's rate table restricted to
+them, with the time direction folded in. The live coordinates are
+integrated as logarithms, which keeps deeply decayed components
+representable and their growth rates finite. The stepper is Dormand and
+Prince's 8th-order pair with its combined 5th/3rd-order error estimate.
+Dense output on a uniform sample grid comes from its 7th-order continuous
+extension, which costs three extra stages in each step that covers a
+sample.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, TimeOutOfRangeError
-from .vectorfield import FieldParams, growth_rates, _EXP_CLAMP
+from .vectorfield import FieldParams, growth_rates, rate_table, _EXP_CLAMP
 
 __all__ = [
     "IntegratorConfig",
@@ -25,6 +28,7 @@ __all__ = [
     "integrate",
     "sample_at",
     "DIVERGENCE_BOUND",
+    "MAX_SAMPLES",
     "TERMINATION_COMPLETED",
     "TERMINATION_DIVERGED",
     "TERMINATION_STEP_FAILURE",
@@ -32,6 +36,10 @@ __all__ = [
 
 DIVERGENCE_BOUND = 1.0e6
 _LOG_DIVERGENCE = np.log(DIVERGENCE_BOUND)
+
+# Most rows a sample grid may have; checked from t_end / sample_dt before
+# anything is allocated. 10 million rows of a d = 13 state take about 1 GB.
+MAX_SAMPLES = 10_000_000
 
 TERMINATION_COMPLETED = "completed"
 TERMINATION_DIVERGED = "diverged"
@@ -148,6 +156,13 @@ class IntegratorConfig:
             raise ValueError("t_end must be nonnegative")
         if not self.sample_dt > 0.0:
             raise ValueError("sample_dt must be positive")
+        # an upper bound on the row count of _sample_grid(t_end, sample_dt)
+        rows = np.ceil(self.t_end / self.sample_dt) + 1.0
+        if rows > MAX_SAMPLES:
+            raise ValueError(
+                f"t_end / sample_dt gives a sample grid of {rows:.3g} rows,"
+                f" more than {MAX_SAMPLES:,}"
+            )
         if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
         if self.direction not in _DIRECTIONS:
@@ -222,14 +237,14 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
         raise ValueError("initial state must be nonnegative")
 
     mask = s0 == 0.0
-    unmasked = ~mask
+    live = np.flatnonzero(~mask)
     grid = _sample_grid(cfg.t_end, cfg.sample_dt)
     n_samples = grid.shape[0]
     states = np.zeros((n_samples, d))
     states[0] = s0
     stats = StepStats()
 
-    if cfg.t_end == 0.0 or not unmasked.any():
+    if cfg.t_end == 0.0 or live.size == 0:
         # nothing to integrate: time span empty or every coordinate pinned at 0
         return Trajectory(
             times=grid,
@@ -241,29 +256,26 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
             last_state=s0.copy(),
         )
 
-    # Masked coordinates hold u = 0 and get rate 0, so they add nothing to
-    # the error sums or the divergence test (log(1e6) > 0).
-    live = unmasked.astype(float)
-    signed_live = live if cfg.direction == "forward" else -live
-    u = np.zeros(d)
-    u[unmasked] = np.log(s0[unmasked])
-    u_new = np.empty(d)
-    v = np.empty(d)
-    stage = np.empty(d)
-    scale = np.empty(d)
-    K = np.empty((16, d))
+    # The stepper works on the m live coordinates only; masked ones stay 0.
+    table = rate_table(p, live, backward=cfg.direction == "backward")
+    m = live.size
+    u = np.log(s0[live])
+    u_new = np.empty(m)
+    v = np.empty(m)
+    stage = np.empty(m)
+    scale = np.empty(m)
+    K = np.empty((16, m))
     hA = np.empty((16, 16))
-    combos = np.empty((3, d))  # h * (_B, _E5, _E3) @ K
-    ratio = np.empty((2, d))
-    F = np.empty((7, d))
+    combos = np.empty((3, m))  # h * (_B, _E5, _E3) @ K
+    ratio = np.empty((2, m))
+    F = np.empty((7, m))
     stage_rows = [(hA[i, :i], K[:i], K[i]) for i in range(16)]
 
     def rhs(w, out):
         # log-chart field at log-state w, written into out
         np.minimum(w, _EXP_CLAMP, out=v)
         np.exp(v, out=v)
-        np.multiply(v, live, out=v)
-        np.multiply(growth_rates(v, p), signed_live, out=out)
+        out[:] = growth_rates(v, table)
         stats.n_evals += 1
 
     def run_stages(first, last, base):
@@ -280,7 +292,6 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
     termination = TERMINATION_COMPLETED
     div_coord: int | None = None
     div_time: float | None = None
-    n_unmasked = int(unmasked.sum())
 
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         rhs(u, K[0])
@@ -307,7 +318,7 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
             else:
                 # 5th/3rd-order combined estimate: RMS of the 5th-order error,
                 # damped by the 3rd-order one where the latter dominates
-                err_norm = err5 / np.sqrt((err5 + 0.01 * err3) * n_unmasked)
+                err_norm = err5 / np.sqrt((err5 + 0.01 * err3) * m)
             if not np.isfinite(err_norm):
                 err_norm = np.inf
 
@@ -321,7 +332,7 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
                     run_stages(13, 16, u)
                     theta = (grid[next_i:j_end] - t) / h
                     interp = _dense_output(u, u_new, h, K, F, theta)
-                    states[next_i:j_end, unmasked] = np.exp(interp[:, unmasked])
+                    states[next_i:j_end][:, live] = np.exp(interp)
                     next_i = j_end
                 t = t_new
                 u, u_new = u_new, u
@@ -337,8 +348,7 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
                 err_prev = max(err_norm, 1e-10)
                 if u.max() > _LOG_DIVERGENCE:
                     termination = TERMINATION_DIVERGED
-                    flat = np.flatnonzero(unmasked)
-                    div_coord = int(flat[int(np.argmax(u[unmasked]))])
+                    div_coord = int(live[int(np.argmax(u))])
                     div_time = t
                     break
             else:
@@ -348,7 +358,7 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
                 termination = TERMINATION_STEP_FAILURE
                 break
         last_state = np.zeros(d)
-        last_state[unmasked] = np.exp(u[unmasked])
+        last_state[live] = np.exp(u)
 
     if termination != TERMINATION_COMPLETED:
         states = states[:next_i]

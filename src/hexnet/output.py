@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import RealizationReport, ItineraryReport, WitnessResult
+from .analysis import RealizationReport, ItineraryReport, WitnessResult, run_bounds
 from .integrator import Trajectory
-from .vectorfield import BlockLayout, FieldParams
+from .vectorfield import BlockLayout, FieldParams, gate_distances
 
 __all__ = [
     "write_timeseries",
@@ -183,20 +183,15 @@ def write_svg_panels(
                       t_max, y_max, _PALETTE[m % len(_PALETTE)])
         )
 
+    active_all = gate_distances(X_full) < p.epsilon
     for j in range(layout.n_super):
         y0 = panel_header(1 + j, f"x^{j + 1} (substructure {j + 1})")
-        z = (X_full * X_full).sum(axis=1) - 2.0 * X_full[:, j] + 1.0
-        active = z < p.epsilon
         # shade maximal active runs
-        a = None
-        for i, flag in enumerate(active):
-            if flag and a is None:
-                a = traj.times[i]
-            elif not flag and a is not None:
-                parts.append(_shade(a, traj.times[i - 1], y0, t_max))
-                a = None
-        if a is not None:
-            parts.append(_shade(a, traj.times[-1], y0, t_max))
+        active = active_all[:, j]
+        starts, ends = run_bounds(active)
+        on = active[starts]
+        for t0, t1 in zip(traj.times[starts[on]], traj.times[ends[on] - 1]):
+            parts.append(_shade(t0, t1, y0, t_max))
         block = traj.states[:, layout.sub_slice(j)]
         y_max = max(1.05, float(block.max()) * 1.05)
         for m in range(layout.block_sizes[j]):

@@ -38,12 +38,15 @@ __all__ = [
     "bump",
     "bump_derivative",
     "bump_j",
+    "gate_distances",
     "simplex_coefficients",
     "build_coefficients",
     "coefficients_from_matrices",
     "eval_field",
     "eval_field_log",
     "growth_rates",
+    "RateTable",
+    "rate_table",
     "designed_equilibria",
     "jacobian",
 ]
@@ -128,34 +131,19 @@ class BlockLayout:
 # bump / transition function
 # ---------------------------------------------------------------------------
 
-def _bump_array(z_arr: np.ndarray, epsilon: float) -> np.ndarray:
-    """bump() core on a float array; caller controls errstate."""
-    if z_arr.ndim == 1 and z_arr.size <= 8:
-        # scalar loop beats boolean fancy indexing at the block counts we see
-        out = np.empty_like(z_arr)
-        for idx in range(z_arr.size):
-            z = z_arr[idx]
-            if z <= 0.0:
-                out[idx] = 1.0
-            elif z >= epsilon:
-                out[idx] = 0.0
-            else:
-                w = epsilon * (1.0 / (epsilon - z) - 1.0 / z)
-                if w > 700.0:
-                    out[idx] = 0.0
-                elif w < -700.0:
-                    out[idx] = 1.0
-                else:
-                    out[idx] = 1.0 / (1.0 + _exp(w))
-        return out
-    out = np.zeros_like(z_arr)
-    out[z_arr <= 0.0] = 1.0
-    inner = (z_arr > 0.0) & (z_arr < epsilon)
-    if inner.any():
-        zi = z_arr[inner]
-        w = epsilon * (1.0 / (epsilon - zi) - 1.0 / zi)
-        out[inner] = 1.0 / (1.0 + np.exp(w))
-    return out
+def _bump_array(z: np.ndarray, epsilon: float) -> np.ndarray:
+    """bump() on a 1-d float array, one element at a time: at the block
+    counts the field sees, a Python loop beats numpy's masked evaluation."""
+    out = []
+    for zi in z.tolist():
+        if zi <= 0.0:
+            out.append(1.0)
+        elif zi >= epsilon:
+            out.append(0.0)
+        else:
+            w = epsilon * (1.0 / (epsilon - zi) - 1.0 / zi)
+            out.append(0.0 if w > 700.0 else 1.0 if w < -700.0 else 1.0 / (1.0 + _exp(w)))
+    return np.array(out)
 
 
 def bump(z, epsilon: float):
@@ -165,13 +153,13 @@ def bump(z, epsilon: float):
     w = epsilon*(1/(epsilon-z) - 1/z), which factors out the smaller
     exponential and avoids 0/0 near the endpoints. Values at z = 0 and
     z = epsilon are exact by construction, and bump(epsilon/2) = 1/2 exactly.
+    The result is exactly 0 once w > 700 and exactly 1 once w < -700.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     z_arr = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        out = _bump_array(z_arr, epsilon)
-    return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
+    out = _bump_array(z_arr.ravel(), epsilon).reshape(z_arr.shape)
+    return float(out) if z_arr.ndim == 0 else out
 
 
 def bump_derivative(z, epsilon: float):
@@ -191,13 +179,23 @@ def bump_derivative(z, epsilon: float):
     return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 
+def gate_distances(X) -> np.ndarray:
+    """Squared distances |X - e_j|^2 = |X|^2 - 2 X_j + 1 for every j.
+
+    X is one superstructure state (length N) or a (samples x N) array; the
+    result has the same shape. Gate j is bump(z_j) and is open (positive)
+    exactly where z_j < epsilon.
+    """
+    X = np.asarray(X, dtype=float)
+    return (X * X).sum(axis=-1, keepdims=True) - 2.0 * X + 1.0
+
+
 def bump_j(X, j: int, epsilon: float) -> float:
     """Gate value of substructure j: bump of the squared distance to e_j."""
     X = np.asarray(X, dtype=float)
     if not 0 <= j < X.shape[0]:
         raise VertexOutOfRangeError(f"block index {j + 1} out of range 1..{X.shape[0]}")
-    z = float(X @ X - 2.0 * X[j] + 1.0)
-    return bump(z, epsilon)
+    return bump(float(gate_distances(X)[j]), epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +363,7 @@ class FieldParams:
     layout: BlockLayout = field(init=False, repr=False, compare=False)
     _rate_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _rate_offset: np.ndarray = field(init=False, repr=False, compare=False)
-    _sub_block_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _rates: RateTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         problems = validate_hierarchy(self.hierarchy)
@@ -422,7 +420,7 @@ class FieldParams:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_rate_matrix", matrix)
         object.__setattr__(self, "_rate_offset", offset)
-        object.__setattr__(self, "_sub_block_index", layout.sub_block_index())
+        object.__setattr__(self, "_rates", rate_table(self, np.arange(d)))
 
     def _check_sign_pattern(self):
         """Each matrix must realize its digraph in one of the two orientations:
@@ -455,28 +453,81 @@ class FieldParams:
 # field evaluation
 # ---------------------------------------------------------------------------
 
-def growth_rates(v: np.ndarray, p: FieldParams) -> np.ndarray:
-    """Per-coordinate growth rate r with dstate/dt = state * r.
+@dataclass(frozen=True, eq=False)
+class RateTable:
+    """The folded rate matrix of a FieldParams restricted to live coordinates.
+
+    The m live coordinates are taken in ascending flat order, so the
+    superstructure ones come first and the substructure ones start at
+    sub_start. matrix is (m+1) x m: the live rate rows, then the gate row
+    that gives 1 + |X|^2. gate_pick (m x g) holds 2 at the row of X_j for
+    each of the g gated blocks, the blocks with a live substructure
+    coordinate; sub_gate gives the gate of each live substructure coordinate.
+    A backward table negates the rate rows and omega, not the gate row.
+    """
+
+    matrix: np.ndarray
+    offset: np.ndarray
+    gate_pick: np.ndarray
+    sub_start: int
+    sub_gate: np.ndarray
+    epsilon: float
+    omega: float
+    bounded: bool
+
+
+def rate_table(p: FieldParams, live, backward: bool = False) -> RateTable:
+    """The rate table of p on the coordinates live (ascending flat indices),
+    for the time-reversed field if backward.
+
+    Masked coordinates are exact zeros, so dropping their rows and columns
+    changes no live rate. A gated block whose X_j is masked has gate
+    distance 1 + |X|^2 >= 1 > epsilon, so its gate is exactly 0.
+    """
+    layout = p.layout
+    n = layout.n_super
+    live = np.asarray(live, dtype=np.intp)
+    sub_start = int(np.searchsorted(live, n))
+    blocks = layout.sub_block_index()[live[sub_start:] - n]
+    gates = np.flatnonzero(np.bincount(blocks, minlength=n))
+    rows = np.append(live, layout.dimension)
+    matrix = p._rate_matrix.take(rows, axis=0).take(live, axis=1)
+    offset = p._rate_offset[rows]
+    omega = p.omega
+    if backward:
+        matrix[:-1] *= -1.0
+        offset[:-1] *= -1.0
+        omega = -omega
+    gate_pick = 2.0 * (live[:, None] == gates[None, :])
+    return RateTable(
+        matrix, offset, gate_pick, sub_start, np.searchsorted(gates, blocks),
+        p.epsilon, omega, p.variant == VARIANT_BOUNDED,
+    )
+
+
+def growth_rates(v: np.ndarray, t: RateTable) -> np.ndarray:
+    """Per-coordinate growth rate r with dstate/dt = state * r, on the live
+    coordinates of t (v holds their values).
 
     Superstructure entry j:   phi * (1 - |X|^2 + sum_k a[j,k] X_k^2)
     Substructure entry (j,i): psi * G^j_i * b_j - omega * (1 - b_j) * g
     with G^j_i = 1 - |x^j|^2 + sum_k alpha^j[i,k] (x^j_k)^2, b_j the gate of
-    block j, and g = 1 (standard) or 1 - x^j_i (bounded).
+    block j, and g = 1 (standard) or 1 - x^j_i (bounded). A backward table
+    gives the negated rates, those of the time-reversed field.
 
     Hot path: no input validation, no errstate (callers own both).
     """
-    n = p.layout.n_super
-    r = p._rate_matrix @ (v * v)
-    r += p._rate_offset
-    b = _bump_array(r[-1] - 2.0 * v[:n], p.epsilon)
-    bs = b[p._sub_block_index]
+    r = t.matrix @ (v * v)
+    r += t.offset
     rates = r[:-1]
-    sub = rates[n:]
-    sub *= bs
-    if p.variant == VARIANT_STANDARD:
-        sub -= p.omega * (1.0 - bs)
-    else:
-        sub -= p.omega * (1.0 - bs) * (1.0 - v[n:])
+    if t.sub_gate.size:
+        bs = _bump_array(r[-1] - v @ t.gate_pick, t.epsilon)[t.sub_gate]
+        sub = rates[t.sub_start:]
+        sub *= bs
+        if t.bounded:
+            sub -= t.omega * (1.0 - bs) * (1.0 - v[t.sub_start:])
+        else:
+            sub -= t.omega * (1.0 - bs)
     return rates
 
 
@@ -495,7 +546,7 @@ def eval_field(state, p: FieldParams) -> np.ndarray:
     """Time derivative of the full system at a state (original chart)."""
     state = _check_state(state, p)
     with np.errstate(under="ignore"):
-        return state * growth_rates(state, p)
+        return state * growth_rates(state, p._rates)
 
 
 def eval_field_log(u, mask, p: FieldParams) -> np.ndarray:
@@ -509,12 +560,12 @@ def eval_field_log(u, mask, p: FieldParams) -> np.ndarray:
         raise DimensionMismatchError("log-state/mask shape mismatch")
     if not np.isfinite(u[~mask]).all():
         raise NonFiniteError("log-state contains non-finite unmasked entries")
+    live = np.flatnonzero(~mask)
+    out = np.zeros(u.shape)
     with np.errstate(under="ignore"):
-        v = np.exp(np.minimum(u, _EXP_CLAMP))
-        v[mask] = 0.0
-        rates = growth_rates(v, p)
-    rates[mask] = 0.0
-    return rates
+        v = np.exp(np.minimum(u[live], _EXP_CLAMP))
+        out[live] = growth_rates(v, rate_table(p, live))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +634,7 @@ def jacobian(state, p: FieldParams) -> np.ndarray:
     J[:n, :n] += np.diag(f_super)
     J[:n, :n] *= p.phi
 
-    z = norm_x - 2.0 * X + 1.0
+    z = gate_distances(X)
     b = bump(z, p.epsilon)
     db = bump_derivative(z, p.epsilon)
     # d z_j / d X_m = 2 X_m - 2 delta_{jm}

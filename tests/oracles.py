@@ -64,6 +64,18 @@ def naive_field(
     return out
 
 
+def naive_runs(labels):
+    """Maximal runs of equal consecutive labels as (label, start, end) with
+    end exclusive, by walking the stream once."""
+    runs = []
+    for idx, label in enumerate(labels):
+        if runs and runs[-1][0] == label:
+            runs[-1][2] = idx + 1
+        else:
+            runs.append([label, idx, idx + 1])
+    return [tuple(r) for r in runs]
+
+
 def central_difference_jacobian(f, x0, h: float = 1e-6):
     """Dense Jacobian of f by central differences, column by column."""
     import numpy as np

@@ -6,6 +6,7 @@ Claims covered:
     - eigenvalue/edge correspondence passes under the default orientation,
       fails under the literal one, and is empty for edgeless graphs
     - non-edge pairs have nonpositive transverse eigenvalues both ways
+    - run boundaries of label streams agree with a plain-loop oracle
     - itinerary extraction: constant trajectories, window bookkeeping,
       edge checks skipping window-crossing continuations
     - witness construction and runs (forward convergence, backward
@@ -25,6 +26,7 @@ from hexnet.analysis import (
     check_itinerary_against,
     eigen_at,
     extract_itinerary,
+    run_bounds,
     run_witness,
     verify_equilibria,
     verify_realization,
@@ -34,6 +36,8 @@ from hexnet.errors import NotAnEdgeError
 from hexnet.hierarchy import HierarchySpec, digraph_from_edges
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.vectorfield import FieldParams, build_coefficients, designed_equilibria
+
+from oracles import naive_runs
 
 THREE_CYCLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -136,6 +140,31 @@ def test_non_edge_pairs_stable_both_ways(example1, example2):
 # ---------------------------------------------------------------------------
 # itineraries
 # ---------------------------------------------------------------------------
+
+def _runs(labels):
+    labels = np.asarray(labels)
+    starts, ends = run_bounds(labels)
+    return [(labels[a].item(), int(a), int(b)) for a, b in zip(starts, ends)]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[], [2], [True], [-1, -1, -1], [0, 1], [1, 1, 0, 0, 1], [-1, 0, 0, -1, 2, 2, 2, 0]],
+)
+def test_run_bounds_edge_cases(labels):
+    assert _runs(labels) == naive_runs(labels)
+
+
+def test_run_bounds_random_streams():
+    rng = np.random.default_rng(31)
+    for n in list(range(1, 12)) + [100, 1000]:
+        for _ in range(20):
+            # long runs from a small alphabet, vertex streams and gate masks
+            labels = np.repeat(rng.integers(-1, 3, n), rng.integers(1, 5, n))[:n]
+            assert _runs(labels) == naive_runs(labels.tolist())
+            active = labels >= 0
+            assert _runs(active) == naive_runs(active.tolist())
+
 
 def test_itinerary_constant_trajectory(example1):
     _, p, _ = example1

@@ -3,7 +3,8 @@
 Claims covered:
     - DOP853 tableau: reference coefficients, order conditions, dense-output
       endpoints on a real step, dense output against scipy's on one step
-    - non-finite configuration values are rejected
+    - non-finite configuration values and oversized sample grids are
+      rejected before anything is allocated
     - equilibria give constant trajectories; exact zeros stay bitwise zero
     - dense-output grid shape, sample_at semantics and range errors
     - agreement with an independent original-chart integration (scipy RK45)
@@ -27,6 +28,7 @@ from hexnet.integrator import (
     _E3,
     _E5,
     DIVERGENCE_BOUND,
+    MAX_SAMPLES,
     IntegratorConfig,
     TERMINATION_COMPLETED,
     TERMINATION_DIVERGED,
@@ -112,6 +114,12 @@ def test_config_validation():
         IntegratorConfig(t_end=1.0, sample_dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=1.0, direction="sideways")
+    # the grid bound is checked from t_end / sample_dt; nothing is allocated
+    with pytest.raises(ValueError, match="sample grid"):
+        IntegratorConfig(t_end=1.0, sample_dt=1e-300)
+    with pytest.raises(ValueError, match="sample grid"):
+        IntegratorConfig(t_end=float(MAX_SAMPLES), sample_dt=1.0)
+    IntegratorConfig(t_end=MAX_SAMPLES - 1.0, sample_dt=1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

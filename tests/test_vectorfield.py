@@ -3,10 +3,14 @@
 Claims covered:
     - bump endpoint values, midpoint 1/2, smooth gluing, monotonicity
     - bump support disjointness for epsilon < 1/2
+    - bump is exactly 0 once w > 700, for scalar and array input alike
     - coefficient construction matches the printed example matrices up to
       the orientation convention; overrides validated by sign
     - eval_field agrees with an independent scalar transcription (both
       parameter sets, both variants) and vanishes on coordinate subspaces
+    - rate tables restricted to live coordinates agree with the scalar
+      transcription forward, backward, bounded, with a masked X_j (gate
+      exactly 0) and on an N = 10 hierarchy
     - log-chart field: masked zeros, cross-chart identity, deep underflow
     - designed equilibria: count, exact-zero residuals, scaling neutrality
     - analytic Jacobian matches central finite differences; closed-form
@@ -26,7 +30,7 @@ from hexnet.errors import (
     NonFiniteError,
     VertexOutOfRangeError,
 )
-from hexnet.hierarchy import digraph_from_edges
+from hexnet.hierarchy import HierarchySpec, digraph_from_edges
 from hexnet.vectorfield import (
     FieldParams,
     bump,
@@ -37,7 +41,10 @@ from hexnet.vectorfield import (
     designed_equilibria,
     eval_field,
     eval_field_log,
+    gate_distances,
+    growth_rates,
     jacobian,
+    rate_table,
     simplex_coefficients,
 )
 
@@ -91,9 +98,38 @@ def test_bump_interior_value_frozen():
     # two-exponential form at z = 0.03, eps = 0.2, from the scalar oracle
     assert bump(0.03, 0.2) == pytest.approx(0.9958899275399798, abs=1e-15)
     zs = np.linspace(-0.05, 0.3, 301)
-    ours = bump(zs, 0.2)
     theirs = np.array([naive_bump(z, 0.2) for z in zs])
-    assert np.abs(ours - theirs).max() <= 1e-15
+    # gate arrays of every length and shape take the scalar path
+    for sl in (slice(None), slice(0, 301, 30), slice(0, 301, 100)):
+        assert np.abs(bump(zs[sl], 0.2) - theirs[sl]).max() <= 1e-15
+    assert np.array_equal(bump(zs.reshape(7, 43), 0.2), bump(zs, 0.2).reshape(7, 43))
+
+
+def test_bump_cutoff_exactly_zero():
+    # just below z = epsilon, w = eps * (1/(eps - z) - 1/z) passes 700 while
+    # 1 / (1 + exp(w)) is still a positive double (about 1e-305 at w = 702)
+    eps = 0.2
+    zs = eps - eps / np.array([702.0, 703.0, 705.0, 707.0, 708.0, 709.0, 709.5,
+                               709.9, 710.5, 710.8])
+    w = eps * (1.0 / (eps - zs) - 1.0 / zs)
+    assert np.all((w > 700.0) & (w <= 709.8))
+    assert 1.0 / (1.0 + math.exp(w[0])) > 0.0
+    for z in zs:
+        assert bump(float(z), eps) == 0.0
+    assert np.all(bump(zs, eps) == 0.0)
+    assert np.all(bump(zs[:3], eps) == 0.0)
+
+
+def test_gate_distances_one_state_and_samples():
+    X = np.array([[0.9, 0.1, 0.1], [0.0, 1.0, 0.0]])
+    z = gate_distances(X)
+    assert z.shape == (2, 3)
+    for row, x in zip(z, X):
+        assert np.array_equal(row, gate_distances(x))
+        for j in range(3):
+            e_j = np.eye(3)[j]
+            assert row[j] == pytest.approx(float(((x - e_j) ** 2).sum()), abs=1e-15)
+    assert z[1, 1] == 0.0
 
 
 def test_bump_monotone_nonincreasing():
@@ -273,6 +309,53 @@ def test_eval_field_matches_oracle_bounded_variant(example1):
         ours = eval_field(s, pb)
         ref = _oracle(s, pb)
         assert (np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))).max() <= 1e-12
+
+
+def _n10_params():
+    # superstructure 10-cycle over ten substructure 3-cycles
+    h = HierarchySpec(
+        digraph_from_edges(10, [(i, (i + 1) % 10) for i in range(10)]),
+        tuple(digraph_from_edges(3, THREE_CYCLE) for _ in range(10)),
+    )
+    return FieldParams(h, build_coefficients(h))
+
+
+@pytest.mark.parametrize("case", ["forward", "backward", "bounded", "n10"])
+def test_rate_table_matches_oracle(example1, case):
+    # rates on random live sets against the transcription, divided by the state
+    _, p, _ = example1
+    p = {"bounded": replace(p, variant="bounded"), "n10": _n10_params()}.get(case, p)
+    backward = case == "backward"
+    d = p.layout.dimension
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        s = rng.uniform(0.05, 1.0, d)
+        if trial:
+            s[rng.random(d) < 0.4] = 0.0
+        live = np.flatnonzero(s)
+        ours = growth_rates(s[live], rate_table(p, live, backward))
+        ref = _oracle(s, p)[live] / s[live]
+        if backward:
+            ref = -ref
+        assert (np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))).max() <= 1e-12
+
+
+def test_rate_table_masked_gate_is_zero(example1):
+    # X_1 masked: block 1 sits at distance 1 + |X|^2 > epsilon from e_1, so
+    # its gate is exactly 0 and its live coordinates decay at rate omega
+    _, p, _ = example1
+    sl = p.layout.sub_slice(0)
+    for pv in (p, replace(p, variant="bounded")):
+        s = np.random.default_rng(29).uniform(0.05, 1.0, pv.layout.dimension)
+        s[0] = 0.0
+        live = np.flatnonzero(s)
+        block1 = (live >= sl.start) & (live < sl.stop)
+        g = 1.0 if pv.variant == "standard" else 1.0 - s[live][block1]
+        for sign in (1.0, -1.0):
+            rates = growth_rates(s[live], rate_table(pv, live, backward=sign < 0))
+            ref = sign * _oracle(s, pv)[live] / s[live]
+            assert np.abs(rates - ref).max() <= 1e-12
+            assert np.all(rates[block1] == sign * -pv.omega * g)
 
 
 def test_eval_field_multiplicative_invariance(example1):

@@ -290,7 +290,8 @@ def test_cli_simulate_missing_scenario(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "override", [["--sample-dt", "0"], ["--t-end", "-1"], ["--t-end", "nan"]]
+    "override",
+    [["--sample-dt", "0"], ["--t-end", "-1"], ["--t-end", "nan"], ["--sample-dt", "1e-300"]],
 )
 def test_cli_simulate_invalid_integrator_override(tmp_path, small_scenario_file, capsys, override):
     code = main(["simulate", str(small_scenario_file), "--out", str(tmp_path), *override])
