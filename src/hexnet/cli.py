@@ -84,6 +84,7 @@ def cmd_validate(args) -> int:
         return EXIT_FAIL
     if sc is None:
         return EXIT_INPUT
+    sc.field_params()  # warns when epsilon lets bump supports overlap
     h = sc.hierarchy
     print(
         f"ok: superstructure on {h.n_super} vertices,"

@@ -71,38 +71,39 @@ class Violation:
     detail: str
 
     def __str__(self) -> str:
-        return f"{self.where}: {self.kind} {self.detail}"
+        return f"{self.where}: {self.detail}"
 
 
 def _edge_label(i: int, k: int) -> str:
     return f"({i + 1},{k + 1})"
 
 
+_VIOLATION_ERRORS = {
+    "VertexOutOfRange": VertexOutOfRangeError,
+    "SelfLoop": SelfLoopError,
+    "TwoCycle": TwoCycleError,
+}
+
+
 def digraph_from_edges(n_vertices, edges) -> Digraph:
     """Build a validated digraph from an iterable of 0-based ordered pairs.
 
-    Raises on duplicate edges, out-of-range endpoints, self loops (1-cycles)
-    and reciprocal edge pairs (2-cycles). Duplicates are an error rather than
-    silently dropped because they almost always indicate a configuration typo.
+    Raises on duplicate edges, then on the first violation validate_digraph
+    finds: out-of-range endpoints, self loops (1-cycles) or reciprocal edge
+    pairs (2-cycles). Duplicates are an error rather than silently dropped
+    because they almost always indicate a configuration typo.
     """
-    n = int(n_vertices)
-    if n <= 0:
-        raise VertexOutOfRangeError(f"n_vertices must be positive, got {n}")
     seen: set[tuple[int, int]] = set()
     for pair in edges:
         i, k = int(pair[0]), int(pair[1])
         if (i, k) in seen:
             raise DuplicateEdgeError(f"duplicate edge {_edge_label(i, k)}")
-        if not (0 <= i < n and 0 <= k < n):
-            raise VertexOutOfRangeError(
-                f"edge {_edge_label(i, k)} outside vertex range 1..{n}"
-            )
-        if i == k:
-            raise SelfLoopError(f"self loop {_edge_label(i, k)}")
-        if (k, i) in seen:
-            raise TwoCycleError(f"2-cycle between {i + 1} and {k + 1}")
         seen.add((i, k))
-    return Digraph(n, frozenset(seen))
+    d = Digraph(int(n_vertices), frozenset(seen))
+    problems = validate_digraph(d)
+    if problems:
+        raise _VIOLATION_ERRORS[problems[0].kind](problems[0].detail)
+    return d
 
 
 def adjacency(d: Digraph) -> np.ndarray:
@@ -125,18 +126,20 @@ def edge_list(d: Digraph) -> list[tuple[int, int]]:
 
 
 def validate_digraph(d: Digraph, where: str = "digraph") -> list[Violation]:
-    """All invariant violations of a (possibly hand-built) digraph."""
+    """All invariant violations of a (possibly hand-built) digraph, edges in
+    sorted order."""
+    n = d.n_vertices
+    if n <= 0:
+        return [Violation("VertexOutOfRange", where, f"n_vertices must be positive, got {n}")]
     out: list[Violation] = []
-    if d.n_vertices <= 0:
-        out.append(Violation("VertexOutOfRange", where, f"n_vertices={d.n_vertices}"))
-        return out
     for i, k in sorted(d.edges):
-        if not (0 <= i < d.n_vertices and 0 <= k < d.n_vertices):
-            out.append(Violation("VertexOutOfRange", where, _edge_label(i, k)))
+        edge = _edge_label(i, k)
+        if not (0 <= i < n and 0 <= k < n):
+            out.append(Violation("VertexOutOfRange", where, f"edge {edge} outside vertex range 1..{n}"))
         elif i == k:
-            out.append(Violation("SelfLoop", where, _edge_label(i, k)))
+            out.append(Violation("SelfLoop", where, f"self loop {edge}"))
         elif (k, i) in d.edges and i < k:
-            out.append(Violation("TwoCycle", where, _edge_label(i, k)))
+            out.append(Violation("TwoCycle", where, f"2-cycle {edge} and {_edge_label(k, i)}"))
     return out
 
 

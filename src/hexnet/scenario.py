@@ -18,6 +18,7 @@ from .errors import (
     CoefficientSignError,
     DimensionMismatchError,
     GraphError,
+    NonFiniteError,
     ScenarioParseError,
     ScenarioSchemaError,
     ScenarioValidationError,
@@ -30,6 +31,7 @@ from .vectorfield import (
     ORIENTATION_LITERAL,
     VARIANT_BOUNDED,
     VARIANT_STANDARD,
+    CoefficientSet,
     FieldParams,
     build_coefficients,
     coefficients_from_matrices,
@@ -65,31 +67,33 @@ class Scenario:
     witness_deltas: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
 
     def field_params(self) -> FieldParams:
-        if self.a is not None:
-            coeffs = coefficients_from_matrices(
-                self.hierarchy, np.asarray(self.a), [np.asarray(m) for m in self.alphas],
-                self.orientation,
-            )
-        else:
-            subs: dict[int, dict[tuple[int, int], float]] = {}
-            for j, i, k, v in self.sub_overrides:
-                subs.setdefault(j, {})[(i, k)] = v
-            coeffs = build_coefficients(
-                self.hierarchy,
-                self.c_plus,
-                self.c_minus,
-                {(i, k): v for i, k, v in self.super_overrides},
-                subs,
-                self.orientation,
-            )
         return FieldParams(
             hierarchy=self.hierarchy,
-            coeffs=coeffs,
+            coeffs=self._coefficients(),
             epsilon=self.epsilon,
             phi=self.phi,
             psi=self.psi,
             omega=self.omega,
             variant=self.variant,
+        )
+
+    def _coefficients(self) -> CoefficientSet:
+        """Coefficient matrices; building them checks their signs and shapes."""
+        if self.a is not None:
+            return coefficients_from_matrices(
+                self.hierarchy, np.asarray(self.a), [np.asarray(m) for m in self.alphas],
+                self.orientation,
+            )
+        subs: dict[int, dict[tuple[int, int], float]] = {}
+        for j, i, k, v in self.sub_overrides:
+            subs.setdefault(j, {})[(i, k)] = v
+        return build_coefficients(
+            self.hierarchy,
+            self.c_plus,
+            self.c_minus,
+            {(i, k): v for i, k, v in self.super_overrides},
+            subs,
+            self.orientation,
         )
 
     def initial_state(self) -> np.ndarray:
@@ -158,14 +162,21 @@ def _parse_digraph(node, path) -> Digraph:
         raise ScenarioValidationError(path, str(exc)) from exc
 
 
-def _parse_pair_key(key, path) -> tuple[int, int]:
+def _parse_pair_key(key, n, path) -> tuple[int, int]:
+    """0-based (i, k) of an override key "i->k" between two distinct
+    vertices of a digraph on n vertices."""
     if not isinstance(key, str) or "->" not in key:
         raise ScenarioSchemaError(path, f'override keys look like "1->2", got {key!r}')
     left, _, right = key.partition("->")
     try:
-        return int(left) - 1, int(right) - 1
+        i, k = int(left) - 1, int(right) - 1
     except ValueError:
         raise ScenarioSchemaError(path, f"bad override key {key!r}") from None
+    if i == k or not (0 <= i < n and 0 <= k < n):
+        raise ScenarioValidationError(
+            f"{path}.{key}", f"must join two distinct vertices in 1..{n}"
+        )
+    return i, k
 
 
 def _parse_matrix(node, path) -> tuple[tuple[float, ...], ...]:
@@ -230,7 +241,7 @@ def load_scenario(path) -> Scenario:
         _reject_unknown(ov, {"super", "sub"}, "coefficients.overrides")
         sup = []
         for key, val in (ov.get("super") or {}).items():
-            i, k = _parse_pair_key(key, "coefficients.overrides.super")
+            i, k = _parse_pair_key(key, hierarchy.n_super, "coefficients.overrides.super")
             sup.append((i, k, _as_float(val, f"coefficients.overrides.super.{key}")))
         super_ov = tuple(sorted(sup))
         sub = []
@@ -241,8 +252,15 @@ def load_scenario(path) -> Scenario:
                 raise ScenarioSchemaError(
                     "coefficients.overrides.sub", f"substructure key must be an integer, got {jkey!r}"
                 ) from None
+            if not 0 <= j < hierarchy.n_super:
+                raise ScenarioValidationError(
+                    f"coefficients.overrides.sub.{jkey}",
+                    f"substructure must lie in 1..{hierarchy.n_super}",
+                )
             for key, val in (entries or {}).items():
-                i, k = _parse_pair_key(key, f"coefficients.overrides.sub.{jkey}")
+                i, k = _parse_pair_key(
+                    key, hierarchy.block_sizes[j], f"coefficients.overrides.sub.{jkey}"
+                )
                 sub.append((j, i, k, _as_float(val, f"coefficients.overrides.sub.{jkey}.{key}")))
         sub_ov = tuple(sorted(sub))
 
@@ -361,8 +379,8 @@ def load_scenario(path) -> Scenario:
     )
     # surface coefficient-matrix problems now, with a stable path prefix
     try:
-        scenario.field_params()
-    except (CoefficientSignError, DimensionMismatchError) as exc:
+        scenario._coefficients()
+    except (CoefficientSignError, DimensionMismatchError, NonFiniteError) as exc:
         raise ScenarioValidationError("coefficients", str(exc)) from exc
     return scenario
 

@@ -104,11 +104,6 @@ class BlockLayout:
         """For each substructure coordinate, the index j of its block."""
         return np.repeat(np.arange(self.n_super), self.block_sizes)
 
-    def split(self, state: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Views (X, [x^1, ..., x^N]) of a flat state vector."""
-        X = state[self.super_slice]
-        return X, [state[self.sub_slice(j)] for j in range(self.n_super)]
-
     def coord_names(self) -> list[str]:
         names = [f"X{j + 1}" for j in range(self.n_super)]
         for j, nj in enumerate(self.block_sizes):
@@ -286,6 +281,8 @@ def build_coefficients(
     """Coefficients for a whole hierarchy from the uniform rule plus overrides."""
     a = simplex_coefficients(h.superstructure, c_plus, c_minus, super_overrides, orientation)
     subs = sub_overrides or {}
+    if any(not 0 <= j < h.n_super for j in subs):
+        raise VertexOutOfRangeError(f"sub overrides name a substructure outside 1..{h.n_super}")
     alphas = tuple(
         simplex_coefficients(g, c_plus, c_minus, subs.get(j), orientation)
         for j, g in enumerate(h.substructures)
@@ -443,10 +440,6 @@ class FieldParams:
             off = ~np.eye(mat.shape[0], dtype=bool)
             if np.any(mat[off] == 0.0):
                 raise CoefficientSignError(f"{name}: off-diagonal entries must be nonzero")
-
-    @property
-    def timescales(self) -> tuple[float, float, float]:
-        return (self.phi, self.psi, self.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -614,55 +607,37 @@ def designed_equilibria(p: FieldParams) -> list[Equilibrium]:
 # analytic Jacobian
 # ---------------------------------------------------------------------------
 
+def _rate_derivative(v: np.ndarray, t: RateTable) -> np.ndarray:
+    """dr/dv of growth_rates(v, t), an m x m matrix on the live coordinates
+    of t; the log chart's dr/du is this times diag(v).
+
+    An ungated row G = offset + matrix @ v**2 has derivative matrix * 2v. A
+    gated row b * G - omega * (1 - b) * g has b * dG/dv + (G + omega * g) *
+    db/dv, with db/dv = bump'(z) * dz/dv for the gate distance
+    z = r[-1] - v @ gate_pick, plus omega * (1 - b) on its diagonal in the
+    bounded variant, where g = 1 - v.
+    """
+    r = t.matrix @ (v * v)
+    r += t.offset
+    D = t.matrix * (2.0 * v)
+    s = t.sub_start
+    if t.sub_gate.size:
+        z = r[-1] - v @ t.gate_pick
+        b = bump(z, t.epsilon)[t.sub_gate]
+        db = (bump_derivative(z, t.epsilon)[:, None] * (D[-1] - t.gate_pick.T))[t.sub_gate]
+        g = 1.0 - v[s:] if t.bounded else 1.0
+        D[s:-1] = b[:, None] * D[s:-1] + (r[s:-1] + t.omega * g)[:, None] * db
+        if t.bounded:
+            live_sub = np.arange(s, v.shape[0])
+            D[live_sub, live_sub] += t.omega * (1.0 - b)
+    return D[:-1]
+
+
 def jacobian(state, p: FieldParams) -> np.ndarray:
-    """Analytic Jacobian of eval_field, including the chain rule through the
-    bump gates. Block lower-triangular: X never depends on the x blocks."""
+    """Analytic Jacobian of eval_field: diag(r) + diag(state) * dr/dv, with
+    r and dr/dv from the rate table of all coordinates. Block
+    lower-triangular: X never depends on the x blocks."""
     state = _check_state(state, p)
-    layout = p.layout
-    n = layout.n_super
-    d = layout.dimension
-    a = p.coeffs.a
-    X = state[:n]
-    sx = X * X
-    norm_x = float(sx.sum())
-
-    J = np.zeros((d, d))
-
-    # superstructure rows
-    f_super = 1.0 - norm_x + a @ sx
-    J[:n, :n] = X[:, None] * (2.0 * X[None, :] * (a - 1.0))
-    J[:n, :n] += np.diag(f_super)
-    J[:n, :n] *= p.phi
-
-    z = gate_distances(X)
-    b = bump(z, p.epsilon)
-    db = bump_derivative(z, p.epsilon)
-    # d z_j / d X_m = 2 X_m - 2 delta_{jm}
-    dz = 2.0 * np.broadcast_to(X, (n, n)).copy()
-    dz[np.diag_indices(n)] -= 2.0
-
-    for j in range(n):
-        sl = layout.sub_slice(j)
-        x = state[sl]
-        alpha = p.coeffs.alphas[j]
-        sxx = x * x
-        norm_j = float(sxx.sum())
-        g_vec = 1.0 - norm_j + alpha @ sxx
-        if p.variant == VARIANT_STANDARD:
-            gate_decay = np.ones_like(x)
-            dgate = 0.0
-        else:
-            gate_decay = 1.0 - x
-            dgate = -1.0
-        rate = p.psi * g_vec * b[j] - p.omega * (1.0 - b[j]) * gate_decay
-
-        blk = x[:, None] * (p.psi * b[j] * 2.0 * x[None, :] * (alpha - 1.0))
-        blk += np.diag(rate)
-        if p.variant == VARIANT_BOUNDED:
-            blk += np.diag(-p.omega * (1.0 - b[j]) * dgate * x)
-        J[sl, sl] = blk
-
-        # dependence on X through the gate
-        sens = x * (p.psi * g_vec + p.omega * gate_decay)  # d(rate*x)/d b
-        J[sl, :n] = sens[:, None] * (db[j] * dz[j])[None, :]
-    return J
+    with np.errstate(under="ignore"):
+        rates = growth_rates(state, p._rates)
+        return np.diag(rates) + state[:, None] * _rate_derivative(state, p._rates)

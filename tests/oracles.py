@@ -64,6 +64,70 @@ def naive_field(
     return out
 
 
+def naive_bump_derivative(z: float, eps: float) -> float:
+    """d/dz of naive_bump, differentiating its two exponentials directly."""
+    if z <= 0.0 or z >= eps:
+        return 0.0
+    e_lo = math.exp(-eps / z)
+    e_hi = math.exp(-eps / (eps - z))
+    return -e_lo * e_hi * (eps / z**2 + eps / (eps - z) ** 2) / (e_lo + e_hi) ** 2
+
+
+def naive_jacobian(
+    state,
+    n_super: int,
+    block_sizes,
+    a,
+    alphas,
+    eps: float,
+    phi: float = 1.0,
+    psi: float = 1.0,
+    omega: float = 1.0,
+    bounded: bool = False,
+):
+    """Partial derivatives of naive_field, entry by entry, as a list of rows.
+
+    dX_j/dX_m   = phi * (delta_jm * (1 - |X|^2 + sum_k a[j][k] X_k^2)
+                  + X_j * 2 X_m * (a[j][m] - 1))
+    dx^j_i/dx^j_m = delta_im * (psi * G_i * b_j - omega * (1 - b_j) * g_i)
+                  + x_i * psi * b_j * 2 x_m * (alphas[j][i][m] - 1)
+                  + delta_im * x_i * omega * (1 - b_j)        (bounded only)
+    dx^j_i/dX_m = x_i * (psi * G_i + omega * g_i) * b_j'(z_j) * 2 (X_m - delta_jm)
+    and 0 between different substructure blocks and from x to X.
+    """
+    state = [float(v) for v in state]
+    d = len(state)
+    X = state[:n_super]
+    J = [[0.0] * d for _ in range(d)]
+    norm_x = sum(v * v for v in X)
+    for j in range(n_super):
+        growth = 1.0 - norm_x + sum(a[j][k] * X[k] * X[k] for k in range(n_super))
+        for m in range(n_super):
+            J[j][m] = phi * X[j] * 2.0 * X[m] * (a[j][m] - 1.0)
+        J[j][j] += phi * growth
+    off = n_super
+    for j, nj in enumerate(block_sizes):
+        x = state[off:off + nj]
+        zj = sum((X[m] - (1.0 if m == j else 0.0)) ** 2 for m in range(n_super))
+        bj = naive_bump(zj, eps)
+        dbj = naive_bump_derivative(zj, eps)
+        norm_j = sum(v * v for v in x)
+        for i in range(nj):
+            row = off + i
+            growth = 1.0 - norm_j + sum(alphas[j][i][k] * x[k] * x[k] for k in range(nj))
+            gate = (1.0 - x[i]) if bounded else 1.0
+            for m in range(nj):
+                J[row][off + m] = x[i] * psi * bj * 2.0 * x[m] * (alphas[j][i][m] - 1.0)
+            J[row][row] += psi * growth * bj - omega * (1.0 - bj) * gate
+            if bounded:
+                J[row][row] += x[i] * omega * (1.0 - bj)
+            for m in range(n_super):
+                dz = 2.0 * (X[m] - (1.0 if m == j else 0.0))
+                J[row][m] = x[i] * (psi * growth + omega * gate) * dbj * dz
+        off += nj
+    return J
+
+
 def naive_runs(labels):
     """Maximal runs of equal consecutive labels as (label, start, end) with
     end exclusive, by walking the stream once."""

@@ -13,8 +13,12 @@ Claims covered:
       exactly 0) and on an N = 10 hierarchy
     - log-chart field: masked zeros, cross-chart identity, deep underflow
     - designed equilibria: count, exact-zero residuals, scaling neutrality
-    - analytic Jacobian matches central finite differences; closed-form
+    - analytic Jacobian matches central finite differences and a scalar
+      transcription of its partial derivatives (examples 1 and 2, N = 10,
+      both variants, half the states with an open gate); closed-form
       entries at designed equilibria
+    - the rate derivative dr/dv of restricted forward, backward and bounded
+      tables matches central differences of growth_rates
     - nonzero fixed points of a gated coordinate match sqrt(2 - 1/b)
     - bounded variant keeps [0, 1] forward-invariant per coordinate
 """
@@ -47,8 +51,9 @@ from hexnet.vectorfield import (
     rate_table,
     simplex_coefficients,
 )
+from hexnet.vectorfield import _rate_derivative
 
-from oracles import central_difference_jacobian, naive_bump, naive_field
+from oracles import central_difference_jacobian, naive_bump, naive_field, naive_jacobian
 
 THREE_CYCLE = [(0, 1), (1, 2), (2, 0)]
 KIRK_SILBER = [(0, 1), (1, 2), (1, 3), (2, 0), (3, 0)]
@@ -62,9 +67,9 @@ ALPHA3_PRINTED = [
 ]
 
 
-def _oracle(state, p):
+def _oracle(state, p, transcription=naive_field):
     return np.asarray(
-        naive_field(
+        transcription(
             state,
             p.layout.n_super,
             p.layout.block_sizes,
@@ -216,6 +221,10 @@ def test_override_sign_violations():
         simplex_coefficients(ks, -1.0, -1.5)
     with pytest.raises(VertexOutOfRangeError):
         simplex_coefficients(ks, 1.0, -1.5, overrides={(0, 0): 1.0})
+    h = HierarchySpec(ks, (ks,) * 4)
+    for j in (-1, 4):  # sub overrides for a block that does not exist
+        with pytest.raises(VertexOutOfRangeError):
+            build_coefficients(h, sub_overrides={j: {(0, 1): 2.0}})
 
 
 def test_coefficients_from_matrices_equals_build(example1):
@@ -320,11 +329,28 @@ def _n10_params():
     return FieldParams(h, build_coefficients(h))
 
 
+def _rate_case(p, case):
+    return {"bounded": replace(p, variant="bounded"), "n10": _n10_params()}.get(case, p)
+
+
+def _states_with_open_gates(p, rng, count, low=0.0):
+    """Uniform random states; every other one has X near a random e_j, at
+    squared distance about epsilon/2, so that gate j is open."""
+    n = p.layout.n_super
+    for trial in range(count):
+        s = rng.uniform(low, 1.0, p.layout.dimension)
+        if trial % 2:
+            X = np.zeros(n)
+            X[rng.integers(n)] = 1.0
+            s[:n] = np.abs(X + rng.normal(0.0, math.sqrt(p.epsilon / (2 * n)), n))
+        yield s
+
+
 @pytest.mark.parametrize("case", ["forward", "backward", "bounded", "n10"])
 def test_rate_table_matches_oracle(example1, case):
     # rates on random live sets against the transcription, divided by the state
     _, p, _ = example1
-    p = {"bounded": replace(p, variant="bounded"), "n10": _n10_params()}.get(case, p)
+    p = _rate_case(p, case)
     backward = case == "backward"
     d = p.layout.dimension
     rng = np.random.default_rng(23)
@@ -338,6 +364,24 @@ def test_rate_table_matches_oracle(example1, case):
         if backward:
             ref = -ref
         assert (np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["forward", "backward", "bounded", "n10"])
+def test_rate_derivative_matches_finite_differences(example1, case):
+    # dr/dv of restricted tables against central differences of growth_rates
+    _, p, _ = example1
+    p = _rate_case(p, case)
+    d = p.layout.dimension
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for s in _states_with_open_gates(p, rng, 100, low=0.05):
+        s[rng.random(d) < 0.4] = 0.0
+        live = np.flatnonzero(s)
+        table = rate_table(p, live, case == "backward")
+        ours = _rate_derivative(s[live], table)
+        fd = central_difference_jacobian(lambda v: growth_rates(v, table), s[live], h=1e-6)
+        worst = max(worst, float((np.abs(ours - fd) / np.maximum(1.0, np.abs(fd))).max()))
+    assert worst <= 1e-6
 
 
 def test_rate_table_masked_gate_is_zero(example1):
@@ -493,6 +537,20 @@ def test_jacobian_matches_finite_differences_bounded(example1):
         J = jacobian(s, pb)
         F = central_difference_jacobian(lambda x: eval_field(x, pb), s, h=1e-6)
         assert np.abs(J - F).max() <= 1e-6
+
+
+@pytest.mark.parametrize("variant", ["standard", "bounded"])
+@pytest.mark.parametrize("case", ["example1", "example2", "n10"])
+def test_jacobian_matches_oracle(request, case, variant):
+    p = _n10_params() if case == "n10" else request.getfixturevalue(case)[1]
+    p = replace(p, variant=variant)
+    rng = np.random.default_rng(37)
+    worst = 0.0
+    for s in _states_with_open_gates(p, rng, 200):
+        J = jacobian(s, p)
+        ref = _oracle(s, p, naive_jacobian)
+        worst = max(worst, float((np.abs(J - ref) / np.maximum(1.0, np.abs(ref))).max()))
+    assert worst <= 1e-9
 
 
 def test_jacobian_at_origin(example1):

@@ -2,19 +2,28 @@
 
 Claims covered:
     - bundled scenarios load with the published parameter values
-    - defaults (unit timescales) and validation errors with field paths
+    - defaults (unit timescales) and validation errors with field paths,
+      including out-of-range coefficient overrides and non-finite verbatim
+      matrices
+    - importing the package loads no scipy (a test-only oracle)
     - save/load round trip is field-for-field identical
     - CSV layout, full precision, bitwise-zero columns, determinism
     - itinerary/report rendering and SVG output are well-formed
     - CLI exit codes: 0 ok, 1 verification/validation failure, 2 input
       error, 3 integration failure
 """
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import yaml
 
+import hexnet
 from hexnet.cli import main
 from hexnet.errors import ScenarioSchemaError, ScenarioValidationError
 from hexnet.integrator import IntegratorConfig, integrate
@@ -116,6 +125,43 @@ def test_non_finite_t_end_rejected(tmp_path):
     with pytest.raises(ScenarioValidationError) as err:
         load_scenario(path)
     assert "t_end must be finite" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"super": {"1->9": 1.0}}, "coefficients.overrides.super.1->9"),
+        ({"super": {"2->2": -1.0}}, "coefficients.overrides.super.2->2"),
+        ({"sub": {7: {"1->2": 1.0}}}, "coefficients.overrides.sub.7"),
+        ({"sub": {0: {"1->2": 1.0}}}, "coefficients.overrides.sub.0"),
+        ({"sub": {2: {"1->4": -1.0}}}, "coefficients.overrides.sub.2.1->4"),
+    ],
+)
+def test_out_of_range_override_rejected(tmp_path, small_scenario_file, capsys, overrides, where):
+    doc = yaml.safe_load(small_scenario_file.read_text(encoding="utf-8"))
+    doc["coefficients"]["overrides"] = overrides
+    path = tmp_path / "ov.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(path)
+    assert err.value.path == where
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid: {where}: ")
+    for cmd in (["simulate", "--out", str(tmp_path)], ["verify", "--out", str(tmp_path)], ["witness"]):
+        assert main([cmd[0], str(path), *cmd[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
+def test_non_finite_verbatim_matrix_rejected(tmp_path, small_scenario_file, capsys):
+    doc = yaml.safe_load(small_scenario_file.read_text(encoding="utf-8"))
+    cycle = [[0.0, 1.0, -1.5], [-1.5, 0.0, 1.0], [1.0, -1.5, 0.0]]
+    doc["coefficients"] = {"a": [*cycle[:2], [1.0, -1.5, float("nan")]], "alphas": [cycle] * 3}
+    path = tmp_path / "nan.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(path)
+    assert err.value.path == "coefficients" and "non-finite" in str(err.value)
+    assert main(["witness", str(path)]) == 2
 
 
 def test_round_trip_bundled(tmp_path):
@@ -231,6 +277,17 @@ def test_svg_panels(tmp_path, small_scenario):
     text = path.read_text(encoding="utf-8")
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert text.count("<polyline") == 12  # 3 + 3x3 coordinate traces
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; the package must not import it
+    src = str(Path(hexnet.__file__).resolve().parents[1])
+    code = "import sys, hexnet, hexnet.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=src,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
