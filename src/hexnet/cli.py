@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .analysis import (
@@ -33,13 +32,16 @@ from .output import (
     write_svg_panels,
     write_timeseries,
 )
-from .scenario import load_scenario
+from .scenario import apply_overrides, load_scenario
 from .vectorfield import ORIENTATION_EIGENVALUE, ORIENTATION_LITERAL, VARIANT_BOUNDED, VARIANT_STANDARD
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTEGRATION = 3
+
+# command-line options that override the scenario key of the same name
+_OVERRIDES = ("orientation", "variant", "t_end", "sample_dt")
 
 _EPILOG = """exit codes:
   0  success / verification passed
@@ -52,38 +54,21 @@ _EPILOG = """exit codes:
 def _load(path, args):
     """Load a scenario and apply command-line overrides."""
     if not Path(path).is_file():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return None
-    sc = load_scenario(path)
-    changes = {}
-    if getattr(args, "orientation", None):
-        changes["orientation"] = args.orientation
-    if getattr(args, "variant", None):
-        changes["variant"] = args.variant
-    integ = {}
-    if getattr(args, "t_end", None) is not None:
-        integ["t_end"] = args.t_end
-    if getattr(args, "sample_dt", None) is not None:
-        integ["sample_dt"] = args.sample_dt
-    if integ:
-        try:
-            changes["integrator"] = replace(sc.integrator, **integ)
-        except ValueError as exc:
-            raise ScenarioValidationError("integrator", str(exc)) from exc
-    return replace(sc, **changes) if changes else sc
+        raise ScenarioParseError(f"no such file: {path}")
+    overrides = {key: getattr(args, key, None) for key in _OVERRIDES}
+    if getattr(args, "delta", None):
+        overrides["witness_deltas"] = tuple(args.delta)
+    return apply_overrides(
+        load_scenario(path), **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def cmd_validate(args) -> int:
     try:
         sc = _load(args.scenario, args)
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ScenarioSchemaError, ScenarioValidationError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if sc is None:
-        return EXIT_INPUT
     sc.field_params()  # warns when epsilon lets bump supports overlap
     h = sc.hierarchy
     print(
@@ -94,19 +79,8 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _load_or_exit(args):
-    try:
-        sc = _load(args.scenario, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    return sc
-
-
 def cmd_simulate(args) -> int:
-    sc = _load_or_exit(args)
-    if sc is None:
-        return EXIT_INPUT
+    sc = _load(args.scenario, args)
     params = sc.field_params()
     traj = integrate(sc.initial_state(), params, sc.integrator)
     out = Path(args.out)
@@ -137,9 +111,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sc = _load_or_exit(args)
-    if sc is None:
-        return EXIT_INPUT
+    sc = _load(args.scenario, args)
     params = sc.field_params()
     report = verify_realization(
         params,
@@ -157,19 +129,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    sc = _load_or_exit(args)
-    if sc is None:
-        return EXIT_INPUT
+    sc = _load(args.scenario, args)
     params = sc.field_params()
     if args.edge is not None:
         edges = [(args.edge[0] - 1, args.edge[1] - 1)]
     else:
         edges = sorted(params.hierarchy.superstructure.edges)
-    deltas = tuple(args.delta) if args.delta else sc.witness_deltas
     ok = True
     try:
         for j, k in edges:
-            for delta in deltas:
+            for delta in sc.witness_deltas:
                 res = run_witness(WitnessSpec(j, k, delta), params)
                 print(witness_line(res))
                 ok = ok and res.passed

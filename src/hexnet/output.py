@@ -18,10 +18,6 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
     """CSV with header t, X1..XN, x1_1..; 17 significant digits.
 
@@ -30,10 +26,12 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
     if traj.times.shape[0] == 0:
         raise ValueError("trajectory has no samples")
     names = layout.coord_names()
+    # "%.17g" % x renders exactly as format(x, ".17g"), one template per row
+    row_format = ",".join(["%.17g"] * (1 + len(names))) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["t"] + names) + "\n")
         for t, row in zip(traj.times, traj.states):
-            fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row]) + "\n")
+            fh.write(row_format % (t, *row.tolist()))
 
 
 def render_itinerary(report: ItineraryReport) -> str:

@@ -4,12 +4,17 @@ A scenario bundles the hierarchy (edge lists, 1-based), the coefficient
 choice (uniform rule with optional per-connection overrides, or verbatim
 connection-oriented matrices), the field scalars, the initial state, the
 integrator settings and the analysis options.
+
+The flat sections (field, integrator, analysis) are each one table from a key,
+also the attribute it sets, to its parser; load, save and CLI overrides read it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -24,22 +29,20 @@ from .errors import (
     ScenarioValidationError,
 )
 from .hierarchy import Digraph, HierarchySpec, digraph_from_edges, edge_list, validate_hierarchy
-from .integrator import IntegratorConfig
+from .integrator import _DIRECTIONS, IntegratorConfig
 from .vectorfield import (
-    EPSILON_HARD_BOUND,
+    _ORIENTATIONS,
+    _VARIANTS,
     ORIENTATION_EIGENVALUE,
-    ORIENTATION_LITERAL,
-    VARIANT_BOUNDED,
     VARIANT_STANDARD,
     CoefficientSet,
     FieldParams,
     build_coefficients,
+    check_field_value,
     coefficients_from_matrices,
 )
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "bundled_scenario_path"]
-
-_TOP_KEYS = {"hierarchy", "coefficients", "field", "initial_state", "integrator", "analysis"}
 
 
 @dataclass(frozen=True)
@@ -68,13 +71,8 @@ class Scenario:
 
     def field_params(self) -> FieldParams:
         return FieldParams(
-            hierarchy=self.hierarchy,
-            coeffs=self._coefficients(),
-            epsilon=self.epsilon,
-            phi=self.phi,
-            psi=self.psi,
-            omega=self.omega,
-            variant=self.variant,
+            self.hierarchy, self._coefficients(), epsilon=self.epsilon, phi=self.phi,
+            psi=self.psi, omega=self.omega, variant=self.variant,
         )
 
     def _coefficients(self) -> CoefficientSet:
@@ -102,26 +100,33 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# parsing; every node guard and parser raises a ScenarioSchemaError at path
 # ---------------------------------------------------------------------------
 
+def _expect(node, kind, path):
+    if not isinstance(node, kind):
+        raise ScenarioSchemaError(path, f"expected {'a mapping' if kind is dict else 'a list'}")
+    return node
+
+
+def _mapping(node, path, keys=None, optional=False) -> dict:
+    """node as a mapping with keys in keys (any when None); optional: None reads as {}."""
+    if node is None and optional:
+        return {}
+    _expect(node, dict, path)
+    unknown = keys is not None and node.keys() - keys
+    if unknown:
+        raise ScenarioSchemaError(f"{path}.{min(map(str, unknown))}", "unknown key")
+    return node
+
+
 def _require(mapping, key, path):
-    if not isinstance(mapping, dict):
-        raise ScenarioSchemaError(path, "expected a mapping")
     if key not in mapping:
         raise ScenarioSchemaError(f"{path}.{key}", "missing required key")
     return mapping[key]
 
 
-def _reject_unknown(mapping, allowed, path):
-    if not isinstance(mapping, dict):
-        raise ScenarioSchemaError(path, "expected a mapping")
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ScenarioSchemaError(f"{path}.{sorted(unknown)[0]}", "unknown key")
-
-
-def _as_float(value, path) -> float:
+def _number(value, path) -> float:
     # strings are accepted because YAML 1.1 resolves "1e-12" (no dot) as text
     if isinstance(value, bool) or value is None:
         raise ScenarioSchemaError(path, f"expected a number, got {value!r}")
@@ -131,319 +136,274 @@ def _as_float(value, path) -> float:
         raise ScenarioSchemaError(path, f"expected a number, got {value!r}") from None
 
 
-def _as_int(value, path) -> int:
+def _integer(value, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioSchemaError(path, f"expected an integer, got {value!r}")
     return value
 
 
-def _as_choice(value, choices, path) -> str:
-    if value not in choices:
-        raise ScenarioSchemaError(path, f"expected one of {choices}, got {value!r}")
-    return value
+def _numbers(node, path, nonempty=False) -> tuple[float, ...]:
+    if nonempty and node == []:
+        raise ScenarioSchemaError(path, "expected a nonempty list")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(_expect(node, list, path)))
 
 
-def _parse_digraph(node, path) -> Digraph:
-    _reject_unknown(node, {"vertices", "edges"}, path)
-    n = _as_int(_require(node, "vertices", path), f"{path}.vertices")
-    raw_edges = _require(node, "edges", path)
-    if not isinstance(raw_edges, list):
-        raise ScenarioSchemaError(f"{path}.edges", "expected a list of [i, k] pairs")
+def _choice(options):
+    def parse(value, path) -> str:
+        if value not in options:
+            raise ScenarioSchemaError(path, f"expected one of {options}, got {value!r}")
+        return value
+    return parse
+
+
+def _matrix(node, path) -> tuple[tuple[float, ...], ...]:
+    rows = isinstance(node, list) and all(isinstance(r, list) for r in node)
+    if not rows or len({len(r) for r in node}) > 1:
+        raise ScenarioSchemaError(path, "expected a matrix (list of rows of equal length)")
+    return tuple(_numbers(row, f"{path}[{r}]") for r, row in enumerate(node))
+
+
+@dataclass(frozen=True)
+class _Section:
+    """A flat section. Each key sets the attribute of the same name on the
+    Scenario or, given config, on the config dataclass in Scenario.<name>.
+    rule(key, value) raises ValueError for a value outside its key's rule."""
+
+    name: str
+    parsers: dict[str, Callable]
+    rule: Callable[[str, object], None] = lambda key, value: None
+    config: type | None = None
+
+    def read(self, doc: dict) -> dict:
+        """Scenario keyword arguments from this section of doc."""
+        node = _mapping(doc.get(self.name), self.name, self.parsers, optional=True)
+        spec = (self.config or Scenario).__dataclass_fields__
+        for key in self.parsers:
+            if spec[key].default is MISSING and spec[key].default_factory is MISSING:
+                _require(node, key, self.name)
+        values = {key: parse(node[key], f"{self.name}.{key}")
+                  for key, parse in self.parsers.items() if key in node}
+        if self.config is None:
+            return self._make(dict, values)
+        return {self.name: self._make(self.config, values)}
+
+    def merge(self, sc: Scenario, values: dict) -> Scenario:
+        """sc with values set, under the rules that read applies."""
+        if self.config is None:
+            return self._make(partial(replace, sc), values)
+        config = self._make(partial(replace, getattr(sc, self.name)), values)
+        return replace(sc, **{self.name: config})
+
+    def _make(self, make, values: dict):
+        """make(**values) once every value obeys its rule; errors name their path."""
+        for key, value in values.items():
+            try:
+                self.rule(key, value)
+            except ValueError as exc:
+                raise ScenarioValidationError(f"{self.name}.{key}", str(exc)) from exc
+        try:
+            return make(**values)
+        except ValueError as exc:
+            raise ScenarioValidationError(self.name, str(exc)) from exc
+
+    def dump(self, sc: Scenario) -> dict:
+        target = getattr(sc, self.name) if self.config else sc
+        values = ((key, getattr(target, key)) for key in self.parsers)
+        return {key: value for key, value in values if value is not None}
+
+
+_ANALYSIS_RULES = {  # key: (test, rule)
+    "near_tol": (lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)"),
+    "min_dwell": (lambda v: v >= 0.0, "must be nonnegative"),
+    "witness_deltas": (lambda v: all(0.0 < d < 1.0 for d in v), "each delta must lie in (0, 1)"),
+}
+
+
+def _analysis_rule(key, value) -> None:
+    holds, rule = _ANALYSIS_RULES[key]
+    if not holds(value):
+        raise ValueError(f"{rule}, got {value!r}")
+
+
+_FIELD = _Section(
+    "field",
+    {"epsilon": _number, "phi": _number, "psi": _number, "omega": _number,
+     "variant": _choice(_VARIANTS), "orientation": _choice(_ORIENTATIONS)},
+    check_field_value,
+)
+# IntegratorConfig checks the values of this section as a whole
+_INTEGRATOR = _Section(
+    "integrator",
+    {"t_end": _number, "rtol": _number, "atol": _number,
+     "max_step": lambda value, path: None if value is None else _number(value, path),
+     "sample_dt": _number, "direction": _choice(_DIRECTIONS)},
+    config=IntegratorConfig,
+)
+_ANALYSIS = _Section(
+    "analysis",
+    {"near_tol": _number, "min_dwell": _number,
+     "witness_deltas": lambda value, path: _numbers(value, path, nonempty=True)},
+    _analysis_rule,
+)
+_SECTIONS = (_FIELD, _INTEGRATOR, _ANALYSIS)
+_TOP_KEYS = ("hierarchy", "coefficients", "field", "initial_state", "integrator", "analysis")
+
+
+def apply_overrides(sc: Scenario, **values) -> Scenario:
+    """sc with flat-section keys (e.g. t_end, variant, witness_deltas) set,
+    under the same rules and error paths as load_scenario."""
+    for section in _SECTIONS:
+        given = {key: values[key] for key in section.parsers if key in values}
+        if given:
+            sc = section.merge(sc, given)
+    return sc
+
+
+def _read_digraph(node, path) -> Digraph:
+    node = _mapping(node, path, ("vertices", "edges"))
+    n = _integer(_require(node, "vertices", path), f"{path}.vertices")
+    edges = _expect(_require(node, "edges", path), list, f"{path}.edges")
     pairs = []
-    for idx, e in enumerate(raw_edges):
+    for idx, e in enumerate(edges):
+        where = f"{path}.edges[{idx}]"
         if not (isinstance(e, list) and len(e) == 2):
-            raise ScenarioSchemaError(f"{path}.edges[{idx}]", "expected a pair [i, k]")
-        i = _as_int(e[0], f"{path}.edges[{idx}]") - 1
-        k = _as_int(e[1], f"{path}.edges[{idx}]") - 1
-        pairs.append((i, k))
+            raise ScenarioSchemaError(where, "expected a pair [i, k]")
+        pairs.append((_integer(e[0], where) - 1, _integer(e[1], where) - 1))
     try:
         return digraph_from_edges(n, pairs)
     except GraphError as exc:
         raise ScenarioValidationError(path, str(exc)) from exc
 
 
-def _parse_pair_key(key, n, path) -> tuple[int, int]:
-    """0-based (i, k) of an override key "i->k" between two distinct
-    vertices of a digraph on n vertices."""
-    if not isinstance(key, str) or "->" not in key:
-        raise ScenarioSchemaError(path, f'override keys look like "1->2", got {key!r}')
-    left, _, right = key.partition("->")
+def _read_hierarchy(node) -> HierarchySpec:
+    node = _mapping(node, "hierarchy", ("superstructure", "substructures"))
+    sup = _read_digraph(_require(node, "superstructure", "hierarchy"), "hierarchy.superstructure")
+    subs = _expect(_require(node, "substructures", "hierarchy"), list, "hierarchy.substructures")
+    hierarchy = HierarchySpec(sup, tuple(
+        _read_digraph(g, f"hierarchy.substructures[{j + 1}]") for j, g in enumerate(subs)
+    ))
+    problems = validate_hierarchy(hierarchy)
+    if problems:
+        raise ScenarioValidationError("hierarchy", "; ".join(str(p) for p in problems))
+    return hierarchy
+
+
+def _read_pair(key, n, path) -> tuple[int, int]:
+    """0-based (i, k) of an override key "i->k" joining two distinct vertices in 1..n."""
     try:
+        left, right = str(key).split("->")
         i, k = int(left) - 1, int(right) - 1
     except ValueError:
-        raise ScenarioSchemaError(path, f"bad override key {key!r}") from None
+        raise ScenarioSchemaError(path, f'override keys look like "1->2", got {key!r}') from None
     if i == k or not (0 <= i < n and 0 <= k < n):
-        raise ScenarioValidationError(
-            f"{path}.{key}", f"must join two distinct vertices in 1..{n}"
-        )
+        raise ScenarioValidationError(f"{path}.{key}", f"must join two distinct vertices in 1..{n}")
     return i, k
 
 
-def _parse_matrix(node, path) -> tuple[tuple[float, ...], ...]:
-    if not isinstance(node, list) or not all(isinstance(r, list) for r in node):
-        raise ScenarioSchemaError(path, "expected a matrix (list of rows)")
-    return tuple(
-        tuple(_as_float(v, f"{path}[{r}][{c}]") for c, v in enumerate(row))
-        for r, row in enumerate(node)
-    )
+def _read_coefficients(node, h: HierarchySpec) -> dict:
+    """Scenario keyword arguments of the coefficients section."""
+    keys = ("c_plus", "c_minus", "overrides", "a", "alphas")
+    node = _mapping(node, "coefficients", keys, optional=True)
+    if "a" in node or "alphas" in node:
+        if not ("a" in node and "alphas" in node):
+            raise ScenarioSchemaError("coefficients", "verbatim form needs both a and alphas")
+        mixed = sorted(node.keys() - {"a", "alphas"})  # keys of the uniform form
+        if mixed:
+            raise ScenarioSchemaError(f"coefficients.{mixed[0]}", "not allowed with a and alphas")
+        a = _matrix(node["a"], "coefficients.a")
+        alphas = _expect(node["alphas"], list, "coefficients.alphas")
+        return {"a": a, "alphas": tuple(
+            _matrix(m, f"coefficients.alphas[{j + 1}]") for j, m in enumerate(alphas)
+        )}
+    out = {k: _number(node[k], f"coefficients.{k}") for k in ("c_plus", "c_minus") if k in node}
+    ov = _mapping(node.get("overrides"), "coefficients.overrides", ("super", "sub"), optional=True)
+    where = "coefficients.overrides.super"
+    sup = [(*_read_pair(key, h.n_super, where), _number(val, f"{where}.{key}"))
+           for key, val in _mapping(ov.get("super"), where, optional=True).items()]
+    where = "coefficients.overrides.sub"
+    sub = []
+    for jkey, entries in _mapping(ov.get("sub"), where, optional=True).items():
+        try:
+            j = int(jkey) - 1
+        except (TypeError, ValueError):
+            msg = f"substructure key must be an integer, got {jkey!r}"
+            raise ScenarioSchemaError(where, msg) from None
+        block = f"{where}.{jkey}"
+        if not 0 <= j < h.n_super:
+            raise ScenarioValidationError(block, f"substructure must lie in 1..{h.n_super}")
+        for key, val in _mapping(entries, block, optional=True).items():
+            i, k = _read_pair(key, h.block_sizes[j], block)
+            sub.append((j, i, k, _number(val, f"{block}.{key}")))
+    return {**out, "super_overrides": tuple(sorted(sup)), "sub_overrides": tuple(sorted(sub))}
+
+
+def _read_initial_state(node, h: HierarchySpec) -> dict:
+    node = _mapping(node, "initial_state", ("X", "x"))
+    initial_X = _numbers(_require(node, "X", "initial_state"), "initial_state.X")
+    blocks = _expect(_require(node, "x", "initial_state"), list, "initial_state.x")
+    initial_x = tuple(_numbers(b, f"initial_state.x[{j + 1}]") for j, b in enumerate(blocks))
+    if len(initial_X) != h.n_super:
+        msg = f"expected length {h.n_super}, got {len(initial_X)}"
+        raise ScenarioValidationError("initial_state.X", msg)
+    lengths = tuple(len(b) for b in initial_x)
+    if lengths != h.block_sizes:
+        msg = f"expected block lengths {h.block_sizes}, got {lengths}"
+        raise ScenarioValidationError("initial_state.x", msg)
+    if any(not np.isfinite(v) or v < 0.0 for v in (*initial_X, *(v for b in initial_x for v in b))):
+        raise ScenarioValidationError("initial_state", "entries must be finite and nonnegative")
+    return {"initial_X": initial_X, "initial_x": initial_x}
 
 
 def load_scenario(path) -> Scenario:
     """Parse and fully validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioSchemaError("<root>", "expected a mapping of sections")
-    _reject_unknown(doc, _TOP_KEYS, "<root>")
-
-    hier_node = _require(doc, "hierarchy", "<root>")
-    _reject_unknown(hier_node, {"superstructure", "substructures"}, "hierarchy")
-    superstructure = _parse_digraph(
-        _require(hier_node, "superstructure", "hierarchy"), "hierarchy.superstructure"
-    )
-    subs_node = _require(hier_node, "substructures", "hierarchy")
-    if not isinstance(subs_node, list):
-        raise ScenarioSchemaError("hierarchy.substructures", "expected a list")
-    substructures = tuple(
-        _parse_digraph(g, f"hierarchy.substructures[{j + 1}]")
-        for j, g in enumerate(subs_node)
-    )
-    hierarchy = HierarchySpec(superstructure, substructures)
-    problems = validate_hierarchy(hierarchy)
-    if problems:
-        raise ScenarioValidationError("hierarchy", "; ".join(str(p) for p in problems))
-
-    c_plus, c_minus = 1.0, -1.5
-    super_ov: tuple = ()
-    sub_ov: tuple = ()
-    a_mat = alpha_mats = None
-    coeff_node = doc.get("coefficients") or {}
-    _reject_unknown(
-        coeff_node, {"c_plus", "c_minus", "overrides", "a", "alphas"}, "coefficients"
-    )
-    if "a" in coeff_node or "alphas" in coeff_node:
-        if not ("a" in coeff_node and "alphas" in coeff_node):
-            raise ScenarioSchemaError("coefficients", "verbatim form needs both a and alphas")
-        a_mat = _parse_matrix(coeff_node["a"], "coefficients.a")
-        if not isinstance(coeff_node["alphas"], list):
-            raise ScenarioSchemaError("coefficients.alphas", "expected a list of matrices")
-        alpha_mats = tuple(
-            _parse_matrix(m, f"coefficients.alphas[{j + 1}]")
-            for j, m in enumerate(coeff_node["alphas"])
-        )
-    else:
-        c_plus = _as_float(coeff_node.get("c_plus", 1.0), "coefficients.c_plus")
-        c_minus = _as_float(coeff_node.get("c_minus", -1.5), "coefficients.c_minus")
-        ov = coeff_node.get("overrides") or {}
-        _reject_unknown(ov, {"super", "sub"}, "coefficients.overrides")
-        sup = []
-        for key, val in (ov.get("super") or {}).items():
-            i, k = _parse_pair_key(key, hierarchy.n_super, "coefficients.overrides.super")
-            sup.append((i, k, _as_float(val, f"coefficients.overrides.super.{key}")))
-        super_ov = tuple(sorted(sup))
-        sub = []
-        for jkey, entries in (ov.get("sub") or {}).items():
-            try:
-                j = int(jkey) - 1
-            except (TypeError, ValueError):
-                raise ScenarioSchemaError(
-                    "coefficients.overrides.sub", f"substructure key must be an integer, got {jkey!r}"
-                ) from None
-            if not 0 <= j < hierarchy.n_super:
-                raise ScenarioValidationError(
-                    f"coefficients.overrides.sub.{jkey}",
-                    f"substructure must lie in 1..{hierarchy.n_super}",
-                )
-            for key, val in (entries or {}).items():
-                i, k = _parse_pair_key(
-                    key, hierarchy.block_sizes[j], f"coefficients.overrides.sub.{jkey}"
-                )
-                sub.append((j, i, k, _as_float(val, f"coefficients.overrides.sub.{jkey}.{key}")))
-        sub_ov = tuple(sorted(sub))
-
-    field_node = doc.get("field") or {}
-    _reject_unknown(
-        field_node, {"epsilon", "phi", "psi", "omega", "variant", "orientation"}, "field"
-    )
-    epsilon = _as_float(field_node.get("epsilon", 0.2), "field.epsilon")
-    if not 0.0 < epsilon < EPSILON_HARD_BOUND:
-        raise ScenarioValidationError(
-            "field.epsilon",
-            f"must lie in (0, sqrt(2)/2 ~ {EPSILON_HARD_BOUND:.6f}), got {epsilon}",
-        )
-    phi = _as_float(field_node.get("phi", 1.0), "field.phi")
-    psi = _as_float(field_node.get("psi", 1.0), "field.psi")
-    omega = _as_float(field_node.get("omega", 1.0), "field.omega")
-    for name, val in (("phi", phi), ("psi", psi), ("omega", omega)):
-        if not val > 0.0:
-            raise ScenarioValidationError(f"field.{name}", f"must be positive, got {val}")
-    variant = _as_choice(
-        field_node.get("variant", VARIANT_STANDARD),
-        (VARIANT_STANDARD, VARIANT_BOUNDED),
-        "field.variant",
-    )
-    orientation = _as_choice(
-        field_node.get("orientation", ORIENTATION_EIGENVALUE),
-        (ORIENTATION_EIGENVALUE, ORIENTATION_LITERAL),
-        "field.orientation",
-    )
-
-    init_node = _require(doc, "initial_state", "<root>")
-    _reject_unknown(init_node, {"X", "x"}, "initial_state")
-    raw_X = _require(init_node, "X", "initial_state")
-    if not isinstance(raw_X, list):
-        raise ScenarioSchemaError("initial_state.X", "expected a list")
-    initial_X = tuple(_as_float(v, f"initial_state.X[{i}]") for i, v in enumerate(raw_X))
-    raw_x = _require(init_node, "x", "initial_state")
-    if not isinstance(raw_x, list):
-        raise ScenarioSchemaError("initial_state.x", "expected a list of blocks")
-    initial_x = tuple(
-        tuple(_as_float(v, f"initial_state.x[{j + 1}][{i}]") for i, v in enumerate(blk))
-        for j, blk in enumerate(raw_x)
-    )
-    if len(initial_X) != hierarchy.n_super:
-        raise ScenarioValidationError(
-            "initial_state.X", f"expected length {hierarchy.n_super}, got {len(initial_X)}"
-        )
-    if tuple(len(b) for b in initial_x) != hierarchy.block_sizes:
-        raise ScenarioValidationError(
-            "initial_state.x",
-            f"expected block lengths {hierarchy.block_sizes}, got {tuple(len(b) for b in initial_x)}",
-        )
-    flat = [*initial_X, *(v for b in initial_x for v in b)]
-    if any(not np.isfinite(v) or v < 0.0 for v in flat):
-        raise ScenarioValidationError("initial_state", "entries must be finite and nonnegative")
-
-    integ_node = doc.get("integrator") or {}
-    _reject_unknown(
-        integ_node, {"t_end", "rtol", "atol", "max_step", "sample_dt", "direction"}, "integrator"
-    )
-    try:
-        integrator = IntegratorConfig(
-            t_end=_as_float(_require(integ_node, "t_end", "integrator"), "integrator.t_end"),
-            rtol=_as_float(integ_node.get("rtol", 1e-12), "integrator.rtol"),
-            atol=_as_float(integ_node.get("atol", 1e-12), "integrator.atol"),
-            max_step=(
-                None
-                if integ_node.get("max_step") is None
-                else _as_float(integ_node["max_step"], "integrator.max_step")
-            ),
-            sample_dt=_as_float(integ_node.get("sample_dt", 0.1), "integrator.sample_dt"),
-            direction=_as_choice(
-                integ_node.get("direction", "forward"), ("forward", "backward"), "integrator.direction"
-            ),
-        )
-    except ValueError as exc:
-        raise ScenarioValidationError("integrator", str(exc)) from exc
-
-    ana_node = doc.get("analysis") or {}
-    _reject_unknown(ana_node, {"near_tol", "min_dwell", "witness_deltas"}, "analysis")
-    near_tol = _as_float(ana_node.get("near_tol", 0.1), "analysis.near_tol")
-    if not 0.0 < near_tol < 0.5:
-        raise ScenarioValidationError("analysis.near_tol", f"must lie in (0, 0.5), got {near_tol}")
-    min_dwell = _as_float(ana_node.get("min_dwell", 1.0), "analysis.min_dwell")
-    if min_dwell < 0.0:
-        raise ScenarioValidationError("analysis.min_dwell", "must be nonnegative")
-    deltas = ana_node.get("witness_deltas", [1e-1, 1e-2, 1e-3])
-    if not isinstance(deltas, list) or not deltas:
-        raise ScenarioSchemaError("analysis.witness_deltas", "expected a nonempty list")
-    witness_deltas = tuple(
-        _as_float(v, f"analysis.witness_deltas[{i}]") for i, v in enumerate(deltas)
-    )
-    if any(not 0.0 < v < 1.0 for v in witness_deltas):
-        raise ScenarioValidationError("analysis.witness_deltas", "each delta must lie in (0, 1)")
-
-    scenario = Scenario(
-        hierarchy=hierarchy,
-        c_plus=c_plus,
-        c_minus=c_minus,
-        super_overrides=super_ov,
-        sub_overrides=sub_ov,
-        a=a_mat,
-        alphas=alpha_mats,
-        epsilon=epsilon,
-        phi=phi,
-        psi=psi,
-        omega=omega,
-        variant=variant,
-        orientation=orientation,
-        initial_X=initial_X,
-        initial_x=initial_x,
-        integrator=integrator,
-        near_tol=near_tol,
-        min_dwell=min_dwell,
-        witness_deltas=witness_deltas,
+    doc = _mapping(doc, "<root>", _TOP_KEYS)
+    hierarchy = _read_hierarchy(_require(doc, "hierarchy", "<root>"))
+    sc = Scenario(  # sections are read in document order
+        hierarchy,
+        **_read_coefficients(doc.get("coefficients"), hierarchy),
+        **_FIELD.read(doc),
+        **_read_initial_state(_require(doc, "initial_state", "<root>"), hierarchy),
+        **_INTEGRATOR.read(doc),
+        **_ANALYSIS.read(doc),
     )
     # surface coefficient-matrix problems now, with a stable path prefix
     try:
-        scenario._coefficients()
+        sc._coefficients()
     except (CoefficientSignError, DimensionMismatchError, NonFiniteError) as exc:
         raise ScenarioValidationError("coefficients", str(exc)) from exc
-    return scenario
+    return sc
 
 
 def _digraph_to_node(d: Digraph) -> dict:
-    return {
-        "vertices": d.n_vertices,
-        "edges": [[i + 1, k + 1] for i, k in edge_list(d)],
-    }
+    return {"vertices": d.n_vertices, "edges": [[i + 1, k + 1] for i, k in edge_list(d)]}
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    coeff: dict = {}
     if sc.a is not None:
-        coeff["a"] = [list(r) for r in sc.a]
-        coeff["alphas"] = [[list(r) for r in m] for m in sc.alphas]
+        coeff = {"a": sc.a, "alphas": sc.alphas}  # safe_dump writes tuples as lists
     else:
-        coeff["c_plus"] = sc.c_plus
-        coeff["c_minus"] = sc.c_minus
-        overrides: dict = {}
-        if sc.super_overrides:
-            overrides["super"] = {f"{i + 1}->{k + 1}": v for i, k, v in sc.super_overrides}
-        if sc.sub_overrides:
-            sub: dict = {}
-            for j, i, k, v in sc.sub_overrides:
-                sub.setdefault(j + 1, {})[f"{i + 1}->{k + 1}"] = v
-            overrides["sub"] = sub
-        if overrides:
-            coeff["overrides"] = overrides
-    out = {
+        coeff = {"c_plus": sc.c_plus, "c_minus": sc.c_minus}
+        sub: dict = {}
+        for j, i, k, v in sc.sub_overrides:
+            sub.setdefault(j + 1, {})[f"{i + 1}->{k + 1}"] = v
+        sup = {f"{i + 1}->{k + 1}": v for i, k, v in sc.super_overrides}
+        if sup or sub:
+            coeff["overrides"] = {key: val for key, val in (("super", sup), ("sub", sub)) if val}
+    return {
         "hierarchy": {
             "superstructure": _digraph_to_node(sc.hierarchy.superstructure),
             "substructures": [_digraph_to_node(g) for g in sc.hierarchy.substructures],
         },
         "coefficients": coeff,
-        "field": {
-            "epsilon": sc.epsilon,
-            "phi": sc.phi,
-            "psi": sc.psi,
-            "omega": sc.omega,
-            "variant": sc.variant,
-            "orientation": sc.orientation,
-        },
-        "initial_state": {
-            "X": list(sc.initial_X),
-            "x": [list(b) for b in sc.initial_x],
-        },
-        "integrator": {
-            "t_end": sc.integrator.t_end,
-            "rtol": sc.integrator.rtol,
-            "atol": sc.integrator.atol,
-            "sample_dt": sc.integrator.sample_dt,
-            "direction": sc.integrator.direction,
-        },
-        "analysis": {
-            "near_tol": sc.near_tol,
-            "min_dwell": sc.min_dwell,
-            "witness_deltas": list(sc.witness_deltas),
-        },
+        "field": _FIELD.dump(sc),
+        "initial_state": {"X": sc.initial_X, "x": sc.initial_x},
+        "integrator": _INTEGRATOR.dump(sc),
+        "analysis": _ANALYSIS.dump(sc),
     }
-    if sc.integrator.max_step is not None:
-        out["integrator"]["max_step"] = sc.integrator.max_step
-    return out
 
 
 def save_scenario(sc: Scenario, path) -> None:

@@ -31,6 +31,7 @@ __all__ = [
     "ORIENTATION_LITERAL",
     "EPSILON_HARD_BOUND",
     "EPSILON_DISJOINT_BOUND",
+    "check_field_value",
     "BlockLayout",
     "CoefficientSet",
     "FieldParams",
@@ -197,9 +198,23 @@ def bump_j(X, j: int, epsilon: float) -> float:
 # coefficients
 # ---------------------------------------------------------------------------
 
-def _check_orientation(orientation: str) -> None:
-    if orientation not in _ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {_ORIENTATIONS}")
+_FIELD_RULES = {  # name: (test, rule)
+    "variant": (lambda v: v in _VARIANTS, f"must be one of {_VARIANTS}"),
+    "orientation": (lambda v: v in _ORIENTATIONS, f"must be one of {_ORIENTATIONS}"),
+    "epsilon": (lambda v: 0.0 < v < EPSILON_HARD_BOUND,
+                f"must lie in (0, sqrt(2)/2 ~ {EPSILON_HARD_BOUND:.6f})"),
+    **dict.fromkeys(("phi", "psi", "omega"),
+                    (lambda v: 0.0 < v < np.inf, "must be positive and finite")),
+}
+
+
+def check_field_value(name: str, value) -> None:
+    """Raise ValueError unless value is admissible as the field scalar name
+    (epsilon, phi, psi, omega, variant, orientation). FieldParams and the
+    scenario loader both use it."""
+    holds, rule = _FIELD_RULES[name]
+    if not holds(value):
+        raise ValueError(f"{name} {rule}, got {value!r}")
 
 
 def simplex_coefficients(
@@ -215,7 +230,7 @@ def simplex_coefficients(
     keyed by the ordered pair (i, k) of the connection i -> k they govern
     (an edge gets a positive value, a non-edge pair a negative one).
     """
-    _check_orientation(orientation)
+    check_field_value("orientation", orientation)
     if not c_plus > 0.0:
         raise CoefficientSignError(f"c_plus must be positive, got {c_plus}")
     if not c_minus < 0.0:
@@ -328,7 +343,7 @@ def coefficients_from_matrices(
     adjacency position [i, k] (the convention the printed example matrices
     use); the orientation switch decides which equation that entry lands in.
     """
-    _check_orientation(orientation)
+    check_field_value("orientation", orientation)
     if len(alphas) != h.n_super:
         raise DimensionMismatchError(
             f"expected {h.n_super} alpha matrices, got {len(alphas)}"
@@ -366,22 +381,14 @@ class FieldParams:
         problems = validate_hierarchy(self.hierarchy)
         if problems:
             raise ValueError("invalid hierarchy: " + "; ".join(str(p) for p in problems))
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.epsilon < EPSILON_HARD_BOUND:
-            raise ValueError(
-                f"epsilon must be < sqrt(2)/2 ~ {EPSILON_HARD_BOUND:.6f}, got {self.epsilon}"
-            )
+        for name in ("variant", "epsilon", "phi", "psi", "omega"):
+            check_field_value(name, getattr(self, name))
         if self.epsilon >= EPSILON_DISJOINT_BOUND:
+            # 3 skips __post_init__ and the generated __init__: the caller's line
             warnings.warn(
                 f"epsilon = {self.epsilon} >= 0.5: bump supports may overlap",
-                stacklevel=2,
+                stacklevel=3,
             )
-        for name, val in (("phi", self.phi), ("psi", self.psi), ("omega", self.omega)):
-            if not val > 0.0:
-                raise ValueError(f"{name} must be positive, got {val}")
 
         layout = BlockLayout.from_hierarchy(self.hierarchy)
         n = layout.n_super

@@ -41,6 +41,7 @@ from hexnet.vectorfield import (
     bump_derivative,
     bump_j,
     build_coefficients,
+    check_field_value,
     coefficients_from_matrices,
     designed_equilibria,
     eval_field,
@@ -263,6 +264,28 @@ def test_field_params_validation(example1):
 
     with pytest.raises(CoefficientSignError):
         FieldParams(sc.hierarchy, CoefficientSet(tampered, bad.alphas), epsilon=0.2)
+
+
+def test_overlap_warning_names_the_caller(example1):
+    _, p, _ = example1
+    with pytest.warns(UserWarning, match="bump supports may overlap") as record:
+        FieldParams(p.hierarchy, p.coeffs, epsilon=0.6)
+    assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("epsilon", 0.0), ("epsilon", 0.75), ("phi", 0.0), ("psi", math.inf), ("omega", math.nan),
+     ("variant", "odd")],
+)
+def test_field_params_use_the_field_rule(example1, name, value):
+    _, p, _ = example1
+    with pytest.raises(ValueError) as rule:
+        check_field_value(name, value)
+    with pytest.raises(ValueError) as err:
+        FieldParams(p.hierarchy, p.coeffs, **{name: value})
+    assert str(err.value) == str(rule.value)
+    assert str(rule.value).startswith(f"{name} must ")
 
 
 # ---------------------------------------------------------------------------

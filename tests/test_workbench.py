@@ -20,16 +20,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import yaml
 
 import hexnet
 from hexnet.cli import main
 from hexnet.errors import ScenarioSchemaError, ScenarioValidationError
+from hexnet.hierarchy import HierarchySpec, digraph_from_edges
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.output import render_itinerary, render_report, write_svg_panels, write_timeseries
-from hexnet.scenario import bundled_scenario_path, load_scenario, save_scenario
+from hexnet.scenario import Scenario, bundled_scenario_path, load_scenario, save_scenario
 from hexnet.analysis import LEVEL_SUPER, extract_itinerary, verify_realization
+from hexnet.vectorfield import EPSILON_HARD_BOUND
 
 
 def test_bundled_example1_values(example1):
@@ -152,6 +156,140 @@ def test_out_of_range_override_rejected(tmp_path, small_scenario_file, capsys, o
         assert capsys.readouterr().err.startswith(f"error: {where}: ")
 
 
+_CYCLE = [[0.0, 1.0, -1.5], [-1.5, 0.0, 1.0], [1.0, -1.5, 0.0]]
+
+
+def _set(*keys, value):
+    """An in-place edit of the parsed small scenario: doc[k0][k1]... = value."""
+    def edit(doc):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+    return edit
+
+
+def _drop(*keys):
+    def edit(doc):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        del node[keys[-1]]
+    return edit
+
+
+def _verbatim(**extra):
+    return _set("coefficients", value={"a": _CYCLE, "alphas": [_CYCLE] * 3, **extra})
+
+
+_MALFORMED = [
+    ("root-list", lambda doc: [doc], ScenarioSchemaError, "<root>"),
+    ("unknown-section", _set("extra", value=1), ScenarioSchemaError, "<root>.extra"),
+    ("no-hierarchy", _drop("hierarchy"), ScenarioSchemaError, "<root>.hierarchy"),
+    ("vertices-text", _set("hierarchy", "superstructure", "vertices", value="3"),
+     ScenarioSchemaError, "hierarchy.superstructure.vertices"),
+    ("edges-scalar", _set("hierarchy", "superstructure", "edges", value=5),
+     ScenarioSchemaError, "hierarchy.superstructure.edges"),
+    ("edge-triple", _set("hierarchy", "superstructure", "edges", value=[[1, 2, 3]]),
+     ScenarioSchemaError, "hierarchy.superstructure.edges[0]"),
+    ("self-loop", _set("hierarchy", "superstructure", "edges", value=[[1, 1]]),
+     ScenarioValidationError, "hierarchy.superstructure"),
+    ("substructures-map", _set("hierarchy", "substructures", value={"a": 1}),
+     ScenarioSchemaError, "hierarchy.substructures"),
+    ("substructure-count", _drop("hierarchy", "substructures", 2),
+     ScenarioValidationError, "hierarchy"),
+    ("coefficients-list", _set("coefficients", value=[1]), ScenarioSchemaError, "coefficients"),
+    ("c-plus-text", _set("coefficients", "c_plus", value="abc"),
+     ScenarioSchemaError, "coefficients.c_plus"),
+    ("c-plus-sign", _set("coefficients", "c_plus", value=-1.0),
+     ScenarioValidationError, "coefficients"),
+    ("a-without-alphas", _set("coefficients", value={"a": _CYCLE}),
+     ScenarioSchemaError, "coefficients"),
+    ("a-scalar", _set("coefficients", value={"a": 5, "alphas": [_CYCLE] * 3}),
+     ScenarioSchemaError, "coefficients.a"),
+    ("alphas-scalar", _set("coefficients", value={"a": _CYCLE, "alphas": 5}),
+     ScenarioSchemaError, "coefficients.alphas"),
+    ("overrides-list", _set("coefficients", "overrides", value=[1]),
+     ScenarioSchemaError, "coefficients.overrides"),
+    ("super-key", _set("coefficients", "overrides", value={"super": {"12": 1.0}}),
+     ScenarioSchemaError, "coefficients.overrides.super"),
+    ("sub-key-text", _set("coefficients", "overrides", value={"sub": {"x": {"1->2": 1.0}}}),
+     ScenarioSchemaError, "coefficients.overrides.sub"),
+    ("field-list", _set("field", value=[1]), ScenarioSchemaError, "field"),
+    ("field-unknown", _set("field", "knob", value=1), ScenarioSchemaError, "field.knob"),
+    ("epsilon-high", _set("field", "epsilon", value=0.9),
+     ScenarioValidationError, "field.epsilon"),
+    ("epsilon-null", _set("field", "epsilon", value=None), ScenarioSchemaError, "field.epsilon"),
+    ("phi-zero", _set("field", "phi", value=0.0), ScenarioValidationError, "field.phi"),
+    ("omega-nan", _set("field", "omega", value=float("nan")),
+     ScenarioValidationError, "field.omega"),
+    ("variant-odd", _set("field", "variant", value="odd"), ScenarioSchemaError, "field.variant"),
+    ("orientation-int", _set("field", "orientation", value=3),
+     ScenarioSchemaError, "field.orientation"),
+    ("no-initial-state", _drop("initial_state"), ScenarioSchemaError, "<root>.initial_state"),
+    ("initial-list", _set("initial_state", value=[1]), ScenarioSchemaError, "initial_state"),
+    ("X-scalar", _set("initial_state", "X", value=5), ScenarioSchemaError, "initial_state.X"),
+    ("no-x", _drop("initial_state", "x"), ScenarioSchemaError, "initial_state.x"),
+    ("x-entry-text", _set("initial_state", "x", value=[["a", 0.1, 0.1]] * 3),
+     ScenarioSchemaError, "initial_state.x[1][0]"),
+    ("x-block-length", _set("initial_state", "x", value=[[0.9, 0.1]] * 3),
+     ScenarioValidationError, "initial_state.x"),
+    ("X-negative", _set("initial_state", "X", value=[0.9, -0.1, 0.1]),
+     ScenarioValidationError, "initial_state"),
+    ("integrator-list", _set("integrator", value=[1]), ScenarioSchemaError, "integrator"),
+    ("no-t-end", _drop("integrator", "t_end"), ScenarioSchemaError, "integrator.t_end"),
+    ("no-integrator", _drop("integrator"), ScenarioSchemaError, "integrator.t_end"),
+    ("rtol-bool", _set("integrator", "rtol", value=True), ScenarioSchemaError, "integrator.rtol"),
+    ("max-step-text", _set("integrator", "max_step", value="x"),
+     ScenarioSchemaError, "integrator.max_step"),
+    ("direction-odd", _set("integrator", "direction", value="sideways"),
+     ScenarioSchemaError, "integrator.direction"),
+    ("sample-dt-zero", _set("integrator", "sample_dt", value=0.0),
+     ScenarioValidationError, "integrator"),
+    ("near-tol-high", _set("analysis", "near_tol", value=0.7),
+     ScenarioValidationError, "analysis.near_tol"),
+    ("min-dwell-negative", _set("analysis", "min_dwell", value=-1.0),
+     ScenarioValidationError, "analysis.min_dwell"),
+    ("deltas-empty", _set("analysis", "witness_deltas", value=[]),
+     ScenarioSchemaError, "analysis.witness_deltas"),
+    ("delta-text", _set("analysis", "witness_deltas", value=["a"]),
+     ScenarioSchemaError, "analysis.witness_deltas[0]"),
+    ("delta-high", _set("analysis", "witness_deltas", value=[2.0]),
+     ScenarioValidationError, "analysis.witness_deltas"),
+    # each of these used to end in a traceback or load with a key ignored or unchecked
+    ("x-flat", _set("initial_state", "x", value=[0.9, 0.1, 0.1]),
+     ScenarioSchemaError, "initial_state.x[1]"),
+    ("sub-block-scalar", _set("coefficients", "overrides", value={"sub": {1: 5}}),
+     ScenarioSchemaError, "coefficients.overrides.sub.1"),
+    ("super-list", _set("coefficients", "overrides", value={"super": [1]}),
+     ScenarioSchemaError, "coefficients.overrides.super"),
+    ("verbatim-and-c-plus", _verbatim(c_plus=2.0), ScenarioSchemaError, "coefficients.c_plus"),
+    ("verbatim-and-overrides", _verbatim(overrides={"super": {"1->2": 2.0}}),
+     ScenarioSchemaError, "coefficients.overrides"),
+    ("a-ragged", _verbatim(a=[[0.0, 1.0], *_CYCLE[1:]]), ScenarioSchemaError, "coefficients.a"),
+    ("psi-infinite", _set("field", "psi", value=float("inf")),
+     ScenarioValidationError, "field.psi"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, error, where", [row[1:] for row in _MALFORMED], ids=[row[0] for row in _MALFORMED]
+)
+def test_malformed_scenario_paths(tmp_path, small_scenario_file, capsys, edit, error, where):
+    doc = yaml.safe_load(small_scenario_file.read_text(encoding="utf-8"))
+    doc = edit(doc) or doc
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with pytest.raises(error) as err:
+        load_scenario(path)
+    assert err.value.path == where
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid: {where}: ")
+    for cmd in (["simulate", "--out", str(tmp_path)], ["verify", "--out", str(tmp_path)], ["witness"]):
+        assert main([cmd[0], str(path), *cmd[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
 def test_non_finite_verbatim_matrix_rejected(tmp_path, small_scenario_file, capsys):
     doc = yaml.safe_load(small_scenario_file.read_text(encoding="utf-8"))
     cycle = [[0.0, 1.0, -1.5], [-1.5, 0.0, 1.0], [1.0, -1.5, 0.0]]
@@ -185,6 +323,74 @@ def test_round_trip_override_form(tmp_path, small_scenario_file):
     out = tmp_path / "ov.yaml"
     save_scenario(sc2, out)
     assert load_scenario(out) == sc2
+
+
+def _open(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _digraphs(draw, n):
+    """A digraph on n vertices with no self loop and no 2-cycle."""
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    kept = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(kept), max_size=len(kept)))
+    return digraph_from_edges(n, [(k, i) if f else (i, k) for (i, k), f in zip(kept, flips)])
+
+
+@st.composite
+def _scenarios(draw):
+    n = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    h = HierarchySpec(draw(_digraphs(n)), tuple(draw(_digraphs(m)) for m in sizes))
+    magnitude = _open(0.0, 1e3)
+
+    def signed(g, i, k):  # positive on an edge, negative off it, as the loader demands
+        return draw(magnitude) * (1.0 if (i, k) in g.edges else -1.0)
+
+    def overrides(g):
+        pairs = [(i, k) for i in range(g.n_vertices) for k in range(g.n_vertices) if i != k]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return sorted((i, k, signed(g, i, k)) for i, k in chosen)
+
+    if draw(st.booleans()):
+        def matrix(g):
+            n = g.n_vertices
+            return tuple(tuple(0.0 if i == k else signed(g, i, k) for k in range(n)) for i in range(n))
+        coeffs = {"a": matrix(h.superstructure), "alphas": tuple(matrix(g) for g in h.substructures)}
+    else:
+        coeffs = {
+            "c_plus": draw(magnitude), "c_minus": -draw(magnitude),
+            "super_overrides": tuple(overrides(h.superstructure)),
+            "sub_overrides": tuple((j, *ov) for j, g in enumerate(h.substructures)
+                                   for ov in overrides(g)),
+        }
+    level = st.floats(0.0, 10.0)
+    return Scenario(
+        h, **coeffs,
+        epsilon=draw(_open(0.0, EPSILON_HARD_BOUND)),
+        phi=draw(magnitude), psi=draw(magnitude), omega=draw(magnitude),
+        variant=draw(st.sampled_from(["standard", "bounded"])),
+        orientation=draw(st.sampled_from(["eigenvalue", "literal"])),
+        initial_X=tuple(draw(level) for _ in range(n)),
+        initial_x=tuple(tuple(draw(level) for _ in range(m)) for m in h.block_sizes),
+        integrator=IntegratorConfig(
+            t_end=draw(st.floats(0.0, 1e3)), rtol=draw(_open(0.0, 1.0)), atol=draw(_open(0.0, 1.0)),
+            max_step=draw(st.none() | _open(0.0, 1e3)), sample_dt=draw(st.floats(1e-2, 10.0)),
+            direction=draw(st.sampled_from(["forward", "backward"])),
+        ),
+        near_tol=draw(_open(0.0, 0.5)),
+        min_dwell=draw(st.floats(0.0, 1e3)),
+        witness_deltas=tuple(draw(st.lists(_open(0.0, 1.0), min_size=1, max_size=4))),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(sc=_scenarios())
+def test_round_trip_generated(tmp_path_factory, sc):
+    path = tmp_path_factory.mktemp("rt") / "sc.yaml"
+    save_scenario(sc, path)
+    assert load_scenario(path) == sc
 
 
 def test_timeseries_csv_layout(tmp_path, small_scenario):
@@ -243,6 +449,20 @@ def test_timeseries_t_end_zero_single_row(tmp_path, example2):
     assert len(lines) == 2
     assert lines[0].count(",") == 18  # 1 + 4 + 3 + 3 + 4 + 4 columns
     assert [float(v) for v in lines[1].split(",")[1:]] == s0.tolist()
+
+
+def test_timeseries_matches_per_value_format(tmp_path, small_scenario):
+    sc, p, s0 = small_scenario
+    traj = integrate(s0, p, IntegratorConfig(t_end=1.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
+    edge = [0.0, 1e-300, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0, -0.0, 1 / 3]
+    extra = np.resize(np.array(edge), (4, p.layout.dimension))
+    times = np.concatenate([traj.times, edge[:4]])
+    traj = replace(traj, times=times, states=np.vstack([traj.states, extra]))
+    path = tmp_path / "fmt.csv"
+    write_timeseries(traj, p.layout, path)
+    rows = [",".join(format(x, ".17g") for x in (t, *row)) for t, row in zip(traj.times, traj.states)]
+    header = ",".join(["t"] + p.layout.coord_names())
+    assert path.read_bytes() == "".join(line + "\n" for line in [header, *rows]).encode()
 
 
 def test_timeseries_deterministic(tmp_path, small_scenario):
@@ -346,6 +566,15 @@ def test_cli_simulate_missing_scenario(tmp_path):
     assert main(["simulate", str(tmp_path / "no.yaml"), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate", "verify", "witness"])
+def test_cli_missing_file_every_command(tmp_path, capsys, command):
+    missing = tmp_path / "no.yaml"
+    out = ["--out", str(tmp_path)] if command in ("simulate", "verify") else []
+    assert main([command, str(missing), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no such file: {missing}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "override",
     [["--sample-dt", "0"], ["--t-end", "-1"], ["--t-end", "nan"], ["--sample-dt", "1e-300"]],
@@ -377,6 +606,14 @@ def test_cli_witness(small_scenario_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "edge (1,2)" in out and "converged" in out
+
+
+@pytest.mark.parametrize("delta", ["2", "0", "nan"])
+def test_cli_witness_delta_out_of_range(small_scenario_file, capsys, delta):
+    code = main(["witness", str(small_scenario_file), "--edge", "1", "2", "--delta", delta])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: analysis.witness_deltas: ") and captured.out == ""
 
 
 def test_cli_witness_non_edge(small_scenario_file, capsys):
