@@ -34,6 +34,7 @@ from .analysis import (
     eigen_at,
     extract_itinerary,
     run_witness,
+    run_witnesses,
     verify_equilibria,
     verify_realization,
     witness_initial_condition,

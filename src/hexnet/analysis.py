@@ -7,7 +7,7 @@ and the constructive witnesses for the excitable top-level connections
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .vectorfield import (
     eval_field,
     gate_distances,
     jacobian,
+    rate_table,
 )
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "check_itinerary_against",
     "witness_initial_condition",
     "run_witness",
+    "run_witnesses",
     "verify_realization",
 ]
 
@@ -399,6 +401,29 @@ def _chunked_until(s0, p, direction, chunk, max_time, rtol, atol, done):
     return traj, state, total
 
 
+def _witness_problem(w: WitnessSpec, p_run: FieldParams):
+    """Initial state, forward target and live substructure mask of w's runs."""
+    s0 = witness_initial_condition(w, p_run)
+    layout = p_run.layout
+    target = np.zeros(layout.dimension)
+    target[w.k] = 1.0
+    target[layout.sub_offset(w.k)] = 1.0
+    if p_run.variant == VARIANT_BOUNDED:
+        # substructure coordinates at exactly 1 are invariant under the
+        # bounded decay, so the connection targets the {0,1} copy of the
+        # destination network with those coordinates still at 1
+        pinned = s0 == 1.0
+        pinned[: layout.n_super] = False
+        target[pinned] = 1.0
+    sub_live = s0 > 0.0
+    sub_live[: layout.n_super] = False
+    return s0, target, sub_live
+
+
+def _with_unit_timescales(p: FieldParams) -> FieldParams:
+    return replace(p, phi=1.0, psi=1.0, omega=1.0)
+
+
 def run_witness(
     w: WitnessSpec,
     p: FieldParams,
@@ -417,20 +442,9 @@ def run_witness(
     the bounded variant stays in [0, 1] and its live substructure coordinates
     approach 1.
     """
-    p_run = replace(p, phi=1.0, psi=1.0, omega=1.0) if unit_timescales else p
-    s0 = witness_initial_condition(w, p_run)
+    p_run = _with_unit_timescales(p) if unit_timescales else p
+    s0, target, sub_live = _witness_problem(w, p_run)
     layout = p_run.layout
-
-    target = np.zeros(layout.dimension)
-    target[w.k] = 1.0
-    target[layout.sub_offset(w.k)] = 1.0
-    if p_run.variant == VARIANT_BOUNDED:
-        # substructure coordinates at exactly 1 are invariant under the
-        # bounded decay, so the connection targets the {0,1} copy of the
-        # destination network with those coordinates still at 1
-        pinned = (s0 == 1.0).copy()
-        pinned[: layout.n_super] = False
-        target[pinned] = 1.0
 
     def near_target(state):
         return float(np.abs(state - target).max()) <= 0.1 * WITNESS_CONVERGENCE_TOL
@@ -439,10 +453,6 @@ def run_witness(
         s0, p_run, "forward", 40.0, max_time, rtol, atol, near_target
     )
     fdist = float(np.abs(fstate - target).max())
-
-    sub_live = np.zeros(layout.dimension, dtype=bool)
-    sub_live[layout.n_super:] = True
-    sub_live &= s0 > 0.0
 
     if p_run.variant == VARIANT_BOUNDED:
         def back_done(state):
@@ -477,6 +487,45 @@ def run_witness(
         backward_coordinate_gate=gate,
         backward_inactive_gap=gap,
     )
+
+
+def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
+    """run_witness(w, p) for each spec w, integrating each distinct run once.
+
+    A run reads only its live coordinates, those nonzero at the start. Two
+    specs share a run when, on their live coordinates, the forward rate
+    table, the log initial state, the forward target and the live
+    substructure mask are equal byte for byte. The runs are then bitwise
+    the same, so each spec takes its group's result with the backward
+    coordinate moved through its own live set; the gate of that coordinate
+    is equal too, because the table fixes which live X gates it. The
+    grouping lasts for this one call. Every spec is checked before any run.
+    """
+    p_run = _with_unit_timescales(p)
+    plans = []
+    for w in specs:
+        s0, target, sub_live = _witness_problem(w, p_run)
+        live = np.flatnonzero(s0)
+        table = rate_table(p_run, live)
+        key = tuple(np.asarray(getattr(table, f.name)).tobytes() for f in fields(table))
+        key += (np.log(s0[live]).tobytes(), target[live].tobytes(), sub_live[live].tobytes())
+        plans.append((w, live, key))
+
+    names = p.layout.coord_names()
+    runs: dict[tuple, tuple[np.ndarray, WitnessResult]] = {}
+    results = []
+    for w, live, key in plans:
+        if key not in runs:
+            runs[key] = (live, run_witness(w, p))
+        run_live, res = runs[key]
+        coord = res.backward_coordinate
+        if coord is not None:
+            coord = int(live[np.searchsorted(run_live, coord)])
+        results.append(replace(
+            res, spec=w, backward_coordinate=coord,
+            backward_coordinate_name=None if coord is None else names[coord],
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +586,7 @@ def verify_realization(
                 ItineraryOutcome(idx, LEVEL_SUB, j, rep, check_itinerary_against(rep, g))
             )
 
-    witnesses = []
-    for (j, k) in sorted(gamma.edges):
-        for delta in deltas:
-            witnesses.append(run_witness(WitnessSpec(j, k, delta), p))
-
+    witnesses = run_witnesses(
+        [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas], p
+    )
     return RealizationReport(residuals, eigen, itineraries, witnesses)

@@ -10,6 +10,7 @@ also the attribute it sets, to its parser; load, save and CLI overrides read it.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import MISSING, dataclass, field, replace
 from functools import partial
 from importlib import resources
@@ -44,6 +45,9 @@ from .vectorfield import (
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "bundled_scenario_path"]
 
+# libyaml's parser when PyYAML was built with it; it reads the same documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -68,6 +72,16 @@ class Scenario:
     near_tol: float = 0.1
     min_dwell: float = 1.0
     witness_deltas: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
+
+    def __post_init__(self):
+        # the verbatim form ignores the uniform rule, and a saved scenario
+        # keeps only the form in use, so a mix would reload unequal
+        if self.a is None:
+            return
+        for name in ("c_plus", "c_minus", "super_overrides", "sub_overrides"):
+            if getattr(self, name) != self.__dataclass_fields__[name].default:
+                msg = f"{name} is not allowed with a and alphas"
+                raise ScenarioSchemaError("coefficients", msg)
 
     def field_params(self) -> FieldParams:
         return FieldParams(
@@ -288,13 +302,15 @@ def _read_hierarchy(node) -> HierarchySpec:
     return hierarchy
 
 
+_PAIR_KEY = re.compile(r"([0-9]+)->([0-9]+)")
+
+
 def _read_pair(key, n, path) -> tuple[int, int]:
     """0-based (i, k) of an override key "i->k" joining two distinct vertices in 1..n."""
-    try:
-        left, right = str(key).split("->")
-        i, k = int(left) - 1, int(right) - 1
-    except ValueError:
-        raise ScenarioSchemaError(path, f'override keys look like "1->2", got {key!r}') from None
+    match = _PAIR_KEY.fullmatch(key) if isinstance(key, str) else None
+    if match is None:
+        raise ScenarioSchemaError(path, f'override keys look like "1->2", got {key!r}')
+    i, k = int(match[1]) - 1, int(match[2]) - 1
     if i == k or not (0 <= i < n and 0 <= k < n):
         raise ScenarioValidationError(f"{path}.{key}", f"must join two distinct vertices in 1..{n}")
     return i, k
@@ -323,11 +339,7 @@ def _read_coefficients(node, h: HierarchySpec) -> dict:
     where = "coefficients.overrides.sub"
     sub = []
     for jkey, entries in _mapping(ov.get("sub"), where, optional=True).items():
-        try:
-            j = int(jkey) - 1
-        except (TypeError, ValueError):
-            msg = f"substructure key must be an integer, got {jkey!r}"
-            raise ScenarioSchemaError(where, msg) from None
+        j = _integer(jkey, where) - 1
         block = f"{where}.{jkey}"
         if not 0 <= j < h.n_super:
             raise ScenarioValidationError(block, f"substructure must lie in 1..{h.n_super}")
@@ -357,7 +369,7 @@ def _read_initial_state(node, h: HierarchySpec) -> dict:
 def load_scenario(path) -> Scenario:
     """Parse and fully validate a scenario file."""
     try:
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: not valid YAML: {exc}") from exc
     doc = _mapping(doc, "<root>", _TOP_KEYS)

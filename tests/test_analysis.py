@@ -11,14 +11,18 @@ Claims covered:
       edge checks skipping window-crossing continuations
     - witness construction and runs (forward convergence, backward
       divergence / bounded backward saturation), convergence monotone in t
+    - run_witnesses equals per-spec run_witness field for field, runs each
+      distinct witness subsystem once, and keeps nothing between calls
     - verify_realization aggregation on a cheap unit-timescale scenario,
       including the deliberately transposed orientation failing
 """
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import hexnet.analysis
 from hexnet.analysis import (
+    DEFAULT_WITNESS_DELTAS,
     LEVEL_SUB,
     LEVEL_SUPER,
     WitnessSpec,
@@ -28,6 +32,7 @@ from hexnet.analysis import (
     extract_itinerary,
     run_bounds,
     run_witness,
+    run_witnesses,
     verify_equilibria,
     verify_realization,
     witness_initial_condition,
@@ -336,6 +341,80 @@ def test_witness_convergence_monotone_in_horizon(example1):
         dists.append(float(np.abs(traj.last_state - target).max()))
     assert dists[0] >= dists[1] >= dists[2]
     assert dists[0] > dists[2]
+
+
+def _uniform_n10():
+    """N = 10: a Hamiltonian cycle plus the chords i -> i+3 (20 edges) over
+    cycles of 3 to 6 vertices, coefficients from the uniform rule."""
+    edges = [(i, (i + 1) % 10) for i in range(10)] + [(i, (i + 3) % 10) for i in range(10)]
+    blocks = tuple(
+        digraph_from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+        for m in (3, 3, 4, 4, 4, 5, 5, 5, 6, 6)
+    )
+    h = HierarchySpec(digraph_from_edges(10, edges), blocks)
+    return FieldParams(h, build_coefficients(h, 1.0, -1.5), epsilon=0.2)
+
+
+def _assert_same_fields(a, b):
+    for f in fields(a):
+        assert getattr(a, f.name) == getattr(b, f.name), (a.spec, f.name)
+
+
+def _all_specs(p, deltas):
+    return [WitnessSpec(j, k, d) for j, k in sorted(p.hierarchy.superstructure.edges) for d in deltas]
+
+
+@pytest.mark.parametrize("variant", ["standard", "bounded"])
+@pytest.mark.parametrize("case", ["example1", "example2", "uniform_n10"])
+def test_run_witnesses_equals_run_witness(request, case, variant):
+    if case == "uniform_n10":
+        p, deltas = _uniform_n10(), (0.01,)
+    else:
+        p, deltas = request.getfixturevalue(case)[1], DEFAULT_WITNESS_DELTAS
+    p = replace(p, variant=variant)
+    specs = _all_specs(p, deltas)
+    grouped = run_witnesses(specs, p)
+    assert len(grouped) == len(specs)
+    for spec, res in zip(specs, grouped):
+        _assert_same_fields(res, run_witness(spec, p))
+
+
+def _count_integrate(monkeypatch):
+    calls = []
+    original = hexnet.analysis.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].direction)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hexnet.analysis, "integrate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case, deltas, n_calls", [
+    ("uniform_n10", (0.01,), 4),  # 20 witnesses, 2 subsystems: j < k and j > k
+    ("example1", DEFAULT_WITNESS_DELTAS, 12),  # 9 witnesses, 6 subsystems
+])
+def test_run_witnesses_integrates_each_subsystem_once(request, monkeypatch, case, deltas, n_calls):
+    p = _uniform_n10() if case == "uniform_n10" else request.getfixturevalue(case)[1]
+    specs = _all_specs(p, deltas)
+    calls = _count_integrate(monkeypatch)
+    first = run_witnesses(specs, p)
+    assert len(calls) == n_calls and calls.count("forward") == n_calls // 2
+    # nothing is kept between calls: a second call runs everything again
+    del calls[:]
+    second = run_witnesses(specs, p)
+    assert len(calls) == n_calls
+    for a, b in zip(first, second, strict=True):
+        _assert_same_fields(a, b)
+
+
+def test_run_witnesses_checks_every_spec_first(example1, monkeypatch):
+    _, p, _ = example1
+    calls = _count_integrate(monkeypatch)
+    with pytest.raises(NotAnEdgeError):
+        run_witnesses([WitnessSpec(0, 1, 0.01), WitnessSpec(0, 2, 0.01)], p)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

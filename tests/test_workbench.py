@@ -269,6 +269,21 @@ _MALFORMED = [
     ("a-ragged", _verbatim(a=[[0.0, 1.0], *_CYCLE[1:]]), ScenarioSchemaError, "coefficients.a"),
     ("psi-infinite", _set("field", "psi", value=float("inf")),
      ScenarioValidationError, "field.psi"),
+    # override keys: a block is a YAML integer, a pair is plain decimal digits;
+    # int() used to read 1.5, true and "1" as block 1 and "0_1" as vertex 1
+    ("sub-key-float", _set("coefficients", "overrides", value={"sub": {1.5: {"1->2": 1.0}}}),
+     ScenarioSchemaError, "coefficients.overrides.sub"),
+    ("sub-key-bool", _set("coefficients", "overrides", value={"sub": {True: {"1->2": 1.0}}}),
+     ScenarioSchemaError, "coefficients.overrides.sub"),
+    ("sub-key-string", _set("coefficients", "overrides", value={"sub": {"1": {"1->2": 1.0}}}),
+     ScenarioSchemaError, "coefficients.overrides.sub"),
+    ("super-key-underscore", _set("coefficients", "overrides", value={"super": {"0_1->2": 1.0}}),
+     ScenarioSchemaError, "coefficients.overrides.super"),
+    ("super-key-signed", _set("coefficients", "overrides", value={"super": {"+1->2": 1.0}}),
+     ScenarioSchemaError, "coefficients.overrides.super"),
+    ("sub-pair-underscore",
+     _set("coefficients", "overrides", value={"sub": {1: {"1_0->2": 1.0}}}),
+     ScenarioSchemaError, "coefficients.overrides.sub.1"),
 ]
 
 
@@ -323,6 +338,19 @@ def test_round_trip_override_form(tmp_path, small_scenario_file):
     out = tmp_path / "ov.yaml"
     save_scenario(sc2, out)
     assert load_scenario(out) == sc2
+
+
+@pytest.mark.parametrize("uniform", [
+    {"c_plus": 2.0}, {"c_minus": -2.0}, {"super_overrides": ((0, 1, 2.0),)},
+    {"sub_overrides": ((0, 0, 1, 2.0),)},
+])
+def test_verbatim_scenario_rejects_uniform_values(uniform):
+    # saving keeps only the verbatim matrices, so the mix would reload unequal
+    sc = load_scenario(bundled_scenario_path("example2"))
+    assert sc.a is not None
+    with pytest.raises(ScenarioSchemaError) as err:
+        replace(sc, **uniform)
+    assert err.value.path == "coefficients"
 
 
 def _open(lo, hi):
@@ -618,3 +646,5 @@ def test_cli_witness_delta_out_of_range(small_scenario_file, capsys, delta):
 
 def test_cli_witness_non_edge(small_scenario_file, capsys):
     assert main(["witness", str(small_scenario_file), "--edge", "1", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
