@@ -24,7 +24,7 @@ from .vectorfield import (
     eval_field_log,
     jacobian,
 )
-from .integrator import IntegratorConfig, Trajectory, integrate, sample_at
+from .integrator import IntegratorConfig, Trajectory, integrate
 from .analysis import (
     ItineraryReport,
     RealizationReport,

@@ -15,7 +15,6 @@ from .errors import NotAnEdgeError, NumericalFailureError
 from .hierarchy import Digraph, out_neighbors
 from .integrator import (
     IntegratorConfig,
-    TERMINATION_COMPLETED,
     TERMINATION_DIVERGED,
     Trajectory,
     integrate,
@@ -384,23 +383,6 @@ class WitnessResult:
         return self.backward_diverged
 
 
-def _chunked_until(s0, p, direction, chunk, max_time, rtol, atol, done):
-    """Integrate in chunks until done(last_state) or the budget runs out."""
-    state = s0
-    total = 0.0
-    traj = None
-    while total < max_time:
-        cfg = IntegratorConfig(
-            t_end=chunk, rtol=rtol, atol=atol, sample_dt=chunk / 8.0, direction=direction
-        )
-        traj = integrate(state, p, cfg)
-        total += traj.last_time
-        state = traj.last_state
-        if traj.termination != TERMINATION_COMPLETED or done(state):
-            break
-    return traj, state, total
-
-
 def _witness_problem(w: WitnessSpec, p_run: FieldParams):
     """Initial state, forward target and live substructure mask of w's runs."""
     s0 = witness_initial_condition(w, p_run)
@@ -436,34 +418,31 @@ def run_witness(
 
     Witness dynamics uses unit timescales by default; convergence needs no
     timescale separation and the realization statement is scale-neutral.
-    Forward: integrate until the sup-distance to Sub(k, 1) falls below 1e-7
-    (reported against the 1e-6 criterion). Backward: the standard variant
-    must reach the divergence bound in a gated-off substructure coordinate;
-    the bounded variant stays in [0, 1] and its live substructure coordinates
-    approach 1.
+    Each direction is one integrate run of at most max_time. Forward: it
+    stops once the sup-distance to Sub(k, 1) is below 1e-7 (reported
+    against the 1e-6 criterion). Backward: the standard variant must reach
+    the divergence bound in a gated-off substructure coordinate; the
+    bounded variant stays in [0, 1] and stops once its live substructure
+    coordinates are within 1e-4 of 1.
     """
     p_run = _with_unit_timescales(p) if unit_timescales else p
     s0, target, sub_live = _witness_problem(w, p_run)
     layout = p_run.layout
+    cfg = IntegratorConfig(t_end=max_time, rtol=rtol, atol=atol, sample_dt=max_time)
 
     def near_target(state):
         return float(np.abs(state - target).max()) <= 0.1 * WITNESS_CONVERGENCE_TOL
 
-    _, fstate, ftime = _chunked_until(
-        s0, p_run, "forward", 40.0, max_time, rtol, atol, near_target
-    )
-    fdist = float(np.abs(fstate - target).max())
+    def near_unit(state):
+        return float(np.abs(state[sub_live] - 1.0).max()) <= 1e-4
 
-    if p_run.variant == VARIANT_BOUNDED:
-        def back_done(state):
-            return float(np.abs(state[sub_live] - 1.0).max()) <= 1e-4
-    else:
-        def back_done(state):
-            return False  # runs until divergence or budget
-
-    btraj, bstate, btime = _chunked_until(
-        s0, p_run, "backward", 30.0, max_time, rtol, atol, back_done
+    ftraj = integrate(s0, p_run, cfg, until=near_target)
+    fdist = float(np.abs(ftraj.last_state - target).max())
+    btraj = integrate(
+        s0, p_run, replace(cfg, direction="backward"),
+        until=near_unit if p_run.variant == VARIANT_BOUNDED else None,
     )
+    bstate = btraj.last_state
     diverged = btraj.termination == TERMINATION_DIVERGED
     coord = btraj.diverged_coordinate
     name = gate = None
@@ -479,9 +458,9 @@ def run_witness(
         variant=p_run.variant,
         forward_converged=fdist <= WITNESS_CONVERGENCE_TOL,
         forward_distance=fdist,
-        forward_time=ftime,
+        forward_time=ftraj.last_time,
         backward_diverged=diverged,
-        backward_time=btime,
+        backward_time=btraj.last_time,
         backward_coordinate=coord,
         backward_coordinate_name=name,
         backward_coordinate_gate=gate,

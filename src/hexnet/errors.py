@@ -41,10 +41,6 @@ class NotAnEdgeError(HexnetError, ValueError):
     """A witness was requested for a pair that is not an edge of the superstructure."""
 
 
-class TimeOutOfRangeError(HexnetError, ValueError):
-    """Interpolation time outside the recorded trajectory range."""
-
-
 class NumericalFailureError(HexnetError, RuntimeError):
     """A numerical routine (eigenvalue solve) did not converge."""
 

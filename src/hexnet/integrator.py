@@ -11,14 +11,20 @@ Prince's 8th-order pair with its combined 5th/3rd-order error estimate.
 Dense output on a uniform sample grid comes from its 7th-order continuous
 extension, which costs three extra stages in each step that covers a
 sample.
+
+A run ends "completed" at t_end, "diverged" when a live coordinate passes
+DIVERGENCE_BOUND, "step_failure" when the step size underflows, or
+"stopped" when the caller's `until` predicate first holds after an accepted
+step.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, TimeOutOfRangeError
+from .errors import DimensionMismatchError, NonFiniteError
 from .vectorfield import FieldParams, growth_rates, rate_table, _EXP_CLAMP
 
 __all__ = [
@@ -26,12 +32,12 @@ __all__ = [
     "StepStats",
     "Trajectory",
     "integrate",
-    "sample_at",
     "DIVERGENCE_BOUND",
     "MAX_SAMPLES",
     "TERMINATION_COMPLETED",
     "TERMINATION_DIVERGED",
     "TERMINATION_STEP_FAILURE",
+    "TERMINATION_STOPPED",
 ]
 
 DIVERGENCE_BOUND = 1.0e6
@@ -44,6 +50,7 @@ MAX_SAMPLES = 10_000_000
 TERMINATION_COMPLETED = "completed"
 TERMINATION_DIVERGED = "diverged"
 TERMINATION_STEP_FAILURE = "step_failure"
+TERMINATION_STOPPED = "stopped"
 
 _DIRECTIONS = ("forward", "backward")
 
@@ -173,7 +180,6 @@ class IntegratorConfig:
 class StepStats:
     accepted: int = 0
     rejected: int = 0
-    final_step: float = 0.0
     n_evals: int = 0
 
 
@@ -219,13 +225,23 @@ def _dense_output(u, u_new, h, K, F, theta) -> np.ndarray:
     return out
 
 
-def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
+def integrate(
+    s0,
+    p: FieldParams,
+    cfg: IntegratorConfig,
+    *,
+    until: Callable[[np.ndarray], bool] | None = None,
+) -> Trajectory:
     """Integrate from a nonnegative state; exact zeros define the mask.
 
     Samples are produced on the grid {0, sample_dt, 2 sample_dt, ..., t_end}
     by dense interpolation. Termination is "completed", or "diverged" when an
     unmasked log-coordinate exceeds log(1e6), or "step_failure" on step-size
-    underflow. Backward direction integrates the time-reversed field.
+    underflow, or "stopped" when until(state) returns true. until is called
+    after each accepted step that did not diverge, with the state in the
+    original chart; the run then ends at that step. A run that does not
+    complete keeps only the samples up to its last time. Backward direction
+    integrates the time-reversed field.
     """
     d = p.layout.dimension
     s0 = np.asarray(s0, dtype=float)
@@ -338,7 +354,6 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
                 u, u_new = u_new, u
                 K[0] = K[12]
                 stats.accepted += 1
-                stats.final_step = h
                 if err_norm == 0.0:
                     fac = _FAC_MAX
                 else:
@@ -351,6 +366,12 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
                     div_coord = int(live[int(np.argmax(u))])
                     div_time = t
                     break
+                if until is not None:
+                    state = np.zeros(d)
+                    state[live] = np.exp(u)
+                    if until(state):
+                        termination = TERMINATION_STOPPED
+                        break
             else:
                 stats.rejected += 1
                 h *= min(1.0, max(_FAC_MIN, _SAFETY * err_norm**-_ERR_EXPONENT))
@@ -375,18 +396,3 @@ def integrate(s0, p: FieldParams, cfg: IntegratorConfig) -> Trajectory:
         diverged_coordinate=div_coord,
         diverged_time=div_time,
     )
-
-
-def sample_at(traj: Trajectory, t: float) -> np.ndarray:
-    """State at time t by linear interpolation between stored samples."""
-    times = traj.times
-    if t < times[0] or t > times[-1]:
-        raise TimeOutOfRangeError(
-            f"t={t} outside recorded range [{times[0]}, {times[-1]}]"
-        )
-    idx = int(np.searchsorted(times, t))
-    if idx < times.shape[0] and times[idx] == t:
-        return traj.states[idx].copy()
-    t0, t1 = times[idx - 1], times[idx]
-    w = (t - t0) / (t1 - t0)
-    return (1.0 - w) * traj.states[idx - 1] + w * traj.states[idx]

@@ -11,6 +11,8 @@ Claims covered:
       edge checks skipping window-crossing continuations
     - witness construction and runs (forward convergence, backward
       divergence / bounded backward saturation), convergence monotone in t
+    - witness runs keep within max_time, and their forward times follow the
+      escape-time scaling in log(1/delta)
     - run_witnesses equals per-spec run_witness field for field, runs each
       distinct witness subsystem once, and keeps nothing between calls
     - verify_realization aggregation on a cheap unit-timescale scenario,
@@ -341,6 +343,33 @@ def test_witness_convergence_monotone_in_horizon(example1):
         dists.append(float(np.abs(traj.last_state - target).max()))
     assert dists[0] >= dists[1] >= dists[2]
     assert dists[0] > dists[2]
+
+
+@pytest.mark.parametrize("variant", ["standard", "bounded"])
+@pytest.mark.parametrize("max_time", [10.0, 45.0])
+def test_run_witness_keeps_to_max_time(example1, variant, max_time):
+    _, p, _ = example1
+    res = run_witness(WitnessSpec(0, 1, 1e-2), replace(p, variant=variant), max_time=max_time)
+    assert res.forward_time <= max_time
+    assert res.backward_time <= max_time
+    if max_time == 10.0:
+        # the connection takes about 20 time units at this delta
+        assert not res.forward_converged
+        assert not res.passed
+
+
+def test_witness_forward_time_follows_escape_scaling(example1):
+    # escape from Sub(1,1) takes a time linear in log(1/delta), so equal
+    # steps in log10(1/delta) add equal forward times
+    _, p, _ = example1
+    decades = np.array([3.0, 8.0, 15.0, 30.0])
+    times = np.array(
+        [run_witness(WitnessSpec(0, 1, 10.0**-k), p).forward_time for k in decades]
+    )
+    assert np.all(np.diff(times) > 0.0)
+    assert np.all(np.remainder(times, 40.0) != 0.0)
+    slopes = np.diff(times) / np.diff(decades)
+    assert slopes.max() <= 1.1 * slopes.min()
 
 
 def _uniform_n10():

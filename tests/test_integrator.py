@@ -6,19 +6,21 @@ Claims covered:
     - non-finite configuration values and oversized sample grids are
       rejected before anything is allocated
     - equilibria give constant trajectories; exact zeros stay bitwise zero
-    - dense-output grid shape, sample_at semantics and range errors
+    - dense-output grid shape
     - agreement with an independent original-chart integration (scipy RK45)
       on horizons where the original chart can represent the dynamics
     - halving tolerances: identical symbolic itinerary, small state shifts
     - time-reversal consistency
     - backward divergence detection with coordinate attribution
     - step statistics (exact RHS call count) and failure modes
+    - the until predicate: called once per accepted step, ends the run
+      "stopped" at the first step where it holds, changes nothing when
+      it never fires
 """
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from hexnet.errors import TimeOutOfRangeError
 import hexnet.integrator as integrator
 from hexnet.integrator import (
     _A,
@@ -32,8 +34,8 @@ from hexnet.integrator import (
     IntegratorConfig,
     TERMINATION_COMPLETED,
     TERMINATION_DIVERGED,
+    TERMINATION_STOPPED,
     integrate,
-    sample_at,
 )
 from hexnet.analysis import LEVEL_SUPER, extract_itinerary
 from hexnet.vectorfield import designed_equilibria, eval_field, eval_field_log, growth_rates
@@ -160,18 +162,6 @@ def test_grid_shape_and_t_end_zero(example1):
     assert ragged.times.tolist() == pytest.approx([0.0, 0.5, 1.0, 1.05])
 
 
-def test_sample_at(example1):
-    _, p, s0 = example1
-    traj = integrate(s0, p, IntegratorConfig(t_end=2.0, sample_dt=0.1))
-    assert np.array_equal(sample_at(traj, traj.times[7]), traj.states[7])
-    mid = sample_at(traj, 0.35)
-    assert np.abs(mid - 0.5 * (traj.states[3] + traj.states[4])).max() <= 1e-15
-    with pytest.raises(TimeOutOfRangeError):
-        sample_at(traj, 2.1)
-    with pytest.raises(TimeOutOfRangeError):
-        sample_at(traj, -0.1)
-
-
 def test_input_validation(example1):
     _, p, s0 = example1
     bad = s0.copy()
@@ -282,7 +272,6 @@ def test_step_statistics(example1, monkeypatch):
     monkeypatch.setattr(integrator, "growth_rates", counting)
     traj = integrate(s0, p, IntegratorConfig(t_end=2.0))
     assert traj.stats.accepted > 0
-    assert traj.stats.final_step > 0.0
     assert traj.stats.n_evals == calls
 
 
@@ -292,3 +281,58 @@ def test_deterministic_repeat(example1):
     b = integrate(s0, p, IntegratorConfig(t_end=5.0))
     assert np.array_equal(a.states, b.states)
     assert a.stats.accepted == b.stats.accepted
+
+
+def test_until_never_firing_changes_nothing(example1):
+    _, p, s0 = example1
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.1)
+    calls = []
+
+    def never(state):
+        calls.append(state)
+        return False
+
+    traj = integrate(s0, p, cfg, until=never)
+    plain = integrate(s0, p, cfg)
+    assert np.array_equal(traj.times, plain.times)
+    assert np.array_equal(traj.states, plain.states)
+    assert np.array_equal(traj.last_state, plain.last_state)
+    assert (traj.termination, traj.last_time) == (plain.termination, plain.last_time)
+    assert (traj.stats.accepted, traj.stats.rejected, traj.stats.n_evals) == (
+        plain.stats.accepted, plain.stats.rejected, plain.stats.n_evals
+    )
+    assert traj.termination == TERMINATION_COMPLETED
+    assert len(calls) == traj.stats.accepted
+    assert np.array_equal(calls[-1], traj.last_state)
+
+
+def test_until_stops_at_first_step_where_it_holds(example1):
+    _, p, s0 = example1
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.1)
+    full_calls = []
+    integrate(s0, p, cfg, until=lambda state: full_calls.append(state) or False)
+    # the first accepted step whose state has X_2 above a level it crosses
+    # in the run; any step reaching it must end the run there
+    level = 0.5 * (full_calls[0][1] + full_calls[-1][1])
+    first = next(i for i, state in enumerate(full_calls) if state[1] > level)
+    calls = []
+
+    def crossed(state):
+        calls.append(state)
+        return state[1] > level
+
+    traj = integrate(s0, p, cfg, until=crossed)
+    assert traj.termination == TERMINATION_STOPPED
+    assert len(calls) == traj.stats.accepted == first + 1
+    assert np.array_equal(traj.last_state, full_calls[first])
+    assert first > 0 and 0.0 < traj.last_time < cfg.t_end
+    # last_time is the end of that step: a run to it takes the same steps
+    short = integrate(s0, p, replace(cfg, t_end=traj.last_time))
+    assert short.stats.accepted == first + 1
+    assert np.abs(short.last_state - traj.last_state).max() <= 1e-12
+    # every sample up to last_time is kept, none beyond it
+    assert traj.times.shape[0] == traj.states.shape[0]
+    assert traj.times[-1] <= traj.last_time < traj.times[-1] + cfg.sample_dt
+    reference = integrate(s0, p, cfg)
+    n = traj.times.shape[0]
+    assert np.array_equal(traj.states, reference.states[:n])
