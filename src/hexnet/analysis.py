@@ -76,13 +76,13 @@ class ResidualReport:
 
 
 def verify_equilibria(p: FieldParams, tol: float = 1e-12) -> ResidualReport:
-    """Sup-norm field residual at every designed equilibrium."""
-    rows = []
-    worst = 0.0
-    for eq in designed_equilibria(p):
-        r = float(np.abs(eval_field(eq.state, p)).max())
-        rows.append((eq.name, r))
-        worst = max(worst, r)
+    """Sup-norm field residual at every designed equilibrium; a NaN
+    residual makes max_residual NaN and the check fail."""
+    rows = [
+        (eq.name, float(np.abs(eval_field(eq.state, p)).max()))
+        for eq in designed_equilibria(p)
+    ]
+    worst = float(np.max([r for _, r in rows]))
     return ResidualReport(rows, worst, tol, worst <= tol)
 
 
@@ -227,6 +227,16 @@ def run_bounds(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], cuts)), np.concatenate((cuts, [n]))
 
 
+def _active_runs(z: np.ndarray, epsilon: float):
+    """Where a gate is open (bump(z) > 0) along the samples z of its gate
+    distance (a column of gate_distances), and the start and end
+    (exclusive) sample indices of its maximal open runs."""
+    active = z < epsilon
+    starts, ends = run_bounds(active)
+    on = active[starts]
+    return active, starts[on], ends[on]
+
+
 def _runs_to_visits(
     vert: np.ndarray,
     times: np.ndarray,
@@ -277,10 +287,7 @@ def extract_itinerary(
 
     if level != LEVEL_SUB or j is None:
         raise ValueError("level must be 'super' or 'sub' (with block index j)")
-    active = gate_distances(X)[:, j] < p.epsilon  # bump_j(X) > 0
-    starts, ends = run_bounds(active)
-    on = active[starts]
-    starts, ends = starts[on], ends[on]
+    active, starts, ends = _active_runs(gate_distances(X)[:, j], p.epsilon)
     windows = list(zip(traj.times[starts].tolist(), traj.times[ends - 1].tolist()))
     block = traj.states[:, layout.sub_slice(j)]
     vert = _vertex_stream(block, near_tol)
@@ -425,6 +432,8 @@ def run_witness(
     bounded variant stays in [0, 1] and stops once its live substructure
     coordinates are within 1e-4 of 1.
     """
+    if not 0.0 < max_time < np.inf:
+        raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
     p_run = _with_unit_timescales(p) if unit_timescales else p
     s0, target, sub_live = _witness_problem(w, p_run)
     layout = p_run.layout

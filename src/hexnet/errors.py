@@ -26,7 +26,9 @@ class TwoCycleError(GraphError):
 
 
 class CoefficientSignError(HexnetError, ValueError):
-    """A coefficient override (or matrix entry) with the wrong sign."""
+    """A coefficient matrix that does not realize its digraph: a nonzero
+    diagonal entry, a non-positive entry on an edge or a non-negative entry
+    off the edges (or c_plus, c_minus with the wrong sign)."""
 
 
 class DimensionMismatchError(HexnetError, ValueError):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import RealizationReport, ItineraryReport, WitnessResult, run_bounds
+from .analysis import RealizationReport, ItineraryReport, WitnessResult, _active_runs
 from .integrator import Trajectory
 from .vectorfield import BlockLayout, FieldParams, gate_distances
 
@@ -181,14 +181,11 @@ def write_svg_panels(
                       t_max, y_max, _PALETTE[m % len(_PALETTE)])
         )
 
-    active_all = gate_distances(X_full) < p.epsilon
+    gates = gate_distances(X_full)
     for j in range(layout.n_super):
         y0 = panel_header(1 + j, f"x^{j + 1} (substructure {j + 1})")
-        # shade maximal active runs
-        active = active_all[:, j]
-        starts, ends = run_bounds(active)
-        on = active[starts]
-        for t0, t1 in zip(traj.times[starts[on]], traj.times[ends[on] - 1]):
+        _, starts, ends = _active_runs(gates[:, j], p.epsilon)
+        for t0, t1 in zip(traj.times[starts], traj.times[ends - 1]):
             parts.append(_shade(t0, t1, y0, t_max))
         block = traj.states[:, layout.sub_slice(j)]
         y_max = max(1.05, float(block.max()) * 1.05)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import exp as _exp
+from math import exp as _exp, inf as _inf
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteError,
     VertexOutOfRangeError,
 )
-from .hierarchy import Digraph, HierarchySpec, validate_hierarchy
+from .hierarchy import Digraph, HierarchySpec, adjacency, validate_hierarchy
 
 __all__ = [
     "VARIANT_STANDARD",
@@ -159,17 +159,15 @@ def bump(z, epsilon: float):
 
 
 def bump_derivative(z, epsilon: float):
-    """d bump/dz; zero outside (0, epsilon), with smooth gluing at both ends."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """d bump/dz = -b (1 - b) dw/dz with b the bump value; exactly zero
+    wherever bump is exactly 0 or 1, with smooth gluing at both ends."""
+    b = np.asarray(bump(z, epsilon))
     z_arr = np.asarray(z, dtype=float)
     out = np.zeros_like(z_arr)
-    inner = (z_arr > 0.0) & (z_arr < epsilon)
+    inner = (b > 0.0) & (b < 1.0)
     if np.any(inner):
         zi = z_arr[inner]
-        w = epsilon * (1.0 / (epsilon - zi) - 1.0 / zi)
-        with np.errstate(over="ignore", under="ignore"):
-            b = 1.0 / (1.0 + np.exp(w))
+        b = b[inner]
         wprime = epsilon * (1.0 / (epsilon - zi) ** 2 + 1.0 / zi**2)
         out[inner] = -b * (1.0 - b) * wprime
     return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
@@ -217,6 +215,31 @@ def check_field_value(name: str, value) -> None:
         raise ValueError(f"{name} {rule}, got {value!r}")
 
 
+def _equation_form(d: Digraph, m, orientation: str, where: str) -> np.ndarray:
+    """Check that the connection-oriented matrix m realizes d; return its
+    equation form, m.T for the eigenvalue orientation and m for the literal.
+
+    Entry [i, k] of m governs i -> k. m must be n x n with every entry
+    finite, a zero diagonal, positive entries exactly on the edges of d and
+    negative entries elsewhere. This is the one definition of that rule.
+    """
+    n = d.n_vertices
+    m = np.array(m, dtype=float)
+    if m.shape != (n, n):
+        raise DimensionMismatchError(f"{where}: expected {n}x{n} matrix, got {m.shape}")
+    edges = d.edges
+    for i, row in enumerate(m.tolist()):
+        for k, v in enumerate(row):
+            if v == 0.0 if i == k else 0.0 < v < _inf if (i, k) in edges else -_inf < v < 0.0:
+                continue
+            if not np.isfinite(m).all():
+                raise NonFiniteError(f"{where}: non-finite coefficient")
+            rule = ("0 on the diagonal" if i == k else "positive on an edge" if (i, k) in edges
+                    else "negative off the edges")
+            raise CoefficientSignError(f"{where}: entry [{i + 1},{k + 1}] must be {rule}, got {v}")
+    return np.ascontiguousarray(m.T) if orientation == ORIENTATION_EIGENVALUE else m
+
+
 def simplex_coefficients(
     d: Digraph,
     c_plus: float = 1.0,
@@ -236,33 +259,16 @@ def simplex_coefficients(
     if not c_minus < 0.0:
         raise CoefficientSignError(f"c_minus must be negative, got {c_minus}")
     n = d.n_vertices
-    mat = np.full((n, n), c_minus, dtype=float)
-    np.fill_diagonal(mat, 0.0)
-    for i, k in d.edges:
-        if orientation == ORIENTATION_EIGENVALUE:
-            mat[k, i] = c_plus
-        else:
-            mat[i, k] = c_plus
-    if overrides:
-        for (i, k), value in overrides.items():
-            if i == k or not (0 <= i < n and 0 <= k < n):
-                raise VertexOutOfRangeError(
-                    f"override pair ({i + 1},{k + 1}) out of range or diagonal"
-                )
-            is_edge = (i, k) in d.edges
-            if is_edge and not value > 0.0:
-                raise CoefficientSignError(
-                    f"override for edge ({i + 1},{k + 1}) must be positive, got {value}"
-                )
-            if not is_edge and not value < 0.0:
-                raise CoefficientSignError(
-                    f"override for non-edge ({i + 1},{k + 1}) must be negative, got {value}"
-                )
-            if orientation == ORIENTATION_EIGENVALUE:
-                mat[k, i] = value
-            else:
-                mat[i, k] = value
-    return mat
+    conn = np.full((n, n), c_minus, dtype=float)
+    conn[adjacency(d) == 1] = c_plus
+    np.fill_diagonal(conn, 0.0)
+    for (i, k), value in (overrides or {}).items():
+        if i == k or not (0 <= i < n and 0 <= k < n):
+            raise VertexOutOfRangeError(
+                f"override pair ({i + 1},{k + 1}) out of range or diagonal"
+            )
+        conn[i, k] = value
+    return _equation_form(d, conn, orientation, "uniform rule with overrides")
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,32 +311,6 @@ def build_coefficients(
     return CoefficientSet(a, alphas)
 
 
-def _from_connection_matrix(d: Digraph, given: np.ndarray, orientation: str, where: str) -> np.ndarray:
-    """Validate a connection-oriented matrix (entry [i, k] governs i -> k) and
-    return its equation form for the requested orientation."""
-    n = d.n_vertices
-    given = np.asarray(given, dtype=float)
-    if given.shape != (n, n):
-        raise DimensionMismatchError(f"{where}: expected {n}x{n} matrix, got {given.shape}")
-    if not np.isfinite(given).all():
-        raise NonFiniteError(f"{where}: non-finite coefficient")
-    for i in range(n):
-        if given[i, i] != 0.0:
-            raise CoefficientSignError(f"{where}: diagonal entry [{i + 1},{i + 1}] must be 0")
-        for k in range(n):
-            if i == k:
-                continue
-            if (i, k) in d.edges and not given[i, k] > 0.0:
-                raise CoefficientSignError(
-                    f"{where}: entry for edge ({i + 1},{k + 1}) must be positive"
-                )
-            if (i, k) not in d.edges and not given[i, k] < 0.0:
-                raise CoefficientSignError(
-                    f"{where}: entry for non-edge ({i + 1},{k + 1}) must be negative"
-                )
-    return given.T.copy() if orientation == ORIENTATION_EIGENVALUE else given.copy()
-
-
 def coefficients_from_matrices(
     h: HierarchySpec,
     a,
@@ -348,9 +328,9 @@ def coefficients_from_matrices(
         raise DimensionMismatchError(
             f"expected {h.n_super} alpha matrices, got {len(alphas)}"
         )
-    a_eq = _from_connection_matrix(h.superstructure, a, orientation, "coefficients.a")
+    a_eq = _equation_form(h.superstructure, a, orientation, "coefficients.a")
     al_eq = tuple(
-        _from_connection_matrix(g, m, orientation, f"coefficients.alphas[{j + 1}]")
+        _equation_form(g, m, orientation, f"coefficients.alphas[{j + 1}]")
         for j, (g, m) in enumerate(zip(h.substructures, alphas))
     )
     return CoefficientSet(a_eq, al_eq)
@@ -392,19 +372,19 @@ class FieldParams:
 
         layout = BlockLayout.from_hierarchy(self.hierarchy)
         n = layout.n_super
-        if self.coeffs.a.shape != (n, n):
-            raise DimensionMismatchError(
-                f"superstructure coefficient matrix must be {n}x{n}"
-            )
         if len(self.coeffs.alphas) != n:
             raise DimensionMismatchError(f"expected {n} alpha matrices")
-        for j, m in enumerate(self.coeffs.alphas):
-            nj = layout.block_sizes[j]
-            if m.shape != (nj, nj):
-                raise DimensionMismatchError(
-                    f"alpha matrix {j + 1} must be {nj}x{nj}, got {m.shape}"
-                )
-        self._check_sign_pattern()
+        checks = [(self.hierarchy.superstructure, self.coeffs.a, "a")]
+        checks += [
+            (g, m, f"alphas[{j + 1}]")
+            for j, (g, m) in enumerate(zip(self.hierarchy.substructures, self.coeffs.alphas))
+        ]
+        try:  # one reading for the whole set: every m (literal), else every m.T
+            for g, m, where in checks:
+                _equation_form(g, m, ORIENTATION_LITERAL, where)
+        except CoefficientSignError:
+            for g, m, where in checks:
+                _equation_form(g, m.T, ORIENTATION_EIGENVALUE, where)
 
         # Ungated rates are offset + matrix @ state**2. Each diagonal block is
         # the block's coefficient matrix minus all-ones (the -|block|^2 term),
@@ -425,28 +405,6 @@ class FieldParams:
         object.__setattr__(self, "_rate_matrix", matrix)
         object.__setattr__(self, "_rate_offset", offset)
         object.__setattr__(self, "_rates", rate_table(self, np.arange(d)))
-
-    def _check_sign_pattern(self):
-        """Each matrix must realize its digraph in one of the two orientations:
-        zero diagonal, positives exactly on the edge set (or its transpose),
-        strictly negative elsewhere."""
-        pairs = [("a", self.coeffs.a, self.hierarchy.superstructure)]
-        pairs += [
-            (f"alphas[{j + 1}]", m, g)
-            for j, (m, g) in enumerate(zip(self.coeffs.alphas, self.hierarchy.substructures))
-        ]
-        for name, mat, graph in pairs:
-            if np.diagonal(mat).any():
-                raise CoefficientSignError(f"{name}: diagonal must be zero")
-            pos = {(int(r), int(c)) for r, c in zip(*np.nonzero(mat > 0))}
-            edges_eq = {(k, i) for (i, k) in graph.edges}
-            if pos not in (edges_eq, set(graph.edges)):
-                raise CoefficientSignError(
-                    f"{name}: positive entries do not match the digraph in either orientation"
-                )
-            off = ~np.eye(mat.shape[0], dtype=bool)
-            if np.any(mat[off] == 0.0):
-                raise CoefficientSignError(f"{name}: off-diagonal entries must be nonzero")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Realization verification machinery.
 
 Claims covered:
-    - equilibrium residual report (exact zeros; perturbed states rejected)
+    - equilibrium residual report (exact zeros; perturbed states rejected;
+      a NaN residual fails)
     - eigenvalue attribution at designed equilibria (closed-form entries)
     - eigenvalue/edge correspondence passes under the default orientation,
       fails under the literal one, and is empty for edgeless graphs
@@ -11,8 +12,8 @@ Claims covered:
       edge checks skipping window-crossing continuations
     - witness construction and runs (forward convergence, backward
       divergence / bounded backward saturation), convergence monotone in t
-    - witness runs keep within max_time, and their forward times follow the
-      escape-time scaling in log(1/delta)
+    - witness runs keep within max_time, which must be positive and finite,
+      and their forward times follow the escape-time scaling in log(1/delta)
     - run_witnesses equals per-spec run_witness field for field, runs each
       distinct witness subsystem once, and keeps nothing between calls
     - verify_realization aggregation on a cheap unit-timescale scenario,
@@ -56,6 +57,23 @@ def test_verify_equilibria_both_examples(example1, example2):
         assert rep.passed
         assert rep.max_residual == 0.0
         assert len(rep.residuals) == 1 + p.layout.n_super + sum(p.layout.block_sizes)
+
+
+def test_verify_equilibria_nan_residual_fails(example1, monkeypatch):
+    # a NaN residual (an overflowed rate) must not read as 0 and pass
+    _, p, _ = example1
+    field = hexnet.analysis.eval_field
+    bad = designed_equilibria(p)[4].state
+
+    def nan_at_one(state, p):
+        out = field(state, p)
+        return np.full_like(out, np.nan) if np.array_equal(state, bad) else out
+
+    monkeypatch.setattr(hexnet.analysis, "eval_field", nan_at_one)
+    rep = verify_equilibria(p)
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed
+    assert [np.isnan(r) for _, r in rep.residuals].count(True) == 1
 
 
 def test_perturbed_state_is_not_equilibrium(example1):
@@ -356,6 +374,13 @@ def test_run_witness_keeps_to_max_time(example1, variant, max_time):
         # the connection takes about 20 time units at this delta
         assert not res.forward_converged
         assert not res.passed
+
+
+@pytest.mark.parametrize("max_time", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_witness_rejects_bad_max_time(example1, max_time):
+    _, p, _ = example1
+    with pytest.raises(ValueError, match="^max_time must be positive and finite"):
+        run_witness(WitnessSpec(0, 1, 1e-2), p, max_time=max_time)
 
 
 def test_witness_forward_time_follows_escape_scaling(example1):

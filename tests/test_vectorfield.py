@@ -3,9 +3,13 @@
 Claims covered:
     - bump endpoint values, midpoint 1/2, smooth gluing, monotonicity
     - bump support disjointness for epsilon < 1/2
-    - bump is exactly 0 once w > 700, for scalar and array input alike
+    - bump is exactly 0 once w > 700, for scalar and array input alike, and
+      its derivative is exactly 0 wherever bump is exactly 0 or 1
     - coefficient construction matches the printed example matrices up to
       the orientation convention; overrides validated by sign
+    - one rule refuses the same bad entry (wrong sign, nonzero diagonal, NaN,
+      +-inf) through overrides, verbatim matrices and FieldParams, with the
+      same error and message; FieldParams refuses mixed orientations
     - eval_field agrees with an independent scalar transcription (both
       parameter sets, both variants) and vanishes on coordinate subspaces
     - rate tables restricted to live coordinates agree with the scalar
@@ -36,6 +40,7 @@ from hexnet.errors import (
 )
 from hexnet.hierarchy import HierarchySpec, digraph_from_edges
 from hexnet.vectorfield import (
+    CoefficientSet,
     FieldParams,
     bump,
     bump_derivative,
@@ -124,6 +129,16 @@ def test_bump_cutoff_exactly_zero():
         assert bump(float(z), eps) == 0.0
     assert np.all(bump(zs, eps) == 0.0)
     assert np.all(bump(zs[:3], eps) == 0.0)
+    # the derivative takes its gate value from bump, so it is exactly 0
+    # wherever bump is exactly 0 or 1; near z = 0 (w about -999 and -48)
+    # 1 + exp(w) rounds to 1
+    ones = eps * np.array([1e-3, 2e-2])
+    assert np.all(bump(ones, eps) == 1.0)
+    flat = np.concatenate((zs, ones, [-0.1, 0.0, eps, 0.3]))
+    for z in flat:
+        assert bump_derivative(float(z), eps) == 0.0
+    assert np.all(bump_derivative(flat, eps) == 0.0)
+    assert np.all(bump_derivative(zs[:3], eps) == 0.0)
 
 
 def test_gate_distances_one_state_and_samples():
@@ -260,10 +275,55 @@ def test_field_params_validation(example1):
     tampered = bad.a.copy()
     tampered.flags.writeable = True
     tampered[0, 1] = -tampered[0, 1]
-    from hexnet.vectorfield import CoefficientSet
-
     with pytest.raises(CoefficientSignError):
         FieldParams(sc.hierarchy, CoefficientSet(tampered, bad.alphas), epsilon=0.2)
+
+
+@pytest.mark.parametrize("block", ["a", 2])  # example 1's superstructure, alpha^3
+@pytest.mark.parametrize(
+    "i, k, value, error",
+    [
+        (1, 2, -0.5, CoefficientSignError),  # edge, negative
+        (0, 2, 0.5, CoefficientSignError),  # non-edge, positive
+        (1, 1, 0.5, CoefficientSignError),  # diagonal
+        (1, 2, math.nan, NonFiniteError),
+        (1, 2, math.inf, NonFiniteError),
+        (0, 2, -math.inf, NonFiniteError),
+    ],
+)
+def test_one_coefficient_rule_at_every_entry_point(example1, block, i, k, value, error):
+    # one bad connection-oriented entry [i, k], fed through the override
+    # rule, the verbatim matrices and a hand-built equation-form set
+    h = example1[0].hierarchy
+    good = build_coefficients(h)
+    conn = [good.a.T.copy()] + [m.T.copy() for m in good.alphas]
+    slot = 0 if block == "a" else 1 + block
+    conn[slot][i, k] = value
+    graph = h.superstructure if block == "a" else h.substructures[block]
+    raised = []
+    if i != k:  # an override cannot name the diagonal
+        with pytest.raises(error) as err:
+            simplex_coefficients(graph, overrides={(i, k): value})
+        raised.append(err.value)
+    with pytest.raises(error) as err:
+        coefficients_from_matrices(h, conn[0], conn[1:])
+    raised.append(err.value)
+    with pytest.raises(error) as err:
+        FieldParams(h, CoefficientSet(conn[0].T, tuple(m.T for m in conn[1:])))
+    raised.append(err.value)
+    # the same rule names the same entry, whatever the caller prefixes
+    assert len({str(e).split(": ", 1)[1] for e in raised}) == 1
+
+
+def test_field_params_refuse_mixed_orientations(example1):
+    h = example1[0].hierarchy
+    eigenvalue = build_coefficients(h)
+    literal = build_coefficients(h, orientation="literal")
+    FieldParams(h, literal)
+    with pytest.raises(CoefficientSignError):
+        FieldParams(h, CoefficientSet(eigenvalue.a, literal.alphas))
+    with pytest.raises(CoefficientSignError):
+        FieldParams(h, CoefficientSet(literal.a, eigenvalue.alphas))
 
 
 def test_overlap_warning_names_the_caller(example1):
