@@ -18,7 +18,6 @@ from .vectorfield import (
     build_coefficients,
     bump,
     bump_j,
-    coefficients_from_matrices,
     designed_equilibria,
     eval_field,
     eval_field_log,

@@ -47,7 +47,8 @@ _OVERRIDES = ("orientation", "variant", "t_end", "sample_dt")
 _EPILOG = """exit codes:
   0  success / verification passed
   1  verification failed (or, for validate, scenario invalid)
-  2  input error: file missing, unparseable, or scenario invalid
+  2  input error: file missing, unreadable or unparseable, scenario invalid,
+     or --out naming something that cannot be used as a directory
   3  integration failure (divergence or step-size underflow)
 """
 
@@ -82,10 +83,10 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     sc = _load(args.scenario, args)
-    params = sc.field_params()
-    traj = integrate(sc.initial_state(), params, sc.integrator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    params = sc.field_params()
+    traj = integrate(sc.initial_state(), params, sc.integrator)
     write_timeseries(traj, params.layout, out / "timeseries.csv")
     pieces = [render_itinerary(
         extract_itinerary(traj, params, LEVEL_SUPER, near_tol=sc.near_tol, min_dwell=sc.min_dwell)
@@ -113,6 +114,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     sc = _load(args.scenario, args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     params = sc.field_params()
     report = verify_realization(
         params,
@@ -122,8 +125,6 @@ def cmd_verify(args) -> int:
         deltas=sc.witness_deltas,
     )
     text = render_report(report)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:  # OSError: a path named on the command line
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

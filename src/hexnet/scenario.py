@@ -40,7 +40,6 @@ from .vectorfield import (
     FieldParams,
     build_coefficients,
     check_field_value,
-    coefficients_from_matrices,
 )
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "bundled_scenario_path"]
@@ -73,39 +72,36 @@ class Scenario:
     min_dwell: float = 1.0
     witness_deltas: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
 
+    # built once from the fields above; field_params() reuses it
+    coeffs: CoefficientSet = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        # the verbatim form ignores the uniform rule, and a saved scenario
-        # keeps only the form in use, so a mix would reload unequal
-        if self.a is None:
-            return
-        for name in ("c_plus", "c_minus", "super_overrides", "sub_overrides"):
-            if getattr(self, name) != self.__dataclass_fields__[name].default:
-                msg = f"{name} is not allowed with a and alphas"
-                raise ScenarioSchemaError("coefficients", msg)
+        if self.a is not None:
+            # the verbatim form ignores the uniform rule, and a saved scenario
+            # keeps only the form in use, so a mix would reload unequal
+            for name in ("c_plus", "c_minus", "super_overrides", "sub_overrides"):
+                if getattr(self, name) != self.__dataclass_fields__[name].default:
+                    msg = f"{name} is not allowed with a and alphas"
+                    raise ScenarioSchemaError("coefficients", msg)
+            coeffs = CoefficientSet(self.hierarchy, self.a, self.alphas, self.orientation)
+        else:
+            subs: dict[int, dict[tuple[int, int], float]] = {}
+            for j, i, k, v in self.sub_overrides:
+                subs.setdefault(j, {})[(i, k)] = v
+            coeffs = build_coefficients(
+                self.hierarchy,
+                self.c_plus,
+                self.c_minus,
+                {(i, k): v for i, k, v in self.super_overrides},
+                subs,
+                self.orientation,
+            )
+        object.__setattr__(self, "coeffs", coeffs)
 
     def field_params(self) -> FieldParams:
         return FieldParams(
-            self.hierarchy, self._coefficients(), epsilon=self.epsilon, phi=self.phi,
+            self.coeffs, epsilon=self.epsilon, phi=self.phi,
             psi=self.psi, omega=self.omega, variant=self.variant,
-        )
-
-    def _coefficients(self) -> CoefficientSet:
-        """Coefficient matrices; building them checks their signs and shapes."""
-        if self.a is not None:
-            return coefficients_from_matrices(
-                self.hierarchy, np.asarray(self.a), [np.asarray(m) for m in self.alphas],
-                self.orientation,
-            )
-        subs: dict[int, dict[tuple[int, int], float]] = {}
-        for j, i, k, v in self.sub_overrides:
-            subs.setdefault(j, {})[(i, k)] = v
-        return build_coefficients(
-            self.hierarchy,
-            self.c_plus,
-            self.c_minus,
-            {(i, k): v for i, k, v in self.super_overrides},
-            subs,
-            self.orientation,
         )
 
     def initial_state(self) -> np.ndarray:
@@ -370,24 +366,23 @@ def load_scenario(path) -> Scenario:
     """Parse and fully validate a scenario file."""
     try:
         doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: not valid YAML: {exc}") from exc
     doc = _mapping(doc, "<root>", _TOP_KEYS)
     hierarchy = _read_hierarchy(_require(doc, "hierarchy", "<root>"))
-    sc = Scenario(  # sections are read in document order
-        hierarchy,
+    values = {  # sections are read in document order
         **_read_coefficients(doc.get("coefficients"), hierarchy),
         **_FIELD.read(doc),
         **_read_initial_state(_require(doc, "initial_state", "<root>"), hierarchy),
         **_INTEGRATOR.read(doc),
         **_ANALYSIS.read(doc),
-    )
-    # surface coefficient-matrix problems now, with a stable path prefix
-    try:
-        sc._coefficients()
+    }
+    try:  # building the scenario checks its coefficient matrices
+        return Scenario(hierarchy, **values)
     except (CoefficientSignError, DimensionMismatchError, NonFiniteError) as exc:
         raise ScenarioValidationError("coefficients", str(exc)) from exc
-    return sc
 
 
 def _digraph_to_node(d: Digraph) -> dict:

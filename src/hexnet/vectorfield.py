@@ -42,7 +42,6 @@ __all__ = [
     "gate_distances",
     "simplex_coefficients",
     "build_coefficients",
-    "coefficients_from_matrices",
     "eval_field",
     "eval_field_log",
     "growth_rates",
@@ -245,15 +244,14 @@ def simplex_coefficients(
     c_plus: float = 1.0,
     c_minus: float = -1.5,
     overrides: dict[tuple[int, int], float] | None = None,
-    orientation: str = ORIENTATION_EIGENVALUE,
 ) -> np.ndarray:
-    """Equation-form coefficient matrix realizing one digraph.
+    """Connection-oriented matrix of the uniform rule for one digraph: entry
+    [i, k] governs i -> k, c_plus on the edges, c_minus off them, 0 on the
+    diagonal, then the overrides keyed by the pair (i, k) they replace.
 
-    Entry [r, c] multiplies x_c^2 in the equation for x_r. Overrides are
-    keyed by the ordered pair (i, k) of the connection i -> k they govern
-    (an edge gets a positive value, a non-edge pair a negative one).
+    Only c_plus, c_minus and the override pairs are checked here; the
+    override values are checked when the matrix enters a CoefficientSet.
     """
-    check_field_value("orientation", orientation)
     if not c_plus > 0.0:
         raise CoefficientSignError(f"c_plus must be positive, got {c_plus}")
     if not c_minus < 0.0:
@@ -268,27 +266,46 @@ def simplex_coefficients(
                 f"override pair ({i + 1},{k + 1}) out of range or diagonal"
             )
         conn[i, k] = value
-    return _equation_form(d, conn, orientation, "uniform rule with overrides")
+    return conn
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Equation-form coefficient matrices: a for the superstructure equation
-    rows, one alpha matrix per substructure block."""
+    """The coefficients of a hierarchy, checked once, when the set is built.
 
+    Built from the hierarchy, the connection-oriented matrices (a for the
+    superstructure, then one alpha per block; entry [i, k] governs i -> k)
+    and one orientation for them all. Building validates the hierarchy and
+    checks every matrix against its digraph. The set then holds the
+    read-only equation forms as a and alphas: entry [r, c] multiplies x_c^2
+    in the equation for x_r. dataclasses.replace would read those back as
+    connection matrices, so build a new set instead.
+    """
+
+    hierarchy: HierarchySpec
     a: np.ndarray
     alphas: tuple[np.ndarray, ...]
+    orientation: str = ORIENTATION_EIGENVALUE
 
     def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.a, dtype=float))
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        als = []
-        for m in self.alphas:
-            m = np.ascontiguousarray(np.asarray(m, dtype=float))
+        h = self.hierarchy
+        problems = validate_hierarchy(h)
+        if problems:
+            raise ValueError("invalid hierarchy: " + "; ".join(str(p) for p in problems))
+        check_field_value("orientation", self.orientation)
+        if len(self.alphas) != h.n_super:
+            raise DimensionMismatchError(
+                f"expected {h.n_super} alpha matrices, got {len(self.alphas)}"
+            )
+        a = _equation_form(h.superstructure, self.a, self.orientation, "a")
+        alphas = tuple(
+            _equation_form(g, m, self.orientation, f"alphas[{j + 1}]")
+            for j, (g, m) in enumerate(zip(h.substructures, self.alphas))
+        )
+        for m in (a, *alphas):
             m.setflags(write=False)
-            als.append(m)
-        object.__setattr__(self, "alphas", tuple(als))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "alphas", alphas)
 
 
 def build_coefficients(
@@ -300,40 +317,16 @@ def build_coefficients(
     orientation: str = ORIENTATION_EIGENVALUE,
 ) -> CoefficientSet:
     """Coefficients for a whole hierarchy from the uniform rule plus overrides."""
-    a = simplex_coefficients(h.superstructure, c_plus, c_minus, super_overrides, orientation)
     subs = sub_overrides or {}
     if any(not 0 <= j < h.n_super for j in subs):
         raise VertexOutOfRangeError(f"sub overrides name a substructure outside 1..{h.n_super}")
-    alphas = tuple(
-        simplex_coefficients(g, c_plus, c_minus, subs.get(j), orientation)
-        for j, g in enumerate(h.substructures)
+    return CoefficientSet(
+        h,
+        simplex_coefficients(h.superstructure, c_plus, c_minus, super_overrides),
+        tuple(simplex_coefficients(g, c_plus, c_minus, subs.get(j))
+              for j, g in enumerate(h.substructures)),
+        orientation,
     )
-    return CoefficientSet(a, alphas)
-
-
-def coefficients_from_matrices(
-    h: HierarchySpec,
-    a,
-    alphas,
-    orientation: str = ORIENTATION_EIGENVALUE,
-) -> CoefficientSet:
-    """Coefficients from verbatim connection-oriented matrices.
-
-    The given matrices carry the positive entry of each connection at the
-    adjacency position [i, k] (the convention the printed example matrices
-    use); the orientation switch decides which equation that entry lands in.
-    """
-    check_field_value("orientation", orientation)
-    if len(alphas) != h.n_super:
-        raise DimensionMismatchError(
-            f"expected {h.n_super} alpha matrices, got {len(alphas)}"
-        )
-    a_eq = _equation_form(h.superstructure, a, orientation, "coefficients.a")
-    al_eq = tuple(
-        _equation_form(g, m, orientation, f"coefficients.alphas[{j + 1}]")
-        for j, (g, m) in enumerate(zip(h.substructures, alphas))
-    )
-    return CoefficientSet(a_eq, al_eq)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +335,11 @@ def coefficients_from_matrices(
 
 @dataclass(frozen=True, eq=False)
 class FieldParams:
-    """Everything defining the vector field; immutable and shareable."""
+    """Everything defining the vector field; immutable and shareable.
 
-    hierarchy: HierarchySpec
+    coeffs was checked when it was built, so building a FieldParams (or
+    replacing its scalars) checks only the scalars."""
+
     coeffs: CoefficientSet
     epsilon: float = 0.2
     phi: float = 1.0
@@ -357,10 +352,11 @@ class FieldParams:
     _rate_offset: np.ndarray = field(init=False, repr=False, compare=False)
     _rates: RateTable = field(init=False, repr=False, compare=False)
 
+    @property
+    def hierarchy(self) -> HierarchySpec:
+        return self.coeffs.hierarchy
+
     def __post_init__(self):
-        problems = validate_hierarchy(self.hierarchy)
-        if problems:
-            raise ValueError("invalid hierarchy: " + "; ".join(str(p) for p in problems))
         for name in ("variant", "epsilon", "phi", "psi", "omega"):
             check_field_value(name, getattr(self, name))
         if self.epsilon >= EPSILON_DISJOINT_BOUND:
@@ -372,19 +368,6 @@ class FieldParams:
 
         layout = BlockLayout.from_hierarchy(self.hierarchy)
         n = layout.n_super
-        if len(self.coeffs.alphas) != n:
-            raise DimensionMismatchError(f"expected {n} alpha matrices")
-        checks = [(self.hierarchy.superstructure, self.coeffs.a, "a")]
-        checks += [
-            (g, m, f"alphas[{j + 1}]")
-            for j, (g, m) in enumerate(zip(self.hierarchy.substructures, self.coeffs.alphas))
-        ]
-        try:  # one reading for the whole set: every m (literal), else every m.T
-            for g, m, where in checks:
-                _equation_form(g, m, ORIENTATION_LITERAL, where)
-        except CoefficientSignError:
-            for g, m, where in checks:
-                _equation_form(g, m.T, ORIENTATION_EIGENVALUE, where)
 
         # Ungated rates are offset + matrix @ state**2. Each diagonal block is
         # the block's coefficient matrix minus all-ones (the -|block|^2 term),

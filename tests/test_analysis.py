@@ -141,7 +141,7 @@ def test_edgeless_digraph_all_stable():
     gamma = digraph_from_edges(3, THREE_CYCLE)
     edgeless = digraph_from_edges(2, [])
     h = HierarchySpec(gamma, (edgeless, edgeless, edgeless))
-    p = FieldParams(h, build_coefficients(h), epsilon=0.2)
+    p = FieldParams(build_coefficients(h), epsilon=0.2)
     rep = check_edge_eigen_correspondence(p)
     assert rep.passed
     for c in rep.checks:
@@ -406,7 +406,7 @@ def _uniform_n10():
         for m in (3, 3, 4, 4, 4, 5, 5, 5, 6, 6)
     )
     h = HierarchySpec(digraph_from_edges(10, edges), blocks)
-    return FieldParams(h, build_coefficients(h, 1.0, -1.5), epsilon=0.2)
+    return FieldParams(build_coefficients(h, 1.0, -1.5), epsilon=0.2)
 
 
 def _assert_same_fields(a, b):

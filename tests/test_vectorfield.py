@@ -8,8 +8,9 @@ Claims covered:
     - coefficient construction matches the printed example matrices up to
       the orientation convention; overrides validated by sign
     - one rule refuses the same bad entry (wrong sign, nonzero diagonal, NaN,
-      +-inf) through overrides, verbatim matrices and FieldParams, with the
-      same error and message; FieldParams refuses mixed orientations
+      +-inf) through overrides and verbatim matrices, with the same error and
+      a message naming the block; it runs once per matrix when a scenario is
+      loaded, and never when a FieldParams is built or a witness runs
     - eval_field agrees with an independent scalar transcription (both
       parameter sets, both variants) and vanishes on coordinate subspaces
     - rate tables restricted to live coordinates agree with the scalar
@@ -47,7 +48,6 @@ from hexnet.vectorfield import (
     bump_j,
     build_coefficients,
     check_field_value,
-    coefficients_from_matrices,
     designed_equilibria,
     eval_field,
     eval_field_log,
@@ -57,6 +57,9 @@ from hexnet.vectorfield import (
     rate_table,
     simplex_coefficients,
 )
+from hexnet import vectorfield
+from hexnet.analysis import WitnessSpec, run_witnesses
+from hexnet.scenario import load_scenario
 from hexnet.vectorfield import _rate_derivative
 
 from oracles import central_difference_jacobian, naive_bump, naive_field, naive_jacobian
@@ -210,10 +213,10 @@ def test_bump_support_disjointness(example1):
 
 def test_build_coefficients_three_cycle_matches_printed_up_to_orientation():
     gamma = digraph_from_edges(3, THREE_CYCLE)
-    mat = simplex_coefficients(gamma, 1.0, -1.5)
-    assert mat.tolist() == np.array(A_PRINTED).T.tolist()
-    lit = simplex_coefficients(gamma, 1.0, -1.5, orientation="literal")
-    assert lit.tolist() == A_PRINTED
+    assert simplex_coefficients(gamma, 1.0, -1.5).tolist() == A_PRINTED
+    h = HierarchySpec(gamma, (gamma,) * 3)
+    assert build_coefficients(h).a.tolist() == np.array(A_PRINTED).T.tolist()
+    assert build_coefficients(h, orientation="literal").a.tolist() == A_PRINTED
 
 
 def test_build_coefficients_edgeless():
@@ -224,20 +227,20 @@ def test_build_coefficients_edgeless():
 def test_build_coefficients_kirk_silber_overrides():
     ks = digraph_from_edges(4, KIRK_SILBER)
     mat = simplex_coefficients(ks, 1.0, -1.5, overrides={(1, 2): 0.5, (1, 3): 2.0})
-    assert mat.tolist() == np.array(ALPHA3_PRINTED).T.tolist()
+    assert mat.tolist() == ALPHA3_PRINTED
 
 
 def test_override_sign_violations():
     ks = digraph_from_edges(4, KIRK_SILBER)
+    h = HierarchySpec(ks, (ks,) * 4)
     with pytest.raises(CoefficientSignError):
-        simplex_coefficients(ks, 1.0, -1.5, overrides={(1, 2): -0.5})  # edge, negative
+        build_coefficients(h, super_overrides={(1, 2): -0.5})  # edge, negative
     with pytest.raises(CoefficientSignError):
-        simplex_coefficients(ks, 1.0, -1.5, overrides={(0, 2): 0.5})  # non-edge, positive
+        build_coefficients(h, sub_overrides={3: {(0, 2): 0.5}})  # non-edge, positive
     with pytest.raises(CoefficientSignError):
         simplex_coefficients(ks, -1.0, -1.5)
     with pytest.raises(VertexOutOfRangeError):
         simplex_coefficients(ks, 1.0, -1.5, overrides={(0, 0): 1.0})
-    h = HierarchySpec(ks, (ks,) * 4)
     for j in (-1, 4):  # sub overrides for a block that does not exist
         with pytest.raises(VertexOutOfRangeError):
             build_coefficients(h, sub_overrides={j: {(0, 1): 2.0}})
@@ -269,14 +272,12 @@ def test_field_params_validation(example1):
         replace(p, phi=0.0)
     with pytest.warns(UserWarning):
         replace(p, epsilon=0.6)  # valid but above the disjointness bound
-    bad = coefficients_from_matrices(
-        sc.hierarchy, np.asarray(sc.a), [np.asarray(m) for m in sc.alphas]
-    )
-    tampered = bad.a.copy()
-    tampered.flags.writeable = True
+    tampered = np.array(sc.a)
     tampered[0, 1] = -tampered[0, 1]
     with pytest.raises(CoefficientSignError):
-        FieldParams(sc.hierarchy, CoefficientSet(tampered, bad.alphas), epsilon=0.2)
+        CoefficientSet(sc.hierarchy, tampered, sc.alphas)
+    with pytest.raises(ValueError):
+        p.coeffs.a[0, 1] = -1.0  # a built set is read-only
 
 
 @pytest.mark.parametrize("block", ["a", 2])  # example 1's superstructure, alpha^3
@@ -293,43 +294,52 @@ def test_field_params_validation(example1):
 )
 def test_one_coefficient_rule_at_every_entry_point(example1, block, i, k, value, error):
     # one bad connection-oriented entry [i, k], fed through the override
-    # rule, the verbatim matrices and a hand-built equation-form set
+    # rule and through the verbatim matrices
     h = example1[0].hierarchy
-    good = build_coefficients(h)
-    conn = [good.a.T.copy()] + [m.T.copy() for m in good.alphas]
+    conn = [simplex_coefficients(g) for g in (h.superstructure, *h.substructures)]
     slot = 0 if block == "a" else 1 + block
     conn[slot][i, k] = value
-    graph = h.superstructure if block == "a" else h.substructures[block]
     raised = []
     if i != k:  # an override cannot name the diagonal
+        overrides = {(i, k): value}
         with pytest.raises(error) as err:
-            simplex_coefficients(graph, overrides={(i, k): value})
+            if block == "a":
+                build_coefficients(h, super_overrides=overrides)
+            else:
+                build_coefficients(h, sub_overrides={block: overrides})
         raised.append(err.value)
     with pytest.raises(error) as err:
-        coefficients_from_matrices(h, conn[0], conn[1:])
+        CoefficientSet(h, conn[0], conn[1:])
     raised.append(err.value)
-    with pytest.raises(error) as err:
-        FieldParams(h, CoefficientSet(conn[0].T, tuple(m.T for m in conn[1:])))
-    raised.append(err.value)
-    # the same rule names the same entry, whatever the caller prefixes
-    assert len({str(e).split(": ", 1)[1] for e in raised}) == 1
+    # the same rule names the same block and entry, whichever form built the set
+    assert len({str(e) for e in raised}) == 1
+    assert str(raised[0]).startswith("a: " if block == "a" else f"alphas[{block + 1}]: ")
 
 
-def test_field_params_refuse_mixed_orientations(example1):
-    h = example1[0].hierarchy
-    eigenvalue = build_coefficients(h)
-    literal = build_coefficients(h, orientation="literal")
-    FieldParams(h, literal)
-    with pytest.raises(CoefficientSignError):
-        FieldParams(h, CoefficientSet(eigenvalue.a, literal.alphas))
-    with pytest.raises(CoefficientSignError):
-        FieldParams(h, CoefficientSet(literal.a, eigenvalue.alphas))
+def test_coefficients_are_checked_once(monkeypatch, small_scenario_file):
+    # the rule runs once per matrix when a scenario builds its set, and never
+    # again for a FieldParams or a witness run made from that set
+    calls = []
+    rule = vectorfield._equation_form
+
+    def counted(*args):
+        calls.append(args[3])
+        return rule(*args)
+
+    monkeypatch.setattr(vectorfield, "_equation_form", counted)
+    p = load_scenario(small_scenario_file).field_params()
+    assert calls == ["a", "alphas[1]", "alphas[2]", "alphas[3]"]
+    calls.clear()
+    replace(p, phi=2.0)
+    FieldParams(p.coeffs, epsilon=0.1)
+    run_witnesses([WitnessSpec(0, 1, 1e-2)], p)
+    assert calls == []
 
 
 def test_overlap_warning_names_the_caller(example1):
     _, p, _ = example1
     with pytest.warns(UserWarning, match="bump supports may overlap") as record:
-        FieldParams(p.hierarchy, p.coeffs, epsilon=0.6)
+        FieldParams(p.coeffs, epsilon=0.6)
     assert [w.filename for w in record] == [__file__]
 
 
@@ -343,7 +353,7 @@ def test_field_params_use_the_field_rule(example1, name, value):
     with pytest.raises(ValueError) as rule:
         check_field_value(name, value)
     with pytest.raises(ValueError) as err:
-        FieldParams(p.hierarchy, p.coeffs, **{name: value})
+        FieldParams(p.coeffs, **{name: value})
     assert str(err.value) == str(rule.value)
     assert str(rule.value).startswith(f"{name} must ")
 
@@ -409,7 +419,7 @@ def _n10_params():
         digraph_from_edges(10, [(i, (i + 1) % 10) for i in range(10)]),
         tuple(digraph_from_edges(3, THREE_CYCLE) for _ in range(10)),
     )
-    return FieldParams(h, build_coefficients(h))
+    return FieldParams(build_coefficients(h))
 
 
 def _rate_case(p, case):

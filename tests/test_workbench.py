@@ -27,7 +27,7 @@ import yaml
 
 import hexnet
 from hexnet.cli import main
-from hexnet.errors import ScenarioSchemaError, ScenarioValidationError
+from hexnet.errors import ScenarioParseError, ScenarioSchemaError, ScenarioValidationError
 from hexnet.hierarchy import HierarchySpec, digraph_from_edges
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.output import render_itinerary, render_report, write_svg_panels, write_timeseries
@@ -317,6 +317,19 @@ def test_non_finite_verbatim_matrix_rejected(tmp_path, small_scenario_file, caps
     assert main(["witness", str(path)]) == 2
 
 
+def test_uniform_coefficient_error_names_its_block(tmp_path, small_scenario_file, capsys):
+    doc = yaml.safe_load(small_scenario_file.read_text(encoding="utf-8"))
+    doc["coefficients"]["overrides"] = {"sub": {2: {"1->2": -1.0}}}
+    path = tmp_path / "sign.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    msg = "coefficients: alphas[2]: entry [1,2] must be positive on an edge, got -1.0"
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(path)
+    assert str(err.value) == msg
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"invalid: {msg}\n"
+
+
 def test_round_trip_bundled(tmp_path):
     for name in ("example1", "example2"):
         sc = load_scenario(bundled_scenario_path(name))
@@ -574,6 +587,27 @@ def test_cli_validate_unparseable(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("hierarchy: [unclosed", encoding="utf-8")
     assert main(["validate", str(path)]) == 2
+
+
+def test_non_utf8_scenario_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bytes.yaml"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_cli_out_names_a_file(tmp_path, small_scenario_file, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main([command, str(small_scenario_file), "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(taken) in captured.err
+    assert captured.out == ""
 
 
 def test_cli_simulate(tmp_path, small_scenario_file, capsys):
