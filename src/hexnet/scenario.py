@@ -197,12 +197,12 @@ class _Section:
             return self._make(dict, values)
         return {self.name: self._make(self.config, values)}
 
-    def merge(self, sc: Scenario, values: dict) -> Scenario:
-        """sc with values set, under the rules that read applies."""
+    def merge(self, sc: Scenario, values: dict) -> dict:
+        """Scenario keyword arguments that set values on sc, under the rules
+        that read applies."""
         if self.config is None:
-            return self._make(partial(replace, sc), values)
-        config = self._make(partial(replace, getattr(sc, self.name)), values)
-        return replace(sc, **{self.name: config})
+            return self._make(dict, values)
+        return {self.name: self._make(partial(replace, getattr(sc, self.name)), values)}
 
     def _make(self, make, values: dict):
         """make(**values) once every value obeys its rule; errors name their path."""
@@ -261,12 +261,14 @@ _TOP_KEYS = ("hierarchy", "coefficients", "field", "initial_state", "integrator"
 
 def apply_overrides(sc: Scenario, **values) -> Scenario:
     """sc with flat-section keys (e.g. t_end, variant, witness_deltas) set,
-    under the same rules and error paths as load_scenario."""
+    under the same rules and error paths as load_scenario. The Scenario is
+    rebuilt once, so its coefficients are checked once."""
+    changes = {}
     for section in _SECTIONS:
         given = {key: values[key] for key in section.parsers if key in values}
         if given:
-            sc = section.merge(sc, given)
-    return sc
+            changes.update(section.merge(sc, given))
+    return _build(partial(replace, sc), changes) if changes else sc
 
 
 def _read_digraph(node, path) -> Digraph:
@@ -379,8 +381,12 @@ def load_scenario(path) -> Scenario:
         **_INTEGRATOR.read(doc),
         **_ANALYSIS.read(doc),
     }
+    return _build(partial(Scenario, hierarchy), values)
+
+
+def _build(make, values: dict) -> Scenario:
     try:  # building the scenario checks its coefficient matrices
-        return Scenario(hierarchy, **values)
+        return make(**values)
     except (CoefficientSignError, DimensionMismatchError, NonFiniteError) as exc:
         raise ScenarioValidationError("coefficients", str(exc)) from exc
 

@@ -7,7 +7,10 @@ Claims covered:
       matrices
     - importing the package loads no scipy (a test-only oracle)
     - save/load round trip is field-for-field identical
-    - CSV layout, full precision, bitwise-zero columns, determinism
+    - CSV layout, full precision, bitwise-zero columns, determinism; the
+      same bytes from 1, 2 or 3 writer processes, with no child process or
+      part file left behind, also when a writer fails
+    - CLI overrides rebuild the scenario, and check its coefficients, once
     - itinerary/report rendering and SVG output are well-formed
     - CLI exit codes: 0 ok, 1 verification/validation failure, 2 input
       error, 3 integration failure
@@ -21,19 +24,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import yaml
 
 import hexnet
+from hexnet import output, vectorfield
 from hexnet.cli import main
 from hexnet.errors import ScenarioParseError, ScenarioSchemaError, ScenarioValidationError
-from hexnet.hierarchy import HierarchySpec, digraph_from_edges
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.output import render_itinerary, render_report, write_svg_panels, write_timeseries
-from hexnet.scenario import Scenario, bundled_scenario_path, load_scenario, save_scenario
+from hexnet.scenario import bundled_scenario_path, load_scenario, save_scenario
 from hexnet.analysis import LEVEL_SUPER, extract_itinerary, verify_realization
-from hexnet.vectorfield import EPSILON_HARD_BOUND
+from strategies import scenarios
 
 
 def test_bundled_example1_values(example1):
@@ -366,68 +368,8 @@ def test_verbatim_scenario_rejects_uniform_values(uniform):
     assert err.value.path == "coefficients"
 
 
-def _open(lo, hi):
-    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
-
-
-@st.composite
-def _digraphs(draw, n):
-    """A digraph on n vertices with no self loop and no 2-cycle."""
-    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
-    kept = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    flips = draw(st.lists(st.booleans(), min_size=len(kept), max_size=len(kept)))
-    return digraph_from_edges(n, [(k, i) if f else (i, k) for (i, k), f in zip(kept, flips)])
-
-
-@st.composite
-def _scenarios(draw):
-    n = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    h = HierarchySpec(draw(_digraphs(n)), tuple(draw(_digraphs(m)) for m in sizes))
-    magnitude = _open(0.0, 1e3)
-
-    def signed(g, i, k):  # positive on an edge, negative off it, as the loader demands
-        return draw(magnitude) * (1.0 if (i, k) in g.edges else -1.0)
-
-    def overrides(g):
-        pairs = [(i, k) for i in range(g.n_vertices) for k in range(g.n_vertices) if i != k]
-        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-        return sorted((i, k, signed(g, i, k)) for i, k in chosen)
-
-    if draw(st.booleans()):
-        def matrix(g):
-            n = g.n_vertices
-            return tuple(tuple(0.0 if i == k else signed(g, i, k) for k in range(n)) for i in range(n))
-        coeffs = {"a": matrix(h.superstructure), "alphas": tuple(matrix(g) for g in h.substructures)}
-    else:
-        coeffs = {
-            "c_plus": draw(magnitude), "c_minus": -draw(magnitude),
-            "super_overrides": tuple(overrides(h.superstructure)),
-            "sub_overrides": tuple((j, *ov) for j, g in enumerate(h.substructures)
-                                   for ov in overrides(g)),
-        }
-    level = st.floats(0.0, 10.0)
-    return Scenario(
-        h, **coeffs,
-        epsilon=draw(_open(0.0, EPSILON_HARD_BOUND)),
-        phi=draw(magnitude), psi=draw(magnitude), omega=draw(magnitude),
-        variant=draw(st.sampled_from(["standard", "bounded"])),
-        orientation=draw(st.sampled_from(["eigenvalue", "literal"])),
-        initial_X=tuple(draw(level) for _ in range(n)),
-        initial_x=tuple(tuple(draw(level) for _ in range(m)) for m in h.block_sizes),
-        integrator=IntegratorConfig(
-            t_end=draw(st.floats(0.0, 1e3)), rtol=draw(_open(0.0, 1.0)), atol=draw(_open(0.0, 1.0)),
-            max_step=draw(st.none() | _open(0.0, 1e3)), sample_dt=draw(st.floats(1e-2, 10.0)),
-            direction=draw(st.sampled_from(["forward", "backward"])),
-        ),
-        near_tol=draw(_open(0.0, 0.5)),
-        min_dwell=draw(st.floats(0.0, 1e3)),
-        witness_deltas=tuple(draw(st.lists(_open(0.0, 1.0), min_size=1, max_size=4))),
-    )
-
-
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
-@given(sc=_scenarios())
+@given(sc=scenarios())
 def test_round_trip_generated(tmp_path_factory, sc):
     path = tmp_path_factory.mktemp("rt") / "sc.yaml"
     save_scenario(sc, path)
@@ -492,18 +434,86 @@ def test_timeseries_t_end_zero_single_row(tmp_path, example2):
     assert [float(v) for v in lines[1].split(",")[1:]] == s0.tolist()
 
 
+def _with_edge_rows(traj, dimension):
+    """traj with four rows of formatting edge cases appended."""
+    edge = [0.0, 1e-300, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0, -0.0, 1 / 3]
+    extra = np.resize(np.array(edge), (4, dimension))
+    times = np.concatenate([traj.times, edge[:4]])
+    return replace(traj, times=times, states=np.vstack([traj.states, extra]))
+
+
+def _per_value_csv(traj, layout) -> bytes:
+    rows = [",".join(format(x, ".17g") for x in (t, *row)) for t, row in zip(traj.times, traj.states)]
+    header = ",".join(["t"] + layout.coord_names())
+    return "".join(line + "\n" for line in [header, *rows]).encode()
+
+
 def test_timeseries_matches_per_value_format(tmp_path, small_scenario):
     sc, p, s0 = small_scenario
     traj = integrate(s0, p, IntegratorConfig(t_end=1.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
-    edge = [0.0, 1e-300, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0, -0.0, 1 / 3]
-    extra = np.resize(np.array(edge), (4, p.layout.dimension))
-    times = np.concatenate([traj.times, edge[:4]])
-    traj = replace(traj, times=times, states=np.vstack([traj.states, extra]))
+    traj = _with_edge_rows(traj, p.layout.dimension)
     path = tmp_path / "fmt.csv"
     write_timeseries(traj, p.layout, path)
-    rows = [",".join(format(x, ".17g") for x in (t, *row)) for t, row in zip(traj.times, traj.states)]
-    header = ",".join(["t"] + p.layout.coord_names())
-    assert path.read_bytes() == "".join(line + "\n" for line in [header, *rows]).encode()
+    assert path.read_bytes() == _per_value_csv(traj, p.layout)
+
+
+def _force_writers(monkeypatch, rows: int, writers: int) -> list:
+    """Make write_timeseries split rows among exactly writers processes;
+    the returned list gets one entry per fork."""
+    monkeypatch.setattr(output, "_ROWS_PER_WRITER", rows // writers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(writers)), raising=False)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _fail_in(monkeypatch, where: str) -> None:
+    """Make _write_rows raise in the parent or in every forked child."""
+    parent, write_rows = os.getpid(), output._write_rows
+
+    def failing(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError("writer failed")
+        write_rows(*args)
+
+    monkeypatch.setattr(output, "_write_rows", failing)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("writers", [1, 2, 3])
+def test_timeseries_writers_give_the_same_bytes(tmp_path, monkeypatch, small_scenario, writers):
+    # the edge rows are the last four of nine, so they fall in a child's chunk
+    sc, p, s0 = small_scenario
+    traj = integrate(s0, p, IntegratorConfig(t_end=1.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
+    traj = _with_edge_rows(traj, p.layout.dimension)
+    forks = _force_writers(monkeypatch, traj.times.shape[0], writers)
+    write_timeseries(traj, p.layout, tmp_path / "ts.csv")
+    assert len(forks) == writers - 1
+    assert (tmp_path / "ts.csv").read_bytes() == _per_value_csv(traj, p.layout)
+    _assert_no_child_left()
+    assert [f.name for f in tmp_path.iterdir()] == ["ts.csv"]
+
+
+@pytest.mark.parametrize("where, error", [("child", OSError), ("parent", RuntimeError)])
+def test_timeseries_writer_failure_leaves_no_child(tmp_path, monkeypatch, small_scenario,
+                                                   where, error):
+    sc, p, s0 = small_scenario
+    traj = integrate(s0, p, IntegratorConfig(t_end=2.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
+    _force_writers(monkeypatch, traj.times.shape[0], 3)
+    _fail_in(monkeypatch, where)
+    with pytest.raises(error):
+        write_timeseries(traj, p.layout, tmp_path / "ts.csv")
+    _assert_no_child_left()
+    assert [f.name for f in tmp_path.iterdir()] == ["ts.csv"]
 
 
 def test_timeseries_deterministic(tmp_path, small_scenario):
@@ -622,6 +632,39 @@ def test_cli_simulate(tmp_path, small_scenario_file, capsys):
     assert (out / "plot.svg").is_file()
     header = (out / "timeseries.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header.count(",") == 12
+
+
+def test_cli_simulate_writer_failure(tmp_path, monkeypatch, small_scenario_file, capsys):
+    _force_writers(monkeypatch, 51, 2)  # t_end 5 at sample_dt 0.1
+    _fail_in(monkeypatch, "child")
+    out = tmp_path / "simout"
+    assert main(["simulate", str(small_scenario_file), "--out", str(out), "--t-end", "5.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "timeseries writer" in captured.err
+    _assert_no_child_left()
+    assert [f.name for f in out.iterdir()] == ["timeseries.csv"]
+
+
+@pytest.mark.parametrize("argv, rule_runs", [
+    (["simulate", "--orientation", "literal", "--t-end", "0.5"], 8),
+    (["validate"], 4),
+    (["validate", "--orientation", "literal"], 8),
+])
+def test_cli_overrides_check_coefficients_once(tmp_path, monkeypatch, capsys, argv, rule_runs):
+    # loading checks the four matrices of example1 once; overrides rebuild the set once more
+    calls = []
+    rule = vectorfield._equation_form
+
+    def counted(*args):
+        calls.append(args[3])
+        return rule(*args)
+
+    monkeypatch.setattr(vectorfield, "_equation_form", counted)
+    command, *options = argv
+    if command == "simulate":
+        options += ["--out", str(tmp_path / "out")]
+    main([command, str(bundled_scenario_path("example1")), *options])
+    assert len(calls) == rule_runs
 
 
 def test_cli_simulate_missing_scenario(tmp_path):
