@@ -20,7 +20,6 @@ from .vectorfield import (
     bump_j,
     designed_equilibria,
     eval_field,
-    eval_field_log,
     jacobian,
 )
 from .integrator import IntegratorConfig, Trajectory, integrate

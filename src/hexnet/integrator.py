@@ -12,6 +12,12 @@ Dense output on a uniform sample grid comes from its 7th-order continuous
 extension, which costs three extra stages in each step that covers a
 sample.
 
+Each stage is one pass of a single stage loop over preallocated buffers:
+the stage's log-state, clamped at _EXP_CLAMP, then exp, then growth_rates
+into the stage's row of K. The loop counts the evaluations in a local int
+and step-size control runs on Python floats, so the times a run returns are
+floats too.
+
 A run ends "completed" at t_end, "diverged" when a live coordinate passes
 DIVERGENCE_BOUND, "step_failure" when the step size underflows, or
 "stopped" when the caller's `until` predicate first holds after an accepted
@@ -19,13 +25,14 @@ step.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .vectorfield import FieldParams, growth_rates, rate_table, _EXP_CLAMP
+from .vectorfield import FieldParams, growth_rates, rate_table
 
 __all__ = [
     "IntegratorConfig",
@@ -42,6 +49,11 @@ __all__ = [
 
 DIVERGENCE_BOUND = 1.0e6
 _LOG_DIVERGENCE = np.log(DIVERGENCE_BOUND)
+
+# exp argument cap inside the log chart; legitimate states stay far below
+# (divergence is declared near log(1e6) ~ 13.8) while trial steps that wander
+# high still produce finite, huge rates that get rejected by error control.
+_EXP_CLAMP = 150.0
 
 # Most rows a sample grid may have; checked from t_end / sample_dt before
 # anything is allocated. 10 million rows of a d = 13 state take about 1 GB.
@@ -268,7 +280,7 @@ def integrate(
             termination=TERMINATION_COMPLETED,
             stats=stats,
             mask=mask,
-            last_time=grid[-1] if cfg.t_end > 0.0 else 0.0,
+            last_time=float(grid[-1]) if cfg.t_end > 0.0 else 0.0,
             last_state=s0.copy(),
         )
 
@@ -285,40 +297,47 @@ def integrate(
     combos = np.empty((3, m))  # h * (_B, _E5, _E3) @ K
     ratio = np.empty((2, m))
     F = np.empty((7, m))
-    stage_rows = [(hA[i, :i], K[:i], K[i]) for i in range(16)]
+    # stage i is (hA[i, :i], K[:i], K[i]); a stage without terms (None) is
+    # evaluated at the base itself: K[0] at u, the FSAL stage K[12] at u_new
+    rows = [(hA[i, :i], K[:i], K[i]) for i in range(16)]
+    step_rows, dense_rows = rows[1:_N_STAGES], rows[13:]
+    first_row, fsal_row = [(None, None, K[0])], [(None, None, K[12])]
 
-    def rhs(w, out):
-        # log-chart field at log-state w, written into out
-        np.minimum(w, _EXP_CLAMP, out=v)
-        np.exp(v, out=v)
-        out[:] = growth_rates(v, table)
-        stats.n_evals += 1
+    def run_stages(rows, base) -> int:
+        """Write the log-chart field at base + a_row @ k_head into each k_out
+        of rows: clamp, exp, growth_rates. Returns the evaluations made."""
+        for a_row, k_head, k_out in rows:
+            if a_row is None:
+                np.minimum(base, _EXP_CLAMP, out=v)
+            else:
+                np.dot(a_row, k_head, out=stage)
+                np.add(stage, base, out=stage)
+                np.minimum(stage, _EXP_CLAMP, out=v)
+            np.exp(v, out=v)
+            k_out[:] = growth_rates(v, table)
+        return len(rows)
 
-    def run_stages(first, last, base):
-        for a_row, k_head, k_out in stage_rows[first:last]:
-            np.dot(a_row, k_head, out=stage)
-            np.add(stage, base, out=stage)
-            rhs(stage, k_out)
-
-    max_step = cfg.max_step if cfg.max_step is not None else np.inf
+    t_end = float(cfg.t_end)
+    max_step = float(cfg.max_step) if cfg.max_step is not None else math.inf
     t = 0.0
-    h = min(_INITIAL_STEP, cfg.t_end, max_step)
+    h = min(_INITIAL_STEP, t_end, max_step)
     next_i = 1
     err_prev = 1.0
+    n_evals = 0
     termination = TERMINATION_COMPLETED
     div_coord: int | None = None
     div_time: float | None = None
 
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        rhs(u, K[0])
-        while t < cfg.t_end:
-            if h >= cfg.t_end - t:
-                h = cfg.t_end - t
-                t_new = cfg.t_end
+        n_evals += run_stages(first_row, u)
+        while t < t_end:
+            if h >= t_end - t:
+                h = t_end - t
+                t_new = t_end
             else:
                 t_new = t + h
             np.multiply(_A, h, out=hA)
-            run_stages(1, _N_STAGES, u)
+            n_evals += run_stages(step_rows, u)
             np.dot(_WEIGHTS, K[:_N_STAGES], out=combos)
             combos *= h
             np.add(u, combos[0], out=u_new)
@@ -334,18 +353,18 @@ def integrate(
             else:
                 # 5th/3rd-order combined estimate: RMS of the 5th-order error,
                 # damped by the 3rd-order one where the latter dominates
-                err_norm = err5 / np.sqrt((err5 + 0.01 * err3) * m)
-            if not np.isfinite(err_norm):
-                err_norm = np.inf
+                err_norm = err5 / math.sqrt((err5 + 0.01 * err3) * m)
+            if not math.isfinite(err_norm):
+                err_norm = math.inf
 
             if err_norm <= 1.0:
-                rhs(u_new, K[12])
+                n_evals += run_stages(fsal_row, u_new)
                 # emit dense-output samples covered by this step
                 if next_i < n_samples and grid[next_i] <= t_new + 1e-10:
                     j_end = next_i
                     while j_end < n_samples and grid[j_end] <= t_new + 1e-10:
                         j_end += 1
-                    run_stages(13, 16, u)
+                    n_evals += run_stages(dense_rows, u)
                     theta = (grid[next_i:j_end] - t) / h
                     interp = _dense_output(u, u_new, h, K, F, theta)
                     states[next_i:j_end][:, live] = np.exp(interp)
@@ -380,6 +399,7 @@ def integrate(
                 break
         last_state = np.zeros(d)
         last_state[live] = np.exp(u)
+    stats.n_evals = n_evals
 
     if termination != TERMINATION_COMPLETED:
         states = states[:next_i]

@@ -57,12 +57,15 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
 
     Coordinates masked to the invariant zero subspace print as exactly "0".
 
-    The rows are split into contiguous chunks, written by up to one process
-    per available CPU: this process writes the first chunk into path and
-    forked children write the others into unnamed part files in path's
-    directory, which are then appended in order. The bytes do not depend on
-    the number of writers, no part file is left behind, and every child has
-    exited when this returns. A child that fails raises OSError.
+    The file is written under a temporary name in path's directory and
+    replaces path only once it is complete; on error path is left as it was
+    and the temporary file is removed. The rows are split into contiguous
+    chunks, written by up to one process per available CPU: this process
+    writes the first chunk and forked children write the others into
+    unnamed part files in the same directory, which are then appended in
+    order. The bytes do not depend on the number of writers, no part file
+    is left behind, and every child has exited when this returns. A child
+    that fails raises OSError.
     """
     n = traj.times.shape[0]
     if n == 0:
@@ -74,14 +77,18 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         writers = min(len(os.sched_getaffinity(0)), max(1, n // _ROWS_PER_WRITER))
     bounds = [n * w // writers for w in range(writers + 1)]
+    path = Path(path)
+    # opened like path itself, so the file gets the mode a plain open() gives
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     children = []  # (pid, part file), in row order
-    with open(path, "w", encoding="utf-8", newline="\n") as fh, contextlib.ExitStack() as parts:
-        fh.write(",".join(["t"] + names) + "\n")
-        fh.flush()  # a child must not inherit buffered text
-        try:
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as fh, \
+                contextlib.ExitStack() as parts:
+            fh.write(",".join(["t"] + names) + "\n")
+            fh.flush()  # a child must not inherit buffered text
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 part = parts.enter_context(tempfile.TemporaryFile(
-                    "w+", encoding="utf-8", newline="\n", dir=Path(path).parent
+                    "w+", encoding="utf-8", newline="\n", dir=path.parent
                 ))
                 children.append((_fork_writer(part, row_format, traj.times[lo:hi],
                                               traj.states[lo:hi]), part))
@@ -94,10 +101,14 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
                 if status != 0:
                     raise OSError(f"{path}: a timeseries writer exited with status {status}")
                 _append(part, fh.fileno())
-        finally:  # on error, stop and reap the children still running
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    finally:  # on error, stop and reap the children still running
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def render_itinerary(report: ItineraryReport) -> str:

@@ -43,7 +43,6 @@ __all__ = [
     "simplex_coefficients",
     "build_coefficients",
     "eval_field",
-    "eval_field_log",
     "growth_rates",
     "RateTable",
     "rate_table",
@@ -65,11 +64,6 @@ _ORIENTATIONS = (ORIENTATION_EIGENVALUE, ORIENTATION_LITERAL)
 
 EPSILON_HARD_BOUND = np.sqrt(2.0) / 2.0
 EPSILON_DISJOINT_BOUND = 0.5
-
-# exp argument cap inside the log chart; legitimate states stay far below
-# (divergence is declared near log(1e6) ~ 13.8) while trial steps that wander
-# high still produce finite, huge rates that get rejected by error control.
-_EXP_CLAMP = 150.0
 
 
 @dataclass(frozen=True)
@@ -126,19 +120,19 @@ class BlockLayout:
 # bump / transition function
 # ---------------------------------------------------------------------------
 
+def _bump1(z: float, epsilon: float) -> float:
+    """bump() of one float: the one definition of its formula."""
+    if z <= 0.0:
+        return 1.0
+    if z >= epsilon:
+        return 0.0
+    w = epsilon * (1.0 / (epsilon - z) - 1.0 / z)
+    return 0.0 if w > 700.0 else 1.0 if w < -700.0 else 1.0 / (1.0 + _exp(w))
+
+
 def _bump_array(z: np.ndarray, epsilon: float) -> np.ndarray:
-    """bump() on a 1-d float array, one element at a time: at the block
-    counts the field sees, a Python loop beats numpy's masked evaluation."""
-    out = []
-    for zi in z.tolist():
-        if zi <= 0.0:
-            out.append(1.0)
-        elif zi >= epsilon:
-            out.append(0.0)
-        else:
-            w = epsilon * (1.0 / (epsilon - zi) - 1.0 / zi)
-            out.append(0.0 if w > 700.0 else 1.0 if w < -700.0 else 1.0 / (1.0 + _exp(w)))
-    return np.array(out)
+    """bump() on a 1-d float array, one element at a time."""
+    return np.array([_bump1(zi, epsilon) for zi in z.tolist()])
 
 
 def bump(z, epsilon: float):
@@ -401,17 +395,19 @@ class RateTable:
     The m live coordinates are taken in ascending flat order, so the
     superstructure ones come first and the substructure ones start at
     sub_start. matrix is (m+1) x m: the live rate rows, then the gate row
-    that gives 1 + |X|^2. gate_pick (m x g) holds 2 at the row of X_j for
-    each of the g gated blocks, the blocks with a live substructure
-    coordinate; sub_gate gives the gate of each live substructure coordinate.
+    that gives 1 + |X|^2. The g gated blocks are those with a live
+    substructure coordinate; gate_x holds, for each, the live position of
+    its X_j, or -1 where X_j is masked. gate_rows (2 x m) indexes each rate
+    row's factor and decay in [1, b_1..b_g, 0, c_1..c_g], with b_k the gate
+    of block k and c_k = omega (1 - b_k); superstructure rows take 1 and 0.
     A backward table negates the rate rows and omega, not the gate row.
     """
 
     matrix: np.ndarray
     offset: np.ndarray
-    gate_pick: np.ndarray
+    gate_x: tuple[int, ...]
+    gate_rows: np.ndarray
     sub_start: int
-    sub_gate: np.ndarray
     epsilon: float
     omega: float
     bounded: bool
@@ -429,8 +425,8 @@ def rate_table(p: FieldParams, live, backward: bool = False) -> RateTable:
     n = layout.n_super
     live = np.asarray(live, dtype=np.intp)
     sub_start = int(np.searchsorted(live, n))
-    blocks = layout.sub_block_index()[live[sub_start:] - n]
-    gates = np.flatnonzero(np.bincount(blocks, minlength=n))
+    blocks = layout.sub_block_index()[live[sub_start:] - n].tolist()
+    gates = sorted(set(blocks))
     rows = np.append(live, layout.dimension)
     matrix = p._rate_matrix.take(rows, axis=0).take(live, axis=1)
     offset = p._rate_offset[rows]
@@ -439,9 +435,12 @@ def rate_table(p: FieldParams, live, backward: bool = False) -> RateTable:
         matrix[:-1] *= -1.0
         offset[:-1] *= -1.0
         omega = -omega
-    gate_pick = 2.0 * (live[:, None] == gates[None, :])
+    x_pos = {j: i for i, j in enumerate(live[:sub_start].tolist())}
+    gate_of = {j: k + 1 for k, j in enumerate(gates)}
+    factor = [0] * sub_start + [gate_of[j] for j in blocks]
     return RateTable(
-        matrix, offset, gate_pick, sub_start, np.searchsorted(gates, blocks),
+        matrix, offset, tuple(x_pos.get(j, -1) for j in gates),
+        np.array([factor, [k + 1 + len(gates) for k in factor]]), sub_start,
         p.epsilon, omega, p.variant == VARIANT_BOUNDED,
     )
 
@@ -456,19 +455,29 @@ def growth_rates(v: np.ndarray, t: RateTable) -> np.ndarray:
     block j, and g = 1 (standard) or 1 - x^j_i (bounded). A backward table
     gives the negated rates, those of the time-reversed field.
 
-    Hot path: no input validation, no errstate (callers own both).
+    The gates take one Python pass over the gated blocks, on the gate
+    distance z_j = (1 + |X|^2) - 2 X_j; one multiply and one subtract then
+    apply them to every row. No input validation, no errstate (callers own
+    both).
     """
-    r = t.matrix @ (v * v)
+    r = t.matrix.dot(v * v)
     r += t.offset
     rates = r[:-1]
-    if t.sub_gate.size:
-        bs = _bump_array(r[-1] - v @ t.gate_pick, t.epsilon)[t.sub_gate]
-        sub = rates[t.sub_start:]
-        sub *= bs
+    if t.gate_x:
+        z0 = float(r[-1])
+        X = v[:t.sub_start].tolist()
+        X.append(0.0)  # position -1: a masked X_j
+        eps, omega = t.epsilon, t.omega
+        gates, decays = [1.0], [0.0]
+        for k in t.gate_x:
+            b = _bump1(z0 - 2.0 * X[k], eps)
+            gates.append(b)
+            decays.append(omega * (1.0 - b))
+        f = np.array(gates + decays).take(t.gate_rows)
+        rates *= f[0]
         if t.bounded:
-            sub -= t.omega * (1.0 - bs) * (1.0 - v[t.sub_start:])
-        else:
-            sub -= t.omega * (1.0 - bs)
+            f[1] *= 1.0 - v
+        rates -= f[1]
     return rates
 
 
@@ -488,25 +497,6 @@ def eval_field(state, p: FieldParams) -> np.ndarray:
     state = _check_state(state, p)
     with np.errstate(under="ignore"):
         return state * growth_rates(state, p._rates)
-
-
-def eval_field_log(u, mask, p: FieldParams) -> np.ndarray:
-    """Log-chart derivative: du/dt for unmasked coordinates (u = log value),
-    exactly 0 for masked ones. Masked coordinates contribute nothing to any
-    norm or coupling sum; unmasked values may be as small as exp(-745) and
-    still produce a finite growth rate."""
-    u = np.asarray(u, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if u.shape != (p.layout.dimension,) or mask.shape != u.shape:
-        raise DimensionMismatchError("log-state/mask shape mismatch")
-    if not np.isfinite(u[~mask]).all():
-        raise NonFiniteError("log-state contains non-finite unmasked entries")
-    live = np.flatnonzero(~mask)
-    out = np.zeros(u.shape)
-    with np.errstate(under="ignore"):
-        v = np.exp(np.minimum(u[live], _EXP_CLAMP))
-        out[live] = growth_rates(v, rate_table(p, live))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +552,20 @@ def _rate_derivative(v: np.ndarray, t: RateTable) -> np.ndarray:
     An ungated row G = offset + matrix @ v**2 has derivative matrix * 2v. A
     gated row b * G - omega * (1 - b) * g has b * dG/dv + (G + omega * g) *
     db/dv, with db/dv = bump'(z) * dz/dv for the gate distance
-    z = r[-1] - v @ gate_pick, plus omega * (1 - b) on its diagonal in the
-    bounded variant, where g = 1 - v.
+    z = r[-1] - pick @ v, where pick has 2 at each gated block's live X_j,
+    plus omega * (1 - b) on its diagonal in the bounded variant, where
+    g = 1 - v.
     """
     r = t.matrix @ (v * v)
     r += t.offset
     D = t.matrix * (2.0 * v)
     s = t.sub_start
-    if t.sub_gate.size:
-        z = r[-1] - v @ t.gate_pick
-        b = bump(z, t.epsilon)[t.sub_gate]
-        db = (bump_derivative(z, t.epsilon)[:, None] * (D[-1] - t.gate_pick.T))[t.sub_gate]
+    if t.gate_x:
+        pick = 2.0 * (np.arange(v.shape[0]) == np.array(t.gate_x)[:, None])
+        sub_gate = t.gate_rows[0, s:] - 1
+        z = r[-1] - pick @ v
+        b = bump(z, t.epsilon)[sub_gate]
+        db = (bump_derivative(z, t.epsilon)[:, None] * (D[-1] - pick))[sub_gate]
         g = 1.0 - v[s:] if t.bounded else 1.0
         D[s:-1] = b[:, None] * D[s:-1] + (r[s:-1] + t.omega * g)[:, None] * db
         if t.bounded:

@@ -16,6 +16,8 @@ Claims covered:
     - the until predicate: called once per accepted step, ends the run
       "stopped" at the first step where it holds, changes nothing when
       it never fires
+    - last_time and diverged_time are Python floats for completed, stopped,
+      diverged and empty runs
 """
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from hexnet.integrator import (
     integrate,
 )
 from hexnet.analysis import LEVEL_SUPER, extract_itinerary
-from hexnet.vectorfield import designed_equilibria, eval_field, eval_field_log, growth_rates
+from hexnet.vectorfield import designed_equilibria, eval_field, growth_rates, rate_table
 
 
 def test_tableau_matches_reference_coefficients():
@@ -89,13 +91,15 @@ def test_dense_output_matches_reference(example1):
     from scipy.integrate import DOP853
 
     _, p, s0 = example1
-    mask = s0 == 0.0
-    u0 = np.zeros(s0.size)
-    u0[~mask] = np.log(s0[~mask])
-    solver = DOP853(
-        lambda t, u: eval_field_log(u, mask, p), 0.0, u0, 1.0,
-        first_step=1e-3, rtol=1e-6, atol=1e-6,
-    )
+    live = np.flatnonzero(s0)
+    table = rate_table(p, live)
+
+    def log_chart_field(t, u):
+        # the stage evaluation of integrate: clamp, exp, growth_rates
+        return growth_rates(np.exp(np.minimum(u, integrator._EXP_CLAMP)), table)
+
+    u0 = np.log(s0[live])
+    solver = DOP853(log_chart_field, 0.0, u0, 1.0, first_step=1e-3, rtol=1e-6, atol=1e-6)
     solver.step()
     h = solver.t - solver.t_old
     reference = solver.dense_output()
@@ -336,3 +340,29 @@ def test_until_stops_at_first_step_where_it_holds(example1):
     reference = integrate(s0, p, cfg)
     n = traj.times.shape[0]
     assert np.array_equal(traj.states, reference.states[:n])
+
+
+def test_times_are_python_floats(example1):
+    # last_time and diverged_time are plain floats however a run ends,
+    # also for an integer t_end and for a run with nothing to integrate
+    from hexnet.analysis import WitnessSpec, witness_initial_condition
+
+    _, p, s0 = example1
+    p1 = replace(p, phi=1.0, psi=1.0, omega=1.0)
+    runs = {
+        "completed": integrate(s0, p, IntegratorConfig(t_end=1, sample_dt=0.5)),
+        "all masked": integrate(np.zeros(s0.size), p, IntegratorConfig(t_end=1, sample_dt=0.5)),
+        "stopped": integrate(s0, p, IntegratorConfig(t_end=1.0), until=lambda state: True),
+        "diverged": integrate(
+            witness_initial_condition(WitnessSpec(0, 1, 1e-2), p1), p1,
+            IntegratorConfig(t_end=200.0, sample_dt=0.5, direction="backward"),
+        ),
+    }
+    assert [r.termination for r in runs.values()] == [
+        TERMINATION_COMPLETED, TERMINATION_COMPLETED, TERMINATION_STOPPED, TERMINATION_DIVERGED,
+    ]
+    for name, traj in runs.items():
+        assert type(traj.last_time) is float, name
+    assert runs["completed"].last_time == runs["all masked"].last_time == 1.0
+    assert type(runs["diverged"].diverged_time) is float
+    assert runs["diverged"].diverged_time == runs["diverged"].last_time

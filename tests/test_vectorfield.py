@@ -16,7 +16,12 @@ Claims covered:
     - rate tables restricted to live coordinates agree with the scalar
       transcription forward, backward, bounded, with a masked X_j (gate
       exactly 0) and on an N = 10 hierarchy
-    - log-chart field: masked zeros, cross-chart identity, deep underflow
+    - growth_rates is bitwise equal to the earlier per-block gate arithmetic
+      on random live sets: masked X_j with a live block, gates closed, open,
+      and exactly 0 or 1 (|w| > 700), forward, backward, bounded and N = 10
+    - log-chart rates (clamp, exp, growth_rates): equilibrium value,
+      cross-chart identity, deep underflow at exp(-745), masked coordinates
+      contribute nothing
     - designed equilibria: count, exact-zero residuals, scaling neutrality
     - analytic Jacobian matches central finite differences and a scalar
       transcription of its partial derivatives (examples 1 and 2, N = 10,
@@ -50,14 +55,13 @@ from hexnet.vectorfield import (
     check_field_value,
     designed_equilibria,
     eval_field,
-    eval_field_log,
     gate_distances,
     growth_rates,
     jacobian,
     rate_table,
     simplex_coefficients,
 )
-from hexnet import vectorfield
+from hexnet import integrator, vectorfield
 from hexnet.analysis import WitnessSpec, run_witnesses
 from hexnet.scenario import load_scenario
 from hexnet.vectorfield import _rate_derivative
@@ -495,6 +499,74 @@ def test_rate_table_masked_gate_is_zero(example1):
             assert np.all(rates[block1] == sign * -pv.omega * g)
 
 
+def _reference_growth_rates(v, t, p, live):
+    """growth_rates by the earlier arithmetic, kept as a bitwise reference:
+    matrix @ v**2 + offset, the gate distances r[-1] - v @ gate_pick with
+    gate_pick (m x g) holding 2 at each gated block's live X_j, a bump per
+    block, then sub * b - omega * (1 - b) * g on the substructure rows."""
+    n, s = p.layout.n_super, t.sub_start
+    blocks = p.layout.sub_block_index()[live[s:] - n]
+    gates = np.flatnonzero(np.bincount(blocks, minlength=n))
+    gate_pick = 2.0 * (live[:, None] == gates[None, :])
+    r = t.matrix @ (v * v)
+    r += t.offset
+    rates = r[:-1]
+    if blocks.size:
+        bs = bump(r[-1] - v @ gate_pick, p.epsilon)[np.searchsorted(gates, blocks)]
+        sub = rates[s:]
+        sub *= bs
+        if t.bounded:
+            sub -= t.omega * (1.0 - bs) * (1.0 - v[s:])
+        else:
+            sub -= t.omega * (1.0 - bs)
+    return rates
+
+
+# gate distances as fractions of epsilon: the plateau z = 0, bump exactly 1
+# (w < -700), open (None: drawn at random), one half, bump exactly 0
+# (w > 700), closed
+_GATE_FRACTIONS = (0.0, 5e-5, None, 0.5, 1.0 - 5e-5, 1.5)
+
+
+@pytest.mark.parametrize("case", ["forward", "backward", "bounded", "n10"])
+def test_growth_rates_bitwise_equal_reference(example1, case):
+    _, p, _ = example1
+    p = _rate_case(p, case)
+    n, d, eps = p.layout.n_super, p.layout.dimension, p.epsilon
+    rng = np.random.default_rng(37)
+    seen = set()
+    for trial in range(300):
+        s = rng.uniform(0.05, 1.0, d)
+        s[rng.random(d) < 0.3] = 0.0
+        # X = e_j moved to squared distance z: X_j = 1 - delta, X_k fills up z
+        z = _GATE_FRACTIONS[trial % len(_GATE_FRACTIONS)]
+        z = eps * (rng.uniform(0.01, 0.99) if z is None else z)
+        delta = rng.uniform(0.0, 0.5 * math.sqrt(z))
+        j, k = rng.choice(n, 2, replace=False)
+        s[:n] = 0.0
+        s[j] = 1.0 - delta
+        s[k] = math.sqrt(z - delta * delta)
+        if trial % 3 == 0:  # a live X_i far from its vertex, or a masked one
+            s[(j + 1 + rng.integers(n - 1)) % n] = rng.choice([0.0, 1e-3, 0.5])
+        if trial % 4 == 0:  # X_j masked while block j stays live
+            s[j] = 0.0
+            s[p.layout.sub_slice(j).start] = 0.5
+        live = np.flatnonzero(s)
+        table = rate_table(p, live, case == "backward")
+        ours = growth_rates(s[live], table)
+        assert np.array_equal(ours, _reference_growth_rates(s[live], table, p, live))
+        z = gate_distances(s[:n])
+        for b in np.unique(p.layout.sub_block_index()[live[live >= n] - n]):
+            if s[b] == 0.0:
+                seen.add("masked X")
+            elif z[b] > 0.0 and z[b] < eps:
+                w = eps * (1.0 / (eps - z[b]) - 1.0 / z[b])
+                seen.add(1.0 if w < -700.0 else 0.0 if w > 700.0 else "open")
+            else:
+                seen.add("plateau" if z[b] <= 0.0 else "closed")
+    assert seen == {"masked X", 1.0, 0.0, "open", "plateau", "closed"}
+
+
 def test_eval_field_multiplicative_invariance(example1):
     # zero coordinates have zero derivative: coordinate subspaces invariant
     _, p, _ = example1
@@ -521,55 +593,60 @@ def test_eval_field_input_validation(example1):
 # log chart
 # ---------------------------------------------------------------------------
 
-def test_eval_field_log_equilibrium_value(example1):
+def _log_chart_rates(u, live, p):
+    """du/dt on the live coordinates at the log-state u, as integrate takes
+    it: clamp, exp, growth_rates on the rate table of the live set."""
+    v = np.exp(np.minimum(u[live], integrator._EXP_CLAMP))
+    return growth_rates(v, rate_table(p, live))
+
+
+def test_log_chart_equilibrium_value(example1):
     _, p, _ = example1
     u = np.zeros(p.layout.dimension)
-    mask = np.ones(p.layout.dimension, dtype=bool)
-    mask[0] = False  # X_1 = exp(0) = 1, everything else masked
-    du = eval_field_log(u, mask, p)
-    assert du[0] == 0.0
-    assert np.all(du[mask] == 0.0)
+    live = np.array([0])  # X_1 = exp(0) = 1, everything else masked
+    assert np.array_equal(_log_chart_rates(u, live, p), [0.0])
 
 
-def test_eval_field_log_cross_chart_identity(example1):
+def test_log_chart_cross_chart_identity(example1):
     _, p, _ = example1
     rng = np.random.default_rng(17)
-    mask = np.zeros(p.layout.dimension, dtype=bool)
+    live = np.arange(p.layout.dimension)
     for _ in range(1000):
         s = rng.uniform(1e-3, 1.0, p.layout.dimension)
-        u = np.log(s)
-        lhs = s * eval_field_log(u, mask, p)
+        lhs = s * _log_chart_rates(np.log(s), live, p)
         rhs = eval_field(s, p)
         assert (np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))).max() <= 1e-12
 
 
-def test_eval_field_log_deep_underflow(example1):
+def test_log_chart_deep_underflow(example1):
+    # exp(-745) is the smallest subnormal; its square underflows to 0
     _, p, _ = example1
     u = np.zeros(p.layout.dimension)
-    mask = np.ones(p.layout.dimension, dtype=bool)
-    mask[0] = False
-    u[0] = math.log(1e-200)
-    du = eval_field_log(u, mask, p)
+    u[0] = -745.0
+    with np.errstate(under="ignore"):
+        du = _log_chart_rates(u, np.array([0]), p)
+    assert np.exp(u[0]) > 0.0
     assert np.isfinite(du[0])
     assert du[0] == pytest.approx(p.phi, rel=1e-12)  # growth rate at the origin
 
 
-def test_eval_field_log_masked_contribute_nothing(example1):
+def test_log_chart_masked_contribute_nothing(example1):
+    # the masked coordinates' log-values are never read: any value there
+    # gives the rates of the state with exact zeros in their place
     _, p, _ = example1
     rng = np.random.default_rng(19)
     for _ in range(50):
         s = rng.uniform(0.05, 1.0, p.layout.dimension)
         zero = rng.random(p.layout.dimension) < 0.3
-        s_masked = s.copy()
-        s_masked[zero] = 0.0
-        u = np.where(zero, 0.0, np.log(np.where(zero, 1.0, s)))
-        du = eval_field_log(u, zero, p)
+        s_masked = np.where(zero, 0.0, s)
+        live = np.flatnonzero(~zero)
+        u = np.where(zero, rng.uniform(-800.0, 800.0, s.size), np.log(s))
+        du = _log_chart_rates(u, live, p)
         ref = eval_field(s_masked, p)
-        live = ~zero
-        assert np.abs(du[live] * s_masked[live] - ref[live]).max() <= 1e-12 * max(
+        assert np.abs(du * s_masked[live] - ref[live]).max() <= 1e-12 * max(
             1.0, np.abs(ref).max()
         )
-        assert np.all(du[zero] == 0.0)
+        assert np.all(ref[zero] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ Claims covered:
     - CSV layout, full precision, bitwise-zero columns, determinism; the
       same bytes from 1, 2 or 3 writer processes, with no child process or
       part file left behind, also when a writer fails
+    - a failed CSV write leaves no file, and a failed rewrite leaves the
+      previous file byte for byte; the file gets the mode of a plain open()
     - CLI overrides rebuild the scenario, and check its coefficients, once
     - itinerary/report rendering and SVG output are well-formed
     - CLI exit codes: 0 ok, 1 verification/validation failure, 2 input
@@ -513,7 +515,34 @@ def test_timeseries_writer_failure_leaves_no_child(tmp_path, monkeypatch, small_
     with pytest.raises(error):
         write_timeseries(traj, p.layout, tmp_path / "ts.csv")
     _assert_no_child_left()
+    assert list(tmp_path.iterdir()) == []  # no truncated file, no temporary one
+
+
+@pytest.mark.parametrize("where, error", [("child", OSError), ("parent", RuntimeError)])
+def test_timeseries_failed_rewrite_keeps_previous_file(tmp_path, monkeypatch, small_scenario,
+                                                       where, error):
+    sc, p, s0 = small_scenario
+    path = tmp_path / "ts.csv"
+    short = integrate(s0, p, IntegratorConfig(t_end=1.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
+    write_timeseries(short, p.layout, path)
+    before = path.read_bytes()
+    traj = integrate(s0, p, IntegratorConfig(t_end=2.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
+    _force_writers(monkeypatch, traj.times.shape[0], 3)
+    _fail_in(monkeypatch, where)
+    with pytest.raises(error):
+        write_timeseries(traj, p.layout, path)
+    _assert_no_child_left()
     assert [f.name for f in tmp_path.iterdir()] == ["ts.csv"]
+    assert path.read_bytes() == before
+
+
+def test_timeseries_file_mode_is_that_of_a_plain_open(tmp_path, small_scenario):
+    sc, p, s0 = small_scenario
+    traj = integrate(s0, p, IntegratorConfig(t_end=1.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
+    write_timeseries(traj, p.layout, tmp_path / "ts.csv")
+    with open(tmp_path / "plain.csv", "w"):
+        pass
+    assert (tmp_path / "ts.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
 
 
 def test_timeseries_deterministic(tmp_path, small_scenario):
@@ -642,7 +671,7 @@ def test_cli_simulate_writer_failure(tmp_path, monkeypatch, small_scenario_file,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "timeseries writer" in captured.err
     _assert_no_child_left()
-    assert [f.name for f in out.iterdir()] == ["timeseries.csv"]
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, rule_runs", [
