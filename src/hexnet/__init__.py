@@ -29,7 +29,6 @@ from .analysis import (
     WitnessSpec,
     check_edge_eigen_correspondence,
     check_itinerary_against,
-    eigen_at,
     extract_itinerary,
     run_witness,
     run_witnesses,

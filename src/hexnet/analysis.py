@@ -4,6 +4,10 @@ Covers equilibrium residuals, the eigenvalue/edge correspondence at every
 designed equilibrium, symbolic itineraries extracted from trajectories,
 and the constructive witnesses for the excitable top-level connections
 (forward convergence plus backward-divergence evidence).
+
+The two structural checks read the growth rates of each designed
+equilibrium and build no Jacobian: the field is each coordinate times its
+growth rate, so a zero coordinate's transverse eigenvalue is its rate.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import NotAnEdgeError, NumericalFailureError
+from .errors import NotAnEdgeError
 from .hierarchy import Digraph, out_neighbors
 from .integrator import (
     IntegratorConfig,
@@ -21,19 +25,16 @@ from .integrator import (
 )
 from .vectorfield import (
     VARIANT_BOUNDED,
-    Equilibrium,
     FieldParams,
     bump_j,
     designed_equilibria,
-    eval_field,
     gate_distances,
-    jacobian,
+    growth_rates,
     rate_table,
 )
 
 __all__ = [
     "ResidualReport",
-    "AttributedEigenvalue",
     "EquilibriumEigenCheck",
     "CorrespondenceReport",
     "Visit",
@@ -43,7 +44,6 @@ __all__ = [
     "WitnessResult",
     "RealizationReport",
     "verify_equilibria",
-    "eigen_at",
     "check_edge_eigen_correspondence",
     "run_bounds",
     "extract_itinerary",
@@ -75,60 +75,28 @@ class ResidualReport:
     passed: bool
 
 
+def _equilibrium_rates(p: FieldParams):
+    """Each designed equilibrium with its growth rates.
+
+    The field is each coordinate times its growth rate, so at a designed
+    equilibrium every zero coordinate m has the Jacobian row r_m e_m: its
+    transverse eigenvalue is its growth rate r_m.
+    """
+    for eq in designed_equilibria(p):
+        yield eq, growth_rates(eq.state, p._rates)
+
+
 def verify_equilibria(p: FieldParams, tol: float = 1e-12) -> ResidualReport:
-    """Sup-norm field residual at every designed equilibrium; a NaN
-    residual makes max_residual NaN and the check fail."""
-    rows = [
-        (eq.name, float(np.abs(eval_field(eq.state, p)).max()))
-        for eq in designed_equilibria(p)
-    ]
+    """Sup-norm field residual max |state * rates| at every designed
+    equilibrium; a NaN residual makes max_residual NaN and the check fail."""
+    rows = [(eq.name, float(np.abs(eq.state * rates).max())) for eq, rates in _equilibrium_rates(p)]
     worst = float(np.max([r for _, r in rows]))
     return ResidualReport(rows, worst, tol, worst <= tol)
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues with coordinate attribution
+# eigenvalue/edge correspondence
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AttributedEigenvalue:
-    coord: int  # flat coordinate index the eigenvalue is attributed to
-    real: float
-    imag: float = 0.0
-
-
-def _block_eigs(block: np.ndarray, offset: int) -> list[AttributedEigenvalue]:
-    n = block.shape[0]
-    diag = np.diagonal(block)
-    off = block - np.diag(diag)
-    if np.abs(off).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(diag).max(initial=0.0)):
-        return [AttributedEigenvalue(offset + i, float(diag[i])) for i in range(n)]
-    try:
-        vals, vecs = np.linalg.eig(block)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue solve failed: {exc}") from exc
-    out = []
-    for m in range(n):
-        c = int(np.argmax(np.abs(vecs[:, m])))
-        out.append(AttributedEigenvalue(offset + c, float(vals[m].real), float(vals[m].imag)))
-    return out
-
-
-def eigen_at(eq: Equilibrium, p: FieldParams) -> list[AttributedEigenvalue]:
-    """Eigenvalues of the Jacobian at a designed equilibrium.
-
-    The Jacobian is block lower-triangular (X drives, never listens), so the
-    spectrum is the union over the diagonal blocks; at designed equilibria the
-    blocks are diagonal and each eigenvalue belongs to one coordinate axis.
-    """
-    J = jacobian(eq.state, p)
-    layout = p.layout
-    out = _block_eigs(J[layout.super_slice, layout.super_slice], 0)
-    for j in range(layout.n_super):
-        sl = layout.sub_slice(j)
-        out.extend(_block_eigs(J[sl, sl], sl.start))
-    return out
-
 
 @dataclass(eq=False)
 class EquilibriumEigenCheck:
@@ -146,29 +114,21 @@ class CorrespondenceReport:
 
 def check_edge_eigen_correspondence(p: FieldParams) -> CorrespondenceReport:
     """At every Super(j) and Sub(j, i): the directions with positive transverse
-    eigenvalue must be exactly the prescribed out-neighbors."""
+    eigenvalue, read as the growth rates of the zero coordinates of that
+    level, must be exactly the prescribed out-neighbors."""
     layout = p.layout
     gamma = p.hierarchy.superstructure
     checks = []
-    for eq in designed_equilibria(p):
+    for eq, rates in _equilibrium_rates(p):
         if eq.kind == "origin":
             continue
-        eigs = eigen_at(eq, p)
-        by_coord = {e.coord: e.real for e in eigs}
         if eq.kind == "super":
             expected = frozenset(out_neighbors(gamma, eq.j))
-            observed = frozenset(
-                m for m in range(layout.n_super) if m != eq.j and by_coord[m] > 0.0
-            )
+            level, unit = rates[layout.super_slice], eq.j
         else:
-            g = p.hierarchy.substructures[eq.j]
-            expected = frozenset(out_neighbors(g, eq.i))
-            off = layout.sub_offset(eq.j)
-            observed = frozenset(
-                m
-                for m in range(layout.block_sizes[eq.j])
-                if m != eq.i and by_coord[off + m] > 0.0
-            )
+            expected = frozenset(out_neighbors(p.hierarchy.substructures[eq.j], eq.i))
+            level, unit = rates[layout.sub_slice(eq.j)], eq.i
+        observed = frozenset(np.flatnonzero(level > 0.0).tolist()) - {unit}
         checks.append(EquilibriumEigenCheck(eq.name, expected, observed, expected == observed))
     return CorrespondenceReport(checks, all(c.passed for c in checks))
 

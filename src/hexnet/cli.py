@@ -27,6 +27,7 @@ from .errors import (
 )
 from .integrator import TERMINATION_COMPLETED, integrate
 from .output import (
+    publish,
     render_itinerary,
     render_report,
     witness_line,
@@ -96,7 +97,8 @@ def cmd_simulate(args) -> int:
             extract_itinerary(traj, params, LEVEL_SUB, j=j,
                               near_tol=sc.near_tol, min_dwell=sc.min_dwell)
         ))
-    (out / "itinerary.txt").write_text("\n".join(pieces), encoding="utf-8")
+    with publish(out / "itinerary.txt") as fh:
+        fh.write("\n".join(pieces))
     if args.plots:
         write_svg_panels(traj, params, out / "plot.svg")
     print(
@@ -125,7 +127,8 @@ def cmd_verify(args) -> int:
         deltas=sc.witness_deltas,
     )
     text = render_report(report)
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    with publish(out / "report.txt") as fh:
+        fh.write(text)
     print(text, end="")
     return EXIT_OK if report.passed else EXIT_FAIL
 

@@ -43,10 +43,6 @@ class NotAnEdgeError(HexnetError, ValueError):
     """A witness was requested for a pair that is not an edge of the superstructure."""
 
 
-class NumericalFailureError(HexnetError, RuntimeError):
-    """A numerical routine (eigenvalue solve) did not converge."""
-
-
 class ScenarioError(HexnetError):
     """Base class for scenario-file problems."""
 

@@ -14,6 +14,7 @@ from .integrator import Trajectory
 from .vectorfield import BlockLayout, FieldParams, gate_distances
 
 __all__ = [
+    "publish",
     "write_timeseries",
     "render_itinerary",
     "render_report",
@@ -24,6 +25,26 @@ __all__ = [
 
 # rows per writer process: a fork costs a few ms, formatting 10,000 rows about 0.1 s
 _ROWS_PER_WRITER = 10_000
+
+
+@contextlib.contextmanager
+def publish(path):
+    """A text file opened for writing that replaces path only once the with
+    block completes.
+
+    The file is written under a temporary name in path's directory, opened
+    like path itself, so it gets the mode a plain open() gives. On any error
+    path is left as it was and the temporary file is removed.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _write_rows(fh, row_format: str, times: np.ndarray, states: np.ndarray) -> None:
@@ -57,15 +78,13 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
 
     Coordinates masked to the invariant zero subspace print as exactly "0".
 
-    The file is written under a temporary name in path's directory and
-    replaces path only once it is complete; on error path is left as it was
-    and the temporary file is removed. The rows are split into contiguous
-    chunks, written by up to one process per available CPU: this process
-    writes the first chunk and forked children write the others into
-    unnamed part files in the same directory, which are then appended in
-    order. The bytes do not depend on the number of writers, no part file
-    is left behind, and every child has exited when this returns. A child
-    that fails raises OSError.
+    The file is written through publish, so on error path is left as it
+    was. The rows are split into contiguous chunks, written by up to one
+    process per available CPU: this process writes the first chunk and
+    forked children write the others into unnamed part files in the same
+    directory, which are then appended in order. The bytes do not depend
+    on the number of writers, no part file is left behind, and every child
+    has exited when this returns. A child that fails raises OSError.
     """
     n = traj.times.shape[0]
     if n == 0:
@@ -78,12 +97,9 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
         writers = min(len(os.sched_getaffinity(0)), max(1, n // _ROWS_PER_WRITER))
     bounds = [n * w // writers for w in range(writers + 1)]
     path = Path(path)
-    # opened like path itself, so the file gets the mode a plain open() gives
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     children = []  # (pid, part file), in row order
     try:
-        with open(temp, "w", encoding="utf-8", newline="\n") as fh, \
-                contextlib.ExitStack() as parts:
+        with publish(path) as fh, contextlib.ExitStack() as parts:
             fh.write(",".join(["t"] + names) + "\n")
             fh.flush()  # a child must not inherit buffered text
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -101,10 +117,6 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
                 if status != 0:
                     raise OSError(f"{path}: a timeseries writer exited with status {status}")
                 _append(part, fh.fileno())
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
     finally:  # on error, stop and reap the children still running
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -279,7 +291,8 @@ def write_svg_panels(
             f"t={frac * t_max:g}</text>"
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts), encoding="utf-8")
+    with publish(path) as fh:
+        fh.write("\n".join(parts))
 
 
 def _shade(t0: float, t1: float, y0: float, t_max: float) -> str:

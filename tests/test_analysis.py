@@ -2,10 +2,16 @@
 
 Claims covered:
     - equilibrium residual report (exact zeros; perturbed states rejected;
-      a NaN residual fails)
-    - eigenvalue attribution at designed equilibria (closed-form entries)
+      a NaN residual fails; residuals equal the sup norm of eval_field)
+    - closed-form spectra at designed equilibria: transverse entries are
+      growth rates, radial and active-block entries Jacobian diagonals
+    - the structural checks may read growth rates as eigenvalues: at every
+      designed equilibrium of generated scenarios, each zero coordinate's
+      Jacobian row is its rate times its unit row, and X_j does not listen
+      to the unit coordinate of Sub(j, i)
     - eigenvalue/edge correspondence passes under the default orientation,
       fails under the literal one, and is empty for edgeless graphs
+    - both structural checks pass on a cycle-plus-chords hierarchy at d=800
     - non-edge pairs have nonpositive transverse eigenvalues both ways
     - run boundaries of label streams agree with a plain-loop oracle
     - itinerary extraction: constant trajectories, window bookkeeping,
@@ -19,9 +25,12 @@ Claims covered:
     - verify_realization aggregation on a cheap unit-timescale scenario,
       including the deliberately transposed orientation failing
 """
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import fields, replace
+from hypothesis import given, settings
 
 import hexnet.analysis
 from hexnet.analysis import (
@@ -31,7 +40,6 @@ from hexnet.analysis import (
     WitnessSpec,
     check_edge_eigen_correspondence,
     check_itinerary_against,
-    eigen_at,
     extract_itinerary,
     run_bounds,
     run_witness,
@@ -43,9 +51,17 @@ from hexnet.analysis import (
 from hexnet.errors import NotAnEdgeError
 from hexnet.hierarchy import HierarchySpec, digraph_from_edges
 from hexnet.integrator import IntegratorConfig, integrate
-from hexnet.vectorfield import FieldParams, build_coefficients, designed_equilibria
+from hexnet.vectorfield import (
+    FieldParams,
+    build_coefficients,
+    designed_equilibria,
+    eval_field,
+    growth_rates,
+    jacobian,
+)
 
 from oracles import naive_runs
+from strategies import scenarios
 
 THREE_CYCLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -62,14 +78,14 @@ def test_verify_equilibria_both_examples(example1, example2):
 def test_verify_equilibria_nan_residual_fails(example1, monkeypatch):
     # a NaN residual (an overflowed rate) must not read as 0 and pass
     _, p, _ = example1
-    field = hexnet.analysis.eval_field
+    rates = hexnet.analysis.growth_rates
     bad = designed_equilibria(p)[4].state
 
-    def nan_at_one(state, p):
-        out = field(state, p)
-        return np.full_like(out, np.nan) if np.array_equal(state, bad) else out
+    def nan_at_one(v, table):
+        out = rates(v, table)
+        return np.full_like(out, np.nan) if np.array_equal(v, bad) else out
 
-    monkeypatch.setattr(hexnet.analysis, "eval_field", nan_at_one)
+    monkeypatch.setattr(hexnet.analysis, "growth_rates", nan_at_one)
     rep = verify_equilibria(p)
     assert np.isnan(rep.max_residual)
     assert not rep.passed
@@ -77,8 +93,6 @@ def test_verify_equilibria_nan_residual_fails(example1, monkeypatch):
 
 
 def test_perturbed_state_is_not_equilibrium(example1):
-    from hexnet.vectorfield import eval_field
-
     _, p, _ = example1
     s = np.zeros(p.layout.dimension)
     s[0] = 1.0
@@ -86,32 +100,75 @@ def test_perturbed_state_is_not_equilibrium(example1):
     assert np.abs(eval_field(s, p)).max() > 1e-12
 
 
-def test_eigen_at_super_closed_form(example1):
+def _rates(eq, p):
+    return growth_rates(eq.state, p._rates)
+
+
+def test_transverse_rates_super_closed_form(example1):
     _, p, _ = example1
-    eqs = {e.name: e for e in designed_equilibria(p)}
-    eig = {e.coord: e.real for e in eigen_at(eqs["Super(1)"], p)}
+    eq = {e.name: e for e in designed_equilibria(p)}["Super(1)"]
+    rates = _rates(eq, p)
+    diag = np.diagonal(jacobian(eq.state, p))
     a = p.coeffs.a
-    assert eig[0] == pytest.approx(-2.0 * p.phi, rel=1e-12)  # radial
-    assert eig[1] == pytest.approx(p.phi * a[1, 0], rel=1e-12)
-    assert eig[2] == pytest.approx(p.phi * a[2, 0], rel=1e-12)
+    assert diag[0] == pytest.approx(-2.0 * p.phi, rel=1e-12)  # radial
+    assert rates[1] == pytest.approx(p.phi * a[1, 0], rel=1e-12)
+    assert rates[2] == pytest.approx(p.phi * a[2, 0], rel=1e-12)
     # active block at the sub-origin grows at psi in every direction
     for c in range(*p.layout.sub_slice(0).indices(13)[:2]):
-        assert eig[c] == pytest.approx(p.psi, rel=1e-12)
+        assert diag[c] == pytest.approx(p.psi, rel=1e-12)
     # inactive substructure blocks decay at omega
     for j in (1, 2):
         sl = p.layout.sub_slice(j)
         for c in range(sl.start, sl.stop):
-            assert eig[c] == pytest.approx(-p.omega, rel=1e-12)
+            assert diag[c] == pytest.approx(-p.omega, rel=1e-12)
 
 
-def test_eigen_at_origin(example1):
+def test_transverse_rates_origin(example1):
     _, p, _ = example1
-    eqs = designed_equilibria(p)
-    eig = {e.coord: e.real for e in eigen_at(eqs[0], p)}
+    rates = _rates(designed_equilibria(p)[0], p)
     for c in range(3):
-        assert eig[c] == pytest.approx(p.phi, rel=1e-12)
+        assert rates[c] == pytest.approx(p.phi, rel=1e-12)
     for c in range(3, 13):
-        assert eig[c] == pytest.approx(-p.omega, rel=1e-12)
+        assert rates[c] == pytest.approx(-p.omega, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(sc=scenarios())
+def test_rates_are_the_transverse_spectrum(sc):
+    # a zero coordinate m has the Jacobian row rates[m] e_m, and at Sub(j, i)
+    # X_j does not listen to the unit coordinate c; every other entry of the
+    # unit coordinates' rows lies below the diagonal, so the spectrum is the
+    # rates of the zero coordinates plus the radial diagonal entries
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "epsilon .* bump supports may overlap")
+        p = sc.field_params()
+    residuals = dict(verify_equilibria(p).residuals)
+    for eq in designed_equilibria(p):
+        rates = _rates(eq, p)
+        J = jacobian(eq.state, p)
+        zero = eq.state == 0.0
+        assert (J[zero] == np.diag(rates)[zero]).all(), eq.name
+        if eq.kind == "sub":
+            assert J[eq.j, p.layout.sub_offset(eq.j) + eq.i] == 0.0, eq.name
+        assert residuals[eq.name] == np.abs(eval_field(eq.state, p)).max(), eq.name
+
+
+def _chorded(n):
+    """A cycle through 0..n-1 plus the chords i -> i+2 for every third i."""
+    return digraph_from_edges(
+        n, [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n) for i in range(0, n, 3)]
+    )
+
+
+@pytest.mark.parametrize("variant", ["standard", "bounded"])
+def test_structural_checks_at_scale(variant):
+    h = HierarchySpec(_chorded(40), tuple(_chorded(19) for _ in range(40)))
+    p = FieldParams(build_coefficients(h), epsilon=0.2, variant=variant)
+    assert p.layout.dimension == 800
+    assert verify_equilibria(p).passed
+    rep = check_edge_eigen_correspondence(p)
+    assert rep.passed
+    assert len(rep.checks) == 800
 
 
 def test_edge_eigen_correspondence_examples(example1, example2):
@@ -141,12 +198,17 @@ def test_edgeless_digraph_all_stable():
     gamma = digraph_from_edges(3, THREE_CYCLE)
     edgeless = digraph_from_edges(2, [])
     h = HierarchySpec(gamma, (edgeless, edgeless, edgeless))
-    p = FieldParams(build_coefficients(h), epsilon=0.2)
-    rep = check_edge_eigen_correspondence(p)
-    assert rep.passed
-    for c in rep.checks:
-        if c.name.startswith("Sub"):
-            assert c.observed == frozenset()
+    # at c_minus = -2**-54, c_minus - 1 rounds to -1: every off-edge rate is
+    # exactly 0, which is not a positive eigenvalue
+    for c_minus in (-1.5, -2.0**-54):
+        p = FieldParams(build_coefficients(h, c_minus=c_minus), epsilon=0.2)
+        rep = check_edge_eigen_correspondence(p)
+        assert rep.passed
+        for c in rep.checks:
+            if c.name.startswith("Sub"):
+                assert c.observed == frozenset()
+    eq = designed_equilibria(p)[-1]
+    assert _rates(eq, p)[p.layout.sub_slice(eq.j)].tolist() == [0.0, 0.0]
 
 
 def test_non_edge_pairs_stable_both_ways(example1, example2):
@@ -156,10 +218,10 @@ def test_non_edge_pairs_stable_both_ways(example1, example2):
         eqs = {e.name: e for e in designed_equilibria(p)}
         n = gamma.n_vertices
         for j in range(n):
-            eig = {e.coord: e.real for e in eigen_at(eqs[f"Super({j + 1})"], p)}
+            rates = _rates(eqs[f"Super({j + 1})"], p)
             for k in range(n):
                 if k != j and (j, k) not in gamma.edges:
-                    assert eig[k] <= 0.0
+                    assert rates[k] <= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ Claims covered:
       part file left behind, also when a writer fails
     - a failed CSV write leaves no file, and a failed rewrite leaves the
       previous file byte for byte; the file gets the mode of a plain open()
+    - report.txt, itinerary.txt and plot.svg are published like the CSV: a
+      write that fails part-way, or at the rename, leaves neither a partial
+      target nor a temporary file
     - CLI overrides rebuild the scenario, and check its coefficients, once
     - itinerary/report rendering and SVG output are well-formed
     - CLI exit codes: 0 ok, 1 verification/validation failure, 2 input
@@ -34,7 +37,13 @@ from hexnet import output, vectorfield
 from hexnet.cli import main
 from hexnet.errors import ScenarioParseError, ScenarioSchemaError, ScenarioValidationError
 from hexnet.integrator import IntegratorConfig, integrate
-from hexnet.output import render_itinerary, render_report, write_svg_panels, write_timeseries
+from hexnet.output import (
+    publish,
+    render_itinerary,
+    render_report,
+    write_svg_panels,
+    write_timeseries,
+)
 from hexnet.scenario import bundled_scenario_path, load_scenario, save_scenario
 from hexnet.analysis import LEVEL_SUPER, extract_itinerary, verify_realization
 from strategies import scenarios
@@ -672,6 +681,44 @@ def test_cli_simulate_writer_failure(tmp_path, monkeypatch, small_scenario_file,
     assert captured.err.startswith("error: ") and "timeseries writer" in captured.err
     _assert_no_child_left()
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("previous", [None, b"previous report\n"])
+def test_publish_failure_part_way_keeps_previous_state(tmp_path, previous):
+    path = tmp_path / "report.txt"
+    if previous is not None:
+        path.write_bytes(previous)
+    with pytest.raises(UnicodeEncodeError):
+        with publish(path) as fh:
+            fh.write("verdict: PASS\n" * 1000)
+            fh.flush()  # part of the file is on disk when the write fails
+            fh.write("\ud800")  # a lone surrogate has no UTF-8 encoding
+    assert [f.name for f in tmp_path.iterdir()] == ([] if previous is None else ["report.txt"])
+    if previous is not None:
+        assert path.read_bytes() == previous
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "itinerary.txt"), ("simulate", "plot.svg"), ("verify", "report.txt"),
+])
+def test_cli_text_outputs_are_published(tmp_path, monkeypatch, small_scenario_file, capsys,
+                                        command, name):
+    # publishing this one file fails at its rename: the file must not appear
+    rename = os.replace
+
+    def failing(src, dst):
+        if Path(dst).name == name:
+            raise OSError(f"{dst}: rename failed")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    out = tmp_path / "out"
+    argv = [command, str(small_scenario_file), "--out", str(out), "--t-end", "5.0"]
+    assert main(argv + (["--plots"] if command == "simulate" else [])) == 2
+    assert "rename failed" in capsys.readouterr().err
+    left = [f.name for f in out.iterdir()]
+    assert name not in left
+    assert [n for n in left if n.endswith(".tmp")] == []
 
 
 @pytest.mark.parametrize("argv, rule_runs", [
