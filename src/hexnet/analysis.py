@@ -8,13 +8,20 @@ and the constructive witnesses for the excitable top-level connections
 The two structural checks read the growth rates of each designed
 equilibrium and build no Jacobian: the field is each coordinate times its
 growth rate, so a zero coordinate's transverse eigenvalue is its rate.
+
+The witness runs depend on the field alone, not on each other or on a
+scenario's trajectory, so they run in forked workers (see workers.py), up
+to one process per available CPU, with results bitwise those of a serial
+run.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import workers
 from .errors import NotAnEdgeError
 from .hierarchy import Digraph, out_neighbors
 from .integrator import (
@@ -437,6 +444,52 @@ def run_witness(
     )
 
 
+def _witness_plans(specs, p: FieldParams) -> list[tuple[WitnessSpec, np.ndarray, tuple]]:
+    """(spec, live coordinates, run key) for each spec; checks every spec."""
+    p_run = _with_unit_timescales(p)
+    plans = []
+    for w in specs:
+        s0, target, sub_live = _witness_problem(w, p_run)
+        live = np.flatnonzero(s0)
+        table = rate_table(p_run, live)
+        key = tuple(np.asarray(getattr(table, f.name)).tobytes() for f in fields(table))
+        key += (np.log(s0[live]).tobytes(), target[live].tobytes(), sub_live[live].tobytes())
+        plans.append((w, live, key))
+    return plans
+
+
+def _run_each(specs, p: FieldParams) -> list[WitnessResult]:
+    return [run_witness(w, p) for w in specs]
+
+
+def _run_plans(plans, p: FieldParams) -> list[WitnessResult]:
+    """The results of run_witnesses for the plans of _witness_plans."""
+    first: dict[tuple, tuple[WitnessSpec, np.ndarray]] = {}
+    for w, live, key in plans:
+        first.setdefault(key, (w, live))
+    distinct = list(first.values())
+    # distinct run i goes to share i % n; this process runs share 0
+    n = max(1, min(workers.available_cpus(), len(distinct)))
+    shares = [[w for w, _ in distinct[s::n]] for s in range(n)]
+    with contextlib.ExitStack() as stack:
+        pending = [stack.enter_context(workers.start(_run_each, share, p)) for share in shares[1:]]
+        done = [_run_each(shares[0], p)] + [worker.result() for worker in pending]
+    runs = {key: (live, done[i % n][i // n]) for i, (key, (_, live)) in enumerate(first.items())}
+
+    names = p.layout.coord_names()
+    results = []
+    for w, live, key in plans:
+        run_live, res = runs[key]
+        coord = res.backward_coordinate
+        if coord is not None:
+            coord = int(live[np.searchsorted(run_live, coord)])
+        results.append(replace(
+            res, spec=w, backward_coordinate=coord,
+            backward_coordinate_name=None if coord is None else names[coord],
+        ))
+    return results
+
+
 def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
     """run_witness(w, p) for each spec w, integrating each distinct run once.
 
@@ -448,32 +501,12 @@ def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
     coordinate moved through its own live set; the gate of that coordinate
     is equal too, because the table fixes which live X gates it. The
     grouping lasts for this one call. Every spec is checked before any run.
-    """
-    p_run = _with_unit_timescales(p)
-    plans = []
-    for w in specs:
-        s0, target, sub_live = _witness_problem(w, p_run)
-        live = np.flatnonzero(s0)
-        table = rate_table(p_run, live)
-        key = tuple(np.asarray(getattr(table, f.name)).tobytes() for f in fields(table))
-        key += (np.log(s0[live]).tobytes(), target[live].tobytes(), sub_live[live].tobytes())
-        plans.append((w, live, key))
 
-    names = p.layout.coord_names()
-    runs: dict[tuple, tuple[np.ndarray, WitnessResult]] = {}
-    results = []
-    for w, live, key in plans:
-        if key not in runs:
-            runs[key] = (live, run_witness(w, p))
-        run_live, res = runs[key]
-        coord = res.backward_coordinate
-        if coord is not None:
-            coord = int(live[np.searchsorted(run_live, coord)])
-        results.append(replace(
-            res, spec=w, backward_coordinate=coord,
-            backward_coordinate_name=None if coord is None else names[coord],
-        ))
-    return results
+    The distinct runs are dealt round-robin over up to available_cpus()
+    processes: this one and forked workers. integrate is deterministic, so
+    the results are bitwise those of a serial run.
+    """
+    return _run_plans(_witness_plans(specs, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +547,32 @@ def verify_realization(
     deltas: tuple[float, ...] = DEFAULT_WITNESS_DELTAS,
     residual_tol: float = 1e-12,
 ) -> RealizationReport:
-    """Aggregate residual, eigenvalue, itinerary and witness verification."""
+    """Aggregate residual, eigenvalue, itinerary and witness verification.
+
+    The witnesses depend on the field alone. Their specs are checked first;
+    then, with more than one available CPU, they run in one forked worker
+    while this process integrates the scenarios and extracts their
+    itineraries. Otherwise they run after the itineraries.
+    """
     residuals = verify_equilibria(p, residual_tol)
     eigen = check_edge_eigen_correspondence(p)
+    gamma = p.hierarchy.superstructure
+    plans = _witness_plans(
+        [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas], p
+    )
+    if workers.available_cpus() == 1:
+        itineraries = _check_itineraries(p, scenarios, near_tol, min_dwell)
+        witnesses = _run_plans(plans, p)
+    else:
+        with workers.start(_run_plans, plans, p) as pending:
+            itineraries = _check_itineraries(p, scenarios, near_tol, min_dwell)
+            witnesses = pending.result()
+    return RealizationReport(residuals, eigen, itineraries, witnesses)
 
+
+def _check_itineraries(p: FieldParams, scenarios, near_tol: float,
+                       min_dwell: float) -> list[ItineraryOutcome]:
+    """Integrate each scenario and check its itineraries against the hierarchy."""
     itineraries = []
     gamma = p.hierarchy.superstructure
     for idx, (s0, cfg) in enumerate(scenarios):
@@ -533,8 +588,4 @@ def verify_realization(
             itineraries.append(
                 ItineraryOutcome(idx, LEVEL_SUB, j, rep, check_itinerary_against(rep, g))
             )
-
-    witnesses = run_witnesses(
-        [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas], p
-    )
-    return RealizationReport(residuals, eigen, itineraries, witnesses)
+    return itineraries

@@ -69,10 +69,10 @@ def _load(path, args):
 def cmd_validate(args) -> int:
     try:
         sc = _load(args.scenario, args)
+        sc.field_params()  # warns when epsilon lets bump supports overlap
     except (ScenarioSchemaError, ScenarioValidationError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    sc.field_params()  # warns when epsilon lets bump supports overlap
     h = sc.hierarchy
     print(
         f"ok: superstructure on {h.n_super} vertices,"

@@ -51,17 +51,21 @@ class ScenarioParseError(ScenarioError):
     """The file is not well-formed YAML."""
 
 
-class ScenarioSchemaError(ScenarioError):
+class _ScenarioPathError(ScenarioError):
+    """A scenario error that carries the offending field path."""
+
+    def __init__(self, path, message):
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):  # rebuilt from both arguments when it leaves a worker process
+        return type(self), (self.path, self.message)
+
+
+class ScenarioSchemaError(_ScenarioPathError):
     """Structurally wrong document; carries the offending field path."""
 
-    def __init__(self, path, message):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
-
-class ScenarioValidationError(ScenarioError):
+class ScenarioValidationError(_ScenarioPathError):
     """Well-formed document whose values violate an invariant."""
-
-    def __init__(self, path, message):
-        self.path = path
-        super().__init__(f"{path}: {message}")

@@ -1,14 +1,19 @@
-"""Result persistence: timeseries CSV, itinerary/report text, SVG panels."""
+"""Result persistence: timeseries CSV, itinerary/report text, SVG panels.
+
+Every file is published whole or not at all (publish). The timeseries rows
+are formatted by up to one process per available CPU, this one and forked
+workers (see workers.py); the bytes do not depend on how many ran.
+"""
 from __future__ import annotations
 
 import contextlib
 import os
-import signal
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .analysis import RealizationReport, ItineraryReport, WitnessResult, _active_runs
 from .integrator import Trajectory
 from .vectorfield import BlockLayout, FieldParams, gate_distances
@@ -52,18 +57,9 @@ def _write_rows(fh, row_format: str, times: np.ndarray, states: np.ndarray) -> N
         fh.write(row_format % (t, *row.tolist()))
 
 
-def _fork_writer(part, row_format: str, times: np.ndarray, states: np.ndarray) -> int:
-    """Pid of a child that writes these rows into part and exits 0, or 1 on any error."""
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        _write_rows(part, row_format, times, states)
-        part.flush()
-        status = 0
-    finally:  # never return into the parent's code or run its exit handlers
-        os._exit(status)
+def _write_part(part, row_format: str, times: np.ndarray, states: np.ndarray) -> None:
+    _write_rows(part, row_format, times, states)
+    part.flush()
 
 
 def _append(part, fd: int) -> None:
@@ -92,35 +88,29 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
     names = layout.coord_names()
     # "%.17g" % x renders exactly as format(x, ".17g"), one template per row
     row_format = ",".join(["%.17g"] * (1 + len(names))) + "\n"
-    writers = 1  # one per available CPU, each with at least _ROWS_PER_WRITER rows
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        writers = min(len(os.sched_getaffinity(0)), max(1, n // _ROWS_PER_WRITER))
+    # one writer per available CPU, each with at least _ROWS_PER_WRITER rows
+    writers = min(workers.available_cpus(), max(1, n // _ROWS_PER_WRITER))
     bounds = [n * w // writers for w in range(writers + 1)]
     path = Path(path)
-    children = []  # (pid, part file), in row order
-    try:
-        with publish(path) as fh, contextlib.ExitStack() as parts:
-            fh.write(",".join(["t"] + names) + "\n")
-            fh.flush()  # a child must not inherit buffered text
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                part = parts.enter_context(tempfile.TemporaryFile(
-                    "w+", encoding="utf-8", newline="\n", dir=path.parent
-                ))
-                children.append((_fork_writer(part, row_format, traj.times[lo:hi],
-                                              traj.states[lo:hi]), part))
-            _write_rows(fh, row_format, traj.times[:bounds[1]], traj.states[:bounds[1]])
-            fh.flush()
-            while children:
-                pid, part = children[0]
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                if status != 0:
-                    raise OSError(f"{path}: a timeseries writer exited with status {status}")
-                _append(part, fh.fileno())
-    finally:  # on error, stop and reap the children still running
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    with publish(path) as fh, contextlib.ExitStack() as stack:
+        fh.write(",".join(["t"] + names) + "\n")
+        fh.flush()  # a child must not inherit buffered text
+        pending = []  # (worker, part file), in row order
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            part = stack.enter_context(tempfile.TemporaryFile(
+                "w+", encoding="utf-8", newline="\n", dir=path.parent
+            ))
+            worker = workers.start(_write_part, part, row_format, traj.times[lo:hi],
+                                   traj.states[lo:hi])
+            pending.append((stack.enter_context(worker), part))
+        _write_rows(fh, row_format, traj.times[:bounds[1]], traj.states[:bounds[1]])
+        fh.flush()
+        for worker, part in pending:
+            try:
+                worker.result()
+            except Exception as exc:  # whatever the child raised, or its exit status
+                raise OSError(f"{path}: a timeseries writer failed: {exc}") from exc
+            _append(part, fh.fileno())
 
 
 def render_itinerary(report: ItineraryReport) -> str:

@@ -99,10 +99,13 @@ class Scenario:
         object.__setattr__(self, "coeffs", coeffs)
 
     def field_params(self) -> FieldParams:
-        return FieldParams(
-            self.coeffs, epsilon=self.epsilon, phi=self.phi,
-            psi=self.psi, omega=self.omega, variant=self.variant,
-        )
+        try:  # the scales decide whether a tiny coefficient keeps its sign
+            return FieldParams(
+                self.coeffs, epsilon=self.epsilon, phi=self.phi,
+                psi=self.psi, omega=self.omega, variant=self.variant,
+            )
+        except CoefficientSignError as exc:
+            raise ScenarioValidationError("coefficients", str(exc)) from exc
 
     def initial_state(self) -> np.ndarray:
         return np.concatenate([np.asarray(self.initial_X, dtype=float)]

@@ -370,11 +370,19 @@ class FieldParams:
         d = layout.dimension
         matrix = np.zeros((d + 1, d))
         offset = np.empty(d + 1)
-        blocks = [(layout.super_slice, self.coeffs.a, self.phi)]
-        blocks += [(layout.sub_slice(j), self.coeffs.alphas[j], self.psi) for j in range(n)]
-        for sl, coeffs, scale in blocks:
+        blocks = [("a", layout.super_slice, self.coeffs.a, self.phi)]
+        blocks += [(f"alphas[{j + 1}]", layout.sub_slice(j), self.coeffs.alphas[j], self.psi)
+                   for j in range(n)]
+        for _, sl, coeffs, scale in blocks:
             matrix[sl, sl] = scale * (coeffs - 1.0)
             offset[sl] = scale
+        # At the vertex x_c = 1 the table gives x_r the rate offset[r] +
+        # matrix[r, c]: scale * c in exact arithmetic, so exactly 0 on the
+        # diagonal, and the positive scale off the blocks. Rounding is
+        # monotone, so it keeps or zeroes the sign of c and never flips it:
+        # a coefficient whose sign is lost shows as one more exact zero.
+        if np.count_nonzero(offset[:d, None] + matrix[:d]) != d * d - d:
+            _refuse_lost_sign(blocks, matrix, self.coeffs.orientation)
         matrix[d, layout.super_slice] = 1.0
         offset[d] = 1.0
 
@@ -382,6 +390,25 @@ class FieldParams:
         object.__setattr__(self, "_rate_matrix", matrix)
         object.__setattr__(self, "_rate_offset", offset)
         object.__setattr__(self, "_rates", rate_table(self, np.arange(d)))
+
+
+def _refuse_lost_sign(blocks, matrix: np.ndarray, orientation: str) -> None:
+    """Raise CoefficientSignError for the first coefficient, by block and
+    then in connection order, whose folded rate scale + scale * (c - 1)
+    lacks the sign of c. That happens below about 2^-54 in magnitude:
+    scale * (c - 1) rounds to -scale, and the rate to exactly 0."""
+    for where, sl, coeffs, scale in blocks:
+        rates = scale + matrix[sl, sl]
+        if orientation == ORIENTATION_EIGENVALUE:  # back to connection form
+            coeffs, rates = coeffs.T, rates.T
+        lost = np.argwhere(np.sign(rates) != np.sign(coeffs))
+        if lost.size:
+            i, k = lost[0].tolist()
+            raise CoefficientSignError(
+                f"{where}: entry [{i + 1},{k + 1}] = {coeffs[i, k]} is too close to 0: the"
+                f" growth rate it gives, {scale} + {scale} * ({coeffs[i, k]} - 1), rounds"
+                f" to {rates[i, k]}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,41 @@
 """Shared fixtures. The two bundled example simulations are expensive
 (tens of seconds each at rtol=atol=1e-12), so they are session-scoped and
 shared between the module tests and the acceptance suite."""
+import os
+
 import pytest
 
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.scenario import bundled_scenario_path, load_scenario
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def force_cpus(monkeypatch, tmp_path):
+    """force_cpus(n) makes n CPUs available to hexnet's workers and returns
+    a function that lists the pid of the caller of every os.fork since the
+    first force_cpus call, in this process or in any forked one."""
+    log = tmp_path / "forks.log"
+    fork = os.fork
+
+    def logged():
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fork()
+
+    def force(n: int):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "fork", logged)
+        return lambda: log.read_text(encoding="utf-8").split() if log.exists() else []
+
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -20,10 +20,12 @@ Claims covered:
       divergence / bounded backward saturation), convergence monotone in t
     - witness runs keep within max_time, which must be positive and finite,
       and their forward times follow the escape-time scaling in log(1/delta)
-    - run_witnesses equals per-spec run_witness field for field, runs each
-      distinct witness subsystem once, and keeps nothing between calls
+    - run_witnesses equals per-spec run_witness field for field, with one
+      CPU and with worker processes, runs each distinct witness subsystem
+      once over all processes, and keeps nothing between calls
     - verify_realization aggregation on a cheap unit-timescale scenario,
-      including the deliberately transposed orientation failing
+      including the deliberately transposed orientation failing; with two
+      CPUs it forks exactly one worker
 """
 import warnings
 
@@ -48,7 +50,7 @@ from hexnet.analysis import (
     verify_realization,
     witness_initial_condition,
 )
-from hexnet.errors import NotAnEdgeError
+from hexnet.errors import CoefficientSignError, NotAnEdgeError
 from hexnet.hierarchy import HierarchySpec, digraph_from_edges
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.vectorfield import (
@@ -198,17 +200,18 @@ def test_edgeless_digraph_all_stable():
     gamma = digraph_from_edges(3, THREE_CYCLE)
     edgeless = digraph_from_edges(2, [])
     h = HierarchySpec(gamma, (edgeless, edgeless, edgeless))
-    # at c_minus = -2**-54, c_minus - 1 rounds to -1: every off-edge rate is
-    # exactly 0, which is not a positive eigenvalue
-    for c_minus in (-1.5, -2.0**-54):
-        p = FieldParams(build_coefficients(h, c_minus=c_minus), epsilon=0.2)
-        rep = check_edge_eigen_correspondence(p)
-        assert rep.passed
-        for c in rep.checks:
-            if c.name.startswith("Sub"):
-                assert c.observed == frozenset()
+    p = FieldParams(build_coefficients(h, c_minus=-1.5), epsilon=0.2)
+    rep = check_edge_eigen_correspondence(p)
+    assert rep.passed
+    for c in rep.checks:
+        if c.name.startswith("Sub"):
+            assert c.observed == frozenset()
     eq = designed_equilibria(p)[-1]
-    assert _rates(eq, p)[p.layout.sub_slice(eq.j)].tolist() == [0.0, 0.0]
+    assert (_rates(eq, p)[p.layout.sub_slice(eq.j)] < 0.0).tolist() == [True, False]
+    # at c_minus = -2**-54, c_minus - 1 rounds to -1: every off-edge rate
+    # would be exactly 0, neither stable nor unstable, so the field is refused
+    with pytest.raises(CoefficientSignError, match=r"^a: entry \[1,3\] = -5\.55"):
+        FieldParams(build_coefficients(h, c_minus=-2.0**-54), epsilon=0.2)
 
 
 def test_non_edge_pairs_stable_both_ways(example1, example2):
@@ -482,55 +485,67 @@ def _all_specs(p, deltas):
 
 @pytest.mark.parametrize("variant", ["standard", "bounded"])
 @pytest.mark.parametrize("case", ["example1", "example2", "uniform_n10"])
-def test_run_witnesses_equals_run_witness(request, case, variant):
+def test_run_witnesses_equals_run_witness(request, force_cpus, case, variant):
     if case == "uniform_n10":
         p, deltas = _uniform_n10(), (0.01,)
     else:
         p, deltas = request.getfixturevalue(case)[1], DEFAULT_WITNESS_DELTAS
     p = replace(p, variant=variant)
     specs = _all_specs(p, deltas)
-    grouped = run_witnesses(specs, p)
-    assert len(grouped) == len(specs)
-    for spec, res in zip(specs, grouped):
-        _assert_same_fields(res, run_witness(spec, p))
+    serial = [run_witness(spec, p) for spec in specs]
+    for cpus in (1, 2, 3):  # this process alone, then with one or two workers
+        force_cpus(cpus)
+        grouped = run_witnesses(specs, p)
+        assert len(grouped) == len(specs)
+        for res, ref in zip(grouped, serial):
+            _assert_same_fields(res, ref)
 
 
-def _count_integrate(monkeypatch):
-    calls = []
+def _count_integrate(monkeypatch, log):
+    """Append the direction of each integrate call, made in this process or
+    in a forked worker, as one line of the file log; return a function that
+    reads the lines back."""
     original = hexnet.analysis.integrate
 
     def counting(*args, **kwargs):
-        calls.append(args[2].direction)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(args[2].direction + "\n")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(hexnet.analysis, "integrate", counting)
-    return calls
+    return lambda: log.read_text(encoding="utf-8").splitlines() if log.exists() else []
 
 
 @pytest.mark.parametrize("case, deltas, n_calls", [
     ("uniform_n10", (0.01,), 4),  # 20 witnesses, 2 subsystems: j < k and j > k
     ("example1", DEFAULT_WITNESS_DELTAS, 12),  # 9 witnesses, 6 subsystems
 ])
-def test_run_witnesses_integrates_each_subsystem_once(request, monkeypatch, case, deltas, n_calls):
+def test_run_witnesses_integrates_each_subsystem_once(request, monkeypatch, tmp_path, force_cpus,
+                                                      case, deltas, n_calls):
     p = _uniform_n10() if case == "uniform_n10" else request.getfixturevalue(case)[1]
     specs = _all_specs(p, deltas)
-    calls = _count_integrate(monkeypatch)
-    first = run_witnesses(specs, p)
-    assert len(calls) == n_calls and calls.count("forward") == n_calls // 2
-    # nothing is kept between calls: a second call runs everything again
-    del calls[:]
-    second = run_witnesses(specs, p)
-    assert len(calls) == n_calls
-    for a, b in zip(first, second, strict=True):
-        _assert_same_fields(a, b)
+    log = tmp_path / "integrate.log"
+    calls = _count_integrate(monkeypatch, log)
+    for cpus in (1, 2, 3):  # the workers' calls are counted too
+        forks = force_cpus(cpus)
+        log.unlink(missing_ok=True)
+        first = run_witnesses(specs, p)
+        assert len(calls()) == n_calls and calls().count("forward") == n_calls // 2, cpus
+        # nothing is kept between calls: a second call runs everything again
+        second = run_witnesses(specs, p)
+        assert len(calls()) == 2 * n_calls, cpus
+        for a, b in zip(first, second, strict=True):
+            _assert_same_fields(a, b)
+    # each call forked one worker fewer than it had processes
+    assert len(forks()) == 2 * sum(min(cpus, n_calls // 2) - 1 for cpus in (1, 2, 3))
 
 
-def test_run_witnesses_checks_every_spec_first(example1, monkeypatch):
+def test_run_witnesses_checks_every_spec_first(example1, monkeypatch, tmp_path):
     _, p, _ = example1
-    calls = _count_integrate(monkeypatch)
+    calls = _count_integrate(monkeypatch, tmp_path / "integrate.log")
     with pytest.raises(NotAnEdgeError):
         run_witnesses([WitnessSpec(0, 1, 0.01), WitnessSpec(0, 2, 0.01)], p)
-    assert calls == []
+    assert calls() == []
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +565,14 @@ def test_verify_realization_small_scenario(small_scenario):
     assert all(w.passed for w in report.witnesses)
     assert len(report.witnesses) == 3
     assert report.passed
+
+
+def test_verify_realization_forks_one_worker(small_scenario, force_cpus):
+    sc, p, s0 = small_scenario
+    forks = force_cpus(2)
+    report = verify_realization(p, [(s0, sc.integrator)], deltas=(0.01,))
+    assert report.passed and len(report.witnesses) == 3
+    assert len(forks()) == 1  # the worker runs every witness itself
 
 
 def test_verify_realization_literal_orientation_fails(small_scenario, small_scenario_file):

@@ -11,6 +11,8 @@ Claims covered:
       +-inf) through overrides and verbatim matrices, with the same error and
       a message naming the block; it runs once per matrix when a scenario is
       loaded, and never when a FieldParams is built or a witness runs
+    - a FieldParams whose folded rate table loses a coefficient's sign
+      (|c| below about 2^-54) is refused, naming the block and entry
     - eval_field agrees with an independent scalar transcription (both
       parameter sets, both variants) and vanishes on coordinate subspaces
     - rate tables restricted to live coordinates agree with the scalar
@@ -33,6 +35,7 @@ Claims covered:
     - bounded variant keeps [0, 1] forward-invariant per coordinate
 """
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -62,7 +65,7 @@ from hexnet.vectorfield import (
     simplex_coefficients,
 )
 from hexnet import integrator, vectorfield
-from hexnet.analysis import WitnessSpec, run_witnesses
+from hexnet.analysis import WitnessSpec, check_edge_eigen_correspondence, run_witnesses
 from hexnet.scenario import load_scenario
 from hexnet.vectorfield import _rate_derivative
 
@@ -318,6 +321,24 @@ def test_one_coefficient_rule_at_every_entry_point(example1, block, i, k, value,
     # the same rule names the same block and entry, whichever form built the set
     assert len({str(e) for e in raised}) == 1
     assert str(raised[0]).startswith("a: " if block == "a" else f"alphas[{block + 1}]: ")
+
+
+@pytest.mark.parametrize("rule, refused", [
+    ({"c_plus": 1e-17}, "a: entry [1,2] = 1e-17 "),
+    ({"c_plus": 1e-16}, None),
+    ({"c_minus": -1e-17}, "a: entry [1,3] = -1e-17 "),
+])
+def test_coefficient_that_loses_its_sign_in_the_rate_table(example1, rule, refused):
+    # the table folds -|block|^2 into scale * (c - 1); for |c| below about
+    # 2^-54 that rounds to -scale, and the rate toward the entry to exactly 0
+    sc = example1[0]
+    coeffs = build_coefficients(sc.hierarchy, **rule)
+    scales = {"epsilon": sc.epsilon, "phi": sc.phi, "psi": sc.psi, "omega": sc.omega}
+    if refused is None:
+        assert check_edge_eigen_correspondence(FieldParams(coeffs, **scales)).passed
+    else:
+        with pytest.raises(CoefficientSignError, match=re.escape(refused) + ".* rounds to 0.0$"):
+            FieldParams(coeffs, **scales)
 
 
 def test_coefficients_are_checked_once(monkeypatch, small_scenario_file):

@@ -17,8 +17,10 @@ Claims covered:
       target nor a temporary file
     - CLI overrides rebuild the scenario, and check its coefficients, once
     - itinerary/report rendering and SVG output are well-formed
+    - report.txt bytes do not depend on the number of available CPUs
     - CLI exit codes: 0 ok, 1 verification/validation failure, 2 input
-      error, 3 integration failure
+      error, 3 integration failure; a coefficient that loses its sign in
+      the rate table is a validation failure or an input error
 """
 import os
 import subprocess
@@ -578,6 +580,16 @@ def test_render_itinerary_and_report(small_scenario):
     assert "edge (1,2)" in report_text
 
 
+def test_report_bytes_do_not_depend_on_cpus(small_scenario, force_cpus):
+    sc, p, s0 = small_scenario
+    texts = []
+    for cpus in (1, 2):  # witnesses after the itineraries, then in a worker alongside them
+        force_cpus(cpus)
+        report = verify_realization(p, [(s0, sc.integrator)], deltas=(0.1, 0.01))
+        texts.append(render_report(report).encode())
+    assert texts[0] == texts[1]
+
+
 def test_svg_panels(tmp_path, small_scenario):
     sc, p, s0 = small_scenario
     traj = integrate(s0, p, IntegratorConfig(t_end=20.0, sample_dt=0.1, rtol=1e-9, atol=1e-9))
@@ -795,6 +807,24 @@ def test_cli_witness_delta_out_of_range(small_scenario_file, capsys, delta):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: analysis.witness_deltas: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("command, code", [
+    ("validate", 1), ("simulate", 2), ("verify", 2), ("witness", 2),
+])
+def test_cli_coefficient_that_loses_its_sign(tmp_path, capsys, small_scenario_file, command, code):
+    # at phi = psi = 1, 1 + (1e-17 - 1) rounds to 0: the rate table refuses it
+    path = tmp_path / "tiny.yaml"
+    text = small_scenario_file.read_text(encoding="utf-8")
+    path.write_text(text.replace("c_plus: 1.0", "c_plus: 1.0e-17"), encoding="utf-8")
+    argv = [command, str(path)]
+    if command in ("simulate", "verify"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    prefix = "invalid: " if command == "validate" else "error: "
+    assert captured.err.startswith(prefix + "coefficients: a: entry [1,2] = 1e-17 ")
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_cli_witness_non_edge(small_scenario_file, capsys):
