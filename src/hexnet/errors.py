@@ -43,6 +43,11 @@ class NotAnEdgeError(HexnetError, ValueError):
     """A witness was requested for a pair that is not an edge of the superstructure."""
 
 
+class WorkerError(HexnetError, RuntimeError):
+    """A worker process that exited without reporting an outcome: it was
+    killed, or its result could not be sent back."""
+
+
 class ScenarioError(HexnetError):
     """Base class for scenario-file problems."""
 

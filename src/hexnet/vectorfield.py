@@ -373,16 +373,17 @@ class FieldParams:
         blocks = [("a", layout.super_slice, self.coeffs.a, self.phi)]
         blocks += [(f"alphas[{j + 1}]", layout.sub_slice(j), self.coeffs.alphas[j], self.psi)
                    for j in range(n)]
-        for _, sl, coeffs, scale in blocks:
-            matrix[sl, sl] = scale * (coeffs - 1.0)
+        for where, sl, coeffs, scale in blocks:
+            rates = scale * (coeffs - 1.0)
+            matrix[sl, sl] = rates
             offset[sl] = scale
-        # At the vertex x_c = 1 the table gives x_r the rate offset[r] +
-        # matrix[r, c]: scale * c in exact arithmetic, so exactly 0 on the
-        # diagonal, and the positive scale off the blocks. Rounding is
-        # monotone, so it keeps or zeroes the sign of c and never flips it:
-        # a coefficient whose sign is lost shows as one more exact zero.
-        if np.count_nonzero(offset[:d, None] + matrix[:d]) != d * d - d:
-            _refuse_lost_sign(blocks, matrix, self.coeffs.orientation)
+            # at the vertex x_c = 1, x_r grows at scale + matrix[r, c], which is
+            # scale * c in exact arithmetic: positive off the blocks, and on a
+            # block it must keep the sign of c
+            rates += scale
+            lost = np.sign(rates) != np.sign(coeffs)
+            if lost.any():
+                _refuse_lost_sign(where, coeffs, scale, rates, lost, self.coeffs.orientation)
         matrix[d, layout.super_slice] = 1.0
         offset[d] = 1.0
 
@@ -392,23 +393,20 @@ class FieldParams:
         object.__setattr__(self, "_rates", rate_table(self, np.arange(d)))
 
 
-def _refuse_lost_sign(blocks, matrix: np.ndarray, orientation: str) -> None:
-    """Raise CoefficientSignError for the first coefficient, by block and
-    then in connection order, whose folded rate scale + scale * (c - 1)
-    lacks the sign of c. That happens below about 2^-54 in magnitude:
-    scale * (c - 1) rounds to -scale, and the rate to exactly 0."""
-    for where, sl, coeffs, scale in blocks:
-        rates = scale + matrix[sl, sl]
-        if orientation == ORIENTATION_EIGENVALUE:  # back to connection form
-            coeffs, rates = coeffs.T, rates.T
-        lost = np.argwhere(np.sign(rates) != np.sign(coeffs))
-        if lost.size:
-            i, k = lost[0].tolist()
-            raise CoefficientSignError(
-                f"{where}: entry [{i + 1},{k + 1}] = {coeffs[i, k]} is too close to 0: the"
-                f" growth rate it gives, {scale} + {scale} * ({coeffs[i, k]} - 1), rounds"
-                f" to {rates[i, k]}"
-            )
+def _refuse_lost_sign(where: str, coeffs: np.ndarray, scale: float, rates: np.ndarray,
+                      lost: np.ndarray, orientation: str) -> None:
+    """Raise CoefficientSignError for the first coefficient of a block, in
+    connection order, whose folded rate scale + scale * (c - 1) lacks the
+    sign of c (where lost is set). That happens below about 2^-54 in
+    magnitude: scale * (c - 1) rounds to -scale, and the rate to exactly 0."""
+    if orientation == ORIENTATION_EIGENVALUE:  # back to connection form
+        coeffs, rates, lost = coeffs.T, rates.T, lost.T
+    i, k = np.argwhere(lost)[0].tolist()
+    raise CoefficientSignError(
+        f"{where}: entry [{i + 1},{k + 1}] = {coeffs[i, k]} is too close to 0: the"
+        f" growth rate it gives, {scale} + {scale} * ({coeffs[i, k]} - 1), rounds"
+        f" to {rates[i, k]}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ import pickle
 import signal
 import tempfile
 
+from hexnet.errors import WorkerError
+
 __all__ = ["Worker", "available_cpus", "start"]
 
 # set in a worker right after the fork: a worker runs its share serially
@@ -51,11 +53,11 @@ class Worker:
     def result(self):
         """Reap the child; return what the call returned, or raise the
         exception it raised. A child that exited with a nonzero status (it
-        could not report, or was killed) raises OSError."""
+        could not report, or was killed) raises WorkerError."""
         self._running = False
         status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         if status != 0:
-            raise OSError(f"worker {self.pid} exited with status {status}")
+            raise WorkerError(f"worker {self.pid} exited with status {status}")
         self._outcome.seek(0)
         ok, value = pickle.load(self._outcome)
         if not ok:

@@ -6,7 +6,8 @@ Claims covered:
     - closed-form spectra at designed equilibria: transverse entries are
       growth rates, radial and active-block entries Jacobian diagonals
     - the structural checks may read growth rates as eigenvalues: at every
-      designed equilibrium of generated scenarios, each zero coordinate's
+      designed equilibrium of generated scenarios (those whose rate table
+      keeps every coefficient's sign), each zero coordinate's
       Jacobian row is its rate times its unit row, and X_j does not listen
       to the unit coordinate of Sub(j, i)
     - eigenvalue/edge correspondence passes under the default orientation,
@@ -32,7 +33,7 @@ import warnings
 import numpy as np
 import pytest
 from dataclasses import fields, replace
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import hexnet.analysis
 from hexnet.analysis import (
@@ -50,7 +51,7 @@ from hexnet.analysis import (
     verify_realization,
     witness_initial_condition,
 )
-from hexnet.errors import CoefficientSignError, NotAnEdgeError
+from hexnet.errors import CoefficientSignError, NotAnEdgeError, ScenarioValidationError
 from hexnet.hierarchy import HierarchySpec, digraph_from_edges
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.vectorfield import (
@@ -143,7 +144,15 @@ def test_rates_are_the_transverse_spectrum(sc):
     # rates of the zero coordinates plus the radial diagonal entries
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "epsilon .* bump supports may overlap")
-        p = sc.field_params()
+        try:
+            p = sc.field_params()
+        except ScenarioValidationError as err:
+            # only a lost sign refuses a draw: a coefficient below about
+            # 2^-54 in magnitude, or a subnormal phi or psi, rounds its rate
+            # scale + scale * (c - 1) to 0
+            assert err.path == "coefficients"
+            assert isinstance(err.__cause__, CoefficientSignError)
+            assume(False)
     residuals = dict(verify_equilibria(p).residuals)
     for eq in designed_equilibria(p):
         rates = _rates(eq, p)

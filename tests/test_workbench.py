@@ -18,11 +18,14 @@ Claims covered:
     - CLI overrides rebuild the scenario, and check its coefficients, once
     - itinerary/report rendering and SVG output are well-formed
     - report.txt bytes do not depend on the number of available CPUs
+    - verify and witness report a killed witness worker as WorkerError, not
+      as an input error (exit 2)
     - CLI exit codes: 0 ok, 1 verification/validation failure, 2 input
       error, 3 integration failure; a coefficient that loses its sign in
       the rate table is a validation failure or an input error
 """
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -35,9 +38,11 @@ from hypothesis import given, settings
 import yaml
 
 import hexnet
-from hexnet import output, vectorfield
+from hexnet import analysis, output, vectorfield
 from hexnet.cli import main
-from hexnet.errors import ScenarioParseError, ScenarioSchemaError, ScenarioValidationError
+from hexnet.errors import (
+    ScenarioParseError, ScenarioSchemaError, ScenarioValidationError, WorkerError,
+)
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.output import (
     publish,
@@ -588,6 +593,27 @@ def test_report_bytes_do_not_depend_on_cpus(small_scenario, force_cpus):
         report = verify_realization(p, [(s0, sc.integrator)], deltas=(0.1, 0.01))
         texts.append(render_report(report).encode())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command", ["verify", "witness"])
+def test_cli_killed_worker_is_not_an_input_error(tmp_path, small_scenario_file, monkeypatch,
+                                                  force_cpus, command):
+    # a witness worker killed by a signal (as by the OOM killer) is no fault
+    # of the input, so it must not leave through the exit-2 OSError path
+    parent, run = os.getpid(), analysis.run_witness
+
+    def killed_in_worker(w, p):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(w, p)
+
+    monkeypatch.setattr(analysis, "run_witness", killed_in_worker)
+    forks = force_cpus(2)
+    argv = [command, str(small_scenario_file)]
+    argv += ["--out", str(tmp_path), "--t-end", "5"] if command == "verify" else []
+    with pytest.raises(WorkerError, match=f"exited with status {-signal.SIGKILL}"):
+        main(argv)
+    assert forks() == [str(parent)]
 
 
 def test_svg_panels(tmp_path, small_scenario):

@@ -4,7 +4,8 @@ Claims covered:
     - a worker returns its call's value, computed in another process
     - a worker that raises gives the same exception type and message in the
       parent, and leaves no child; a scenario error keeps its field path
-    - a worker that exits with a nonzero status raises OSError
+    - a worker that exits with a nonzero status raises WorkerError, which is
+      not an OSError
     - a parent that raises while a worker runs kills and reaps it
     - a worker sees one available CPU, so it never forks again
 """
@@ -14,7 +15,7 @@ import time
 import pytest
 
 from hexnet import workers
-from hexnet.errors import ScenarioValidationError
+from hexnet.errors import ScenarioValidationError, WorkerError
 
 
 def _pid_and_cpus():
@@ -53,10 +54,11 @@ def test_worker_scenario_error_keeps_its_path():
     assert str(err.value) == "field.phi: must be positive"
 
 
-def test_worker_exit_status_raises_oserror():
+def test_worker_exit_status_raises_worker_error():
     with workers.start(os._exit, 3) as worker:
-        with pytest.raises(OSError, match="exited with status 3"):
+        with pytest.raises(WorkerError, match="exited with status 3") as err:
             worker.result()
+    assert not isinstance(err.value, OSError)
 
 
 def test_parent_error_kills_and_reaps_the_worker():
