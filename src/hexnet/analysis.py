@@ -10,13 +10,11 @@ equilibrium and build no Jacobian: the field is each coordinate times its
 growth rate, so a zero coordinate's transverse eigenvalue is its rate.
 
 The witness runs depend on the field alone, not on each other or on a
-scenario's trajectory, so they run in forked workers (see workers.py), up
-to one process per available CPU, with results bitwise those of a serial
-run.
+scenario's trajectory, so workers.run spreads them over up to one process
+per available CPU, with results bitwise those of a serial run.
 """
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -68,6 +66,7 @@ DEFAULT_NEAR_TOL = 0.1
 DEFAULT_MIN_DWELL = 1.0
 DEFAULT_WITNESS_DELTAS = (1e-1, 1e-2, 1e-3)
 WITNESS_CONVERGENCE_TOL = 1e-6
+WITNESS_TOL = 1e-10  # rtol and atol of every witness run
 
 
 # ---------------------------------------------------------------------------
@@ -380,31 +379,24 @@ def _with_unit_timescales(p: FieldParams) -> FieldParams:
     return replace(p, phi=1.0, psi=1.0, omega=1.0)
 
 
-def run_witness(
-    w: WitnessSpec,
-    p: FieldParams,
-    unit_timescales: bool = True,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
-    max_time: float = 400.0,
-) -> WitnessResult:
+def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> WitnessResult:
     """Forward run to the target equilibrium plus a backward run.
 
-    Witness dynamics uses unit timescales by default; convergence needs no
-    timescale separation and the realization statement is scale-neutral.
-    Each direction is one integrate run of at most max_time. Forward: it
-    stops once the sup-distance to Sub(k, 1) is below 1e-7 (reported
-    against the 1e-6 criterion). Backward: the standard variant must reach
-    the divergence bound in a gated-off substructure coordinate; the
-    bounded variant stays in [0, 1] and stops once its live substructure
-    coordinates are within 1e-4 of 1.
+    Witness dynamics uses unit timescales; convergence needs no timescale
+    separation and the realization statement is scale-neutral. Each
+    direction is one integrate run of at most max_time, at rtol = atol =
+    WITNESS_TOL. Forward: it stops once the sup-distance to Sub(k, 1) is
+    below 1e-7 (reported against the 1e-6 criterion). Backward: the
+    standard variant must reach the divergence bound in a gated-off
+    substructure coordinate; the bounded variant stays in [0, 1] and stops
+    once its live substructure coordinates are within 1e-4 of 1.
     """
     if not 0.0 < max_time < np.inf:
         raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
-    p_run = _with_unit_timescales(p) if unit_timescales else p
+    p_run = _with_unit_timescales(p)
     s0, target, sub_live = _witness_problem(w, p_run)
     layout = p_run.layout
-    cfg = IntegratorConfig(t_end=max_time, rtol=rtol, atol=atol, sample_dt=max_time)
+    cfg = IntegratorConfig(t_end=max_time, rtol=WITNESS_TOL, atol=WITNESS_TOL, sample_dt=max_time)
 
     def near_target(state):
         return float(np.abs(state - target).max()) <= 0.1 * WITNESS_CONVERGENCE_TOL
@@ -424,8 +416,8 @@ def run_witness(
     name = gate = None
     if coord is not None:
         name = layout.coord_names()[coord]
-        level, j, _ = layout.coord_level(coord)
-        if level == LEVEL_SUB:
+        if coord >= layout.n_super:  # a substructure coordinate: the gate of its block
+            j = int(layout.sub_block_index()[coord - layout.n_super])
             gate = bump_j(bstate[layout.super_slice], j, p_run.epsilon)
     gap = float(np.abs(bstate[sub_live] - 1.0).max()) if sub_live.any() else None
 
@@ -467,14 +459,10 @@ def _run_plans(plans, p: FieldParams) -> list[WitnessResult]:
     first: dict[tuple, tuple[WitnessSpec, np.ndarray]] = {}
     for w, live, key in plans:
         first.setdefault(key, (w, live))
-    distinct = list(first.values())
-    # distinct run i goes to share i % n; this process runs share 0
-    n = max(1, min(workers.available_cpus(), len(distinct)))
-    shares = [[w for w, _ in distinct[s::n]] for s in range(n)]
-    with contextlib.ExitStack() as stack:
-        pending = [stack.enter_context(workers.start(_run_each, share, p)) for share in shares[1:]]
-        done = [_run_each(shares[0], p)] + [worker.result() for worker in pending]
-    runs = {key: (live, done[i % n][i // n]) for i, (key, (_, live)) in enumerate(first.items())}
+    distinct = [w for w, _ in first.values()]
+    shares = workers.run([(_run_each, distinct[s], p) for s in workers.shares(len(distinct))])
+    done = [res for share in shares for res in share]
+    runs = {key: (live, res) for (key, (_, live)), res in zip(first.items(), done)}
 
     names = p.layout.coord_names()
     results = []
@@ -502,9 +490,9 @@ def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
     is equal too, because the table fixes which live X gates it. The
     grouping lasts for this one call. Every spec is checked before any run.
 
-    The distinct runs are dealt round-robin over up to available_cpus()
-    processes: this one and forked workers. integrate is deterministic, so
-    the results are bitwise those of a serial run.
+    The distinct runs are cut into contiguous shares (workers.shares), one
+    per process: this one and forked workers (workers.run). integrate is
+    deterministic, so the results are bitwise those of a serial run.
     """
     return _run_plans(_witness_plans(specs, p), p)
 
@@ -545,28 +533,23 @@ def verify_realization(
     near_tol: float = DEFAULT_NEAR_TOL,
     min_dwell: float = DEFAULT_MIN_DWELL,
     deltas: tuple[float, ...] = DEFAULT_WITNESS_DELTAS,
-    residual_tol: float = 1e-12,
 ) -> RealizationReport:
     """Aggregate residual, eigenvalue, itinerary and witness verification.
 
     The witnesses depend on the field alone. Their specs are checked first;
-    then, with more than one available CPU, they run in one forked worker
-    while this process integrates the scenarios and extracts their
-    itineraries. Otherwise they run after the itineraries.
+    then workers.run runs them in a forked worker while this process
+    integrates the scenarios and extracts their itineraries, or after the
+    itineraries when only one CPU is available.
     """
-    residuals = verify_equilibria(p, residual_tol)
+    residuals = verify_equilibria(p)
     eigen = check_edge_eigen_correspondence(p)
     gamma = p.hierarchy.superstructure
     plans = _witness_plans(
         [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas], p
     )
-    if workers.available_cpus() == 1:
-        itineraries = _check_itineraries(p, scenarios, near_tol, min_dwell)
-        witnesses = _run_plans(plans, p)
-    else:
-        with workers.start(_run_plans, plans, p) as pending:
-            itineraries = _check_itineraries(p, scenarios, near_tol, min_dwell)
-            witnesses = pending.result()
+    itineraries, witnesses = workers.run([
+        (_check_itineraries, p, scenarios, near_tol, min_dwell), (_run_plans, plans, p),
+    ])
     return RealizationReport(residuals, eigen, itineraries, witnesses)
 
 

@@ -2,7 +2,7 @@
 
 Every file is published whole or not at all (publish). The timeseries rows
 are formatted by up to one process per available CPU, this one and forked
-workers (see workers.py); the bytes do not depend on how many ran.
+workers (workers.run); the bytes do not depend on how many ran.
 """
 from __future__ import annotations
 
@@ -55,11 +55,7 @@ def publish(path):
 def _write_rows(fh, row_format: str, times: np.ndarray, states: np.ndarray) -> None:
     for t, row in zip(times, states):
         fh.write(row_format % (t, *row.tolist()))
-
-
-def _write_part(part, row_format: str, times: np.ndarray, states: np.ndarray) -> None:
-    _write_rows(part, row_format, times, states)
-    part.flush()
+    fh.flush()
 
 
 def _append(part, fd: int) -> None:
@@ -75,12 +71,13 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
     Coordinates masked to the invariant zero subspace print as exactly "0".
 
     The file is written through publish, so on error path is left as it
-    was. The rows are split into contiguous chunks, written by up to one
-    process per available CPU: this process writes the first chunk and
-    forked children write the others into unnamed part files in the same
-    directory, which are then appended in order. The bytes do not depend
-    on the number of writers, no part file is left behind, and every child
-    has exited when this returns. A child that fails raises OSError.
+    was. The rows are split into contiguous chunks (workers.shares), no
+    more than one per _ROWS_PER_WRITER rows, written through workers.run:
+    this process writes the first chunk and forked children write the
+    others into unnamed part files in the same directory, which are then
+    appended in order. The bytes do not depend on the number of writers,
+    no part file is left behind, and every child has exited when this
+    returns. A child's failure is raised here as workers.run raises it.
     """
     n = traj.times.shape[0]
     if n == 0:
@@ -88,28 +85,17 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
     names = layout.coord_names()
     # "%.17g" % x renders exactly as format(x, ".17g"), one template per row
     row_format = ",".join(["%.17g"] * (1 + len(names))) + "\n"
-    # one writer per available CPU, each with at least _ROWS_PER_WRITER rows
-    writers = min(workers.available_cpus(), max(1, n // _ROWS_PER_WRITER))
-    bounds = [n * w // writers for w in range(writers + 1)]
+    chunks = workers.shares(n, _ROWS_PER_WRITER)
     path = Path(path)
     with publish(path) as fh, contextlib.ExitStack() as stack:
         fh.write(",".join(["t"] + names) + "\n")
         fh.flush()  # a child must not inherit buffered text
-        pending = []  # (worker, part file), in row order
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            part = stack.enter_context(tempfile.TemporaryFile(
-                "w+", encoding="utf-8", newline="\n", dir=path.parent
-            ))
-            worker = workers.start(_write_part, part, row_format, traj.times[lo:hi],
-                                   traj.states[lo:hi])
-            pending.append((stack.enter_context(worker), part))
-        _write_rows(fh, row_format, traj.times[:bounds[1]], traj.states[:bounds[1]])
-        fh.flush()
-        for worker, part in pending:
-            try:
-                worker.result()
-            except Exception as exc:  # whatever the child raised, or its exit status
-                raise OSError(f"{path}: a timeseries writer failed: {exc}") from exc
+        parts = [stack.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="utf-8", newline="\n", dir=path.parent
+        )) for _ in chunks[1:]]
+        workers.run([(_write_rows, out, row_format, traj.times[rows], traj.states[rows])
+                     for out, rows in zip([fh, *parts], chunks)])
+        for part in parts:
             _append(part, fh.fileno())
 
 
@@ -213,6 +199,7 @@ _PANEL_H = 150
 _MARGIN_L = 55
 _MARGIN_T = 18
 _GAP = 26
+_MAX_POINTS = 2000
 
 
 def _polyline(ts, ys, x0, y0, w, h, t_max, y_max, color) -> str:
@@ -222,16 +209,12 @@ def _polyline(ts, ys, x0, y0, w, h, t_max, y_max, color) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
 
 
-def write_svg_panels(
-    traj: Trajectory,
-    p: FieldParams,
-    path,
-    max_points: int = 2000,
-) -> None:
-    """One panel for X, one per substructure block with active-window shading."""
+def write_svg_panels(traj: Trajectory, p: FieldParams, path) -> None:
+    """One panel for X, one per substructure block with active-window shading;
+    each trace draws at most _MAX_POINTS samples."""
     layout = p.layout
     n_panels = 1 + layout.n_super
-    idx = np.linspace(0, traj.times.shape[0] - 1, min(max_points, traj.times.shape[0]))
+    idx = np.linspace(0, traj.times.shape[0] - 1, min(_MAX_POINTS, traj.times.shape[0]))
     idx = np.unique(idx.astype(int))
     ts = traj.times[idx]
     t_max = max(float(traj.times[-1]), 1e-12)

@@ -104,17 +104,6 @@ class BlockLayout:
             names += [f"x{j + 1}_{i + 1}" for i in range(nj)]
         return names
 
-    def coord_level(self, c: int) -> tuple[str, int, int]:
-        """Map a flat coordinate index to ("super", j) or ("sub", j, i)."""
-        if c < self.n_super:
-            return ("super", c, c)
-        c -= self.n_super
-        for j, nj in enumerate(self.block_sizes):
-            if c < nj:
-                return ("sub", j, c)
-            c -= nj
-        raise VertexOutOfRangeError("coordinate index out of range")
-
 
 # ---------------------------------------------------------------------------
 # bump / transition function
@@ -342,9 +331,7 @@ class FieldParams:
     variant: str = VARIANT_STANDARD
 
     layout: BlockLayout = field(init=False, repr=False, compare=False)
-    _rate_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _rate_offset: np.ndarray = field(init=False, repr=False, compare=False)
-    _rates: RateTable = field(init=False, repr=False, compare=False)
+    _rates: RateTable = field(init=False, repr=False, compare=False)  # on every coordinate
 
     @property
     def hierarchy(self) -> HierarchySpec:
@@ -388,9 +375,7 @@ class FieldParams:
         offset[d] = 1.0
 
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_rate_matrix", matrix)
-        object.__setattr__(self, "_rate_offset", offset)
-        object.__setattr__(self, "_rates", rate_table(self, np.arange(d)))
+        object.__setattr__(self, "_rates", _restrict(self, matrix, offset, np.arange(d), False))
 
 
 def _refuse_lost_sign(where: str, coeffs: np.ndarray, scale: float, rates: np.ndarray,
@@ -446,6 +431,13 @@ def rate_table(p: FieldParams, live, backward: bool = False) -> RateTable:
     changes no live rate. A gated block whose X_j is masked has gate
     distance 1 + |X|^2 >= 1 > epsilon, so its gate is exactly 0.
     """
+    return _restrict(p, p._rates.matrix, p._rates.offset, live, backward)
+
+
+def _restrict(p: FieldParams, matrix: np.ndarray, offset: np.ndarray, live,
+              backward: bool) -> RateTable:
+    """rate_table of p, cut from the (d+1) x d matrix and offset of its rates
+    on every coordinate."""
     layout = p.layout
     n = layout.n_super
     live = np.asarray(live, dtype=np.intp)
@@ -453,8 +445,8 @@ def rate_table(p: FieldParams, live, backward: bool = False) -> RateTable:
     blocks = layout.sub_block_index()[live[sub_start:] - n].tolist()
     gates = sorted(set(blocks))
     rows = np.append(live, layout.dimension)
-    matrix = p._rate_matrix.take(rows, axis=0).take(live, axis=1)
-    offset = p._rate_offset[rows]
+    matrix = matrix.take(rows, axis=0).take(live, axis=1)
+    offset = offset[rows]
     omega = p.omega
     if backward:
         matrix[:-1] *= -1.0
@@ -506,13 +498,13 @@ def growth_rates(v: np.ndarray, t: RateTable) -> np.ndarray:
     return rates
 
 
-def _check_state(state, p: FieldParams, require_finite: bool = True) -> np.ndarray:
+def _check_state(state, p: FieldParams) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     if state.shape != (p.layout.dimension,):
         raise DimensionMismatchError(
             f"state has shape {state.shape}, expected ({p.layout.dimension},)"
         )
-    if require_finite and not np.isfinite(state).all():
+    if not np.isfinite(state).all():
         raise NonFiniteError("state contains non-finite entries")
     return state
 

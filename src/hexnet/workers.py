@@ -1,21 +1,19 @@
-"""Forked worker processes: the one place hexnet calls os.fork.
+"""Forked worker processes: the one module that decides how hexnet splits
+work over processes, and the one place it calls os.fork.
 
-A worker runs one call, fn(*args), in a forked copy of this process, so it
-sees the caller's objects as they were at the fork and needs nothing sent
-to it. Its outcome (the return value, or the exception it raised) comes
-back pickled through an unnamed temporary file. Callers split their work
-over at most available_cpus() processes, themselves included; with one
-CPU, or without fork, they run it all in the calling process, in the same
-order.
+run(calls) runs a list of independent calls and returns their values in
+order. The first call runs in this process. With more than one available
+CPU every other call runs at the same time in a forked copy of this
+process, so it sees the caller's objects as they were at the fork and needs
+nothing sent to it; its outcome (the return value, or the exception it
+raised) comes back pickled through an unnamed temporary file. With one CPU,
+or without fork, the calls run here, one after another. Either way a call's
+exception is raised in the caller, and no worker outlives run.
 
-    with start(fn, *args) as worker:
-        ...                      # the caller's own share of the work
-        value = worker.result()  # fn's return value, or its exception raised here
+shares(n, min_size) cuts range(n) into contiguous slices, one per process
+that run would use, so a caller splits its work with
 
-Leaving the with block without collecting the result, because the caller
-raised or returned early, kills the worker (SIGKILL) and reaps it, so no
-child outlives the block. contextlib.ExitStack holds several workers the
-same way.
+    run([(fn, items[s]) for s in shares(len(items))])
 """
 from __future__ import annotations
 
@@ -26,9 +24,9 @@ import tempfile
 
 from hexnet.errors import WorkerError
 
-__all__ = ["Worker", "available_cpus", "start"]
+__all__ = ["available_cpus", "run", "shares"]
 
-# set in a worker right after the fork: a worker runs its share serially
+# set in a worker right after the fork: a worker runs its calls serially
 _in_worker = False
 
 
@@ -41,45 +39,44 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class Worker:
-    """A forked child running one call, until result() or the end of the
-    with block reaps it."""
-
-    def __init__(self, pid: int, outcome):
-        self.pid = pid
-        self._outcome = outcome
-        self._running = True
-
-    def result(self):
-        """Reap the child; return what the call returned, or raise the
-        exception it raised. A child that exited with a nonzero status (it
-        could not report, or was killed) raises WorkerError."""
-        self._running = False
-        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        if status != 0:
-            raise WorkerError(f"worker {self.pid} exited with status {status}")
-        self._outcome.seek(0)
-        ok, value = pickle.load(self._outcome)
-        if not ok:
-            raise value
-        return value
-
-    def __enter__(self) -> Worker:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            if self._running:
-                self._running = False
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-        finally:
-            self._outcome.close()
+def shares(n: int, min_size: int = 1) -> list[slice]:
+    """Contiguous slices covering range(n) in order, one per process: as many
+    as there are available CPUs, but fewer where a slice would hold fewer
+    than min_size items, and at least one."""
+    k = max(1, min(available_cpus(), n // min_size))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def start(fn, *args) -> Worker:
-    """Fork a child that runs fn(*args) and reports its outcome; use the
-    returned Worker as a context manager."""
+def run(calls: list) -> list:
+    """[fn(*args) for fn, *args in calls], with every call but the first in
+    a forked worker when more than one CPU is available.
+
+    The first exception, in call order, is raised here; a worker that exits
+    without reporting (it was killed, or its outcome could not be pickled)
+    raises WorkerError. Workers not yet collected when run leaves are killed
+    (SIGKILL); every worker has been reaped when run returns or raises.
+    """
+    if available_cpus() == 1:
+        return [fn(*args) for fn, *args in calls]
+    pending = []  # (pid, outcome file) of each worker not yet reaped, in call order
+    try:
+        for fn, *args in calls[1:]:
+            pending.append(_fork(fn, args))
+        fn, *args = calls[0]
+        values = [fn(*args)]
+        while pending:
+            values.append(_collect(*pending.pop(0)))
+        return values
+    finally:
+        for pid, outcome in pending:
+            with outcome:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork(fn, args) -> tuple[int, object]:
+    """Fork a child that runs fn(*args) and pickles its outcome to a fresh
+    temporary file; return the child's pid and that file."""
     global _in_worker
     outcome = tempfile.TemporaryFile()
     try:
@@ -88,7 +85,7 @@ def start(fn, *args) -> Worker:
         outcome.close()
         raise
     if pid:
-        return Worker(pid, outcome)
+        return pid, outcome
     status = 1
     try:
         _in_worker = True
@@ -101,3 +98,16 @@ def start(fn, *args) -> Worker:
         status = 0
     finally:  # never return into the caller's code or run its exit handlers
         os._exit(status)
+
+
+def _collect(pid: int, outcome):
+    """Reap the worker pid; return its call's value or raise its exception."""
+    with outcome:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise WorkerError(f"worker {pid} exited with status {status}")
+        outcome.seek(0)
+        ok, value = pickle.load(outcome)
+    if not ok:
+        raise value
+    return value

@@ -9,7 +9,8 @@ Claims covered:
     - save/load round trip is field-for-field identical
     - CSV layout, full precision, bitwise-zero columns, determinism; the
       same bytes from 1, 2 or 3 writer processes, with no child process or
-      part file left behind, also when a writer fails
+      part file left behind, also when a writer fails; a writer child's
+      exception is raised in the parent as itself
     - a failed CSV write leaves no file, and a failed rewrite leaves the
       previous file byte for byte; the file gets the mode of a plain open()
     - report.txt, itinerary.txt and plot.svg are published like the CSV: a
@@ -18,12 +19,13 @@ Claims covered:
     - CLI overrides rebuild the scenario, and check its coefficients, once
     - itinerary/report rendering and SVG output are well-formed
     - report.txt bytes do not depend on the number of available CPUs
-    - verify and witness report a killed witness worker as WorkerError, not
-      as an input error (exit 2)
+    - simulate, verify and witness report a killed worker as WorkerError,
+      not as an input error (exit 2)
     - CLI exit codes: 0 ok, 1 verification/validation failure, 2 input
       error, 3 integration failure; a coefficient that loses its sign in
       the rate table is a validation failure or an input error
 """
+import errno
 import os
 import signal
 import subprocess
@@ -475,28 +477,20 @@ def test_timeseries_matches_per_value_format(tmp_path, small_scenario):
     assert path.read_bytes() == _per_value_csv(traj, p.layout)
 
 
-def _force_writers(monkeypatch, rows: int, writers: int) -> list:
+def _force_writers(monkeypatch, force_cpus, rows: int, writers: int):
     """Make write_timeseries split rows among exactly writers processes;
-    the returned list gets one entry per fork."""
+    return force_cpus' function that lists the forks."""
     monkeypatch.setattr(output, "_ROWS_PER_WRITER", rows // writers)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(writers)), raising=False)
-    forks, fork = [], os.fork
-
-    def counted():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
+    return force_cpus(writers)
 
 
-def _fail_in(monkeypatch, where: str) -> None:
-    """Make _write_rows raise in the parent or in every forked child."""
+def _fail_in(monkeypatch, where: str, error: Exception = RuntimeError("writer failed")) -> None:
+    """Make _write_rows raise error in the parent or in every forked child."""
     parent, write_rows = os.getpid(), output._write_rows
 
     def failing(*args):
         if (os.getpid() == parent) == (where == "parent"):
-            raise RuntimeError("writer failed")
+            raise error
         write_rows(*args)
 
     monkeypatch.setattr(output, "_write_rows", failing)
@@ -508,47 +502,55 @@ def _assert_no_child_left():
 
 
 @pytest.mark.parametrize("writers", [1, 2, 3])
-def test_timeseries_writers_give_the_same_bytes(tmp_path, monkeypatch, small_scenario, writers):
+def test_timeseries_writers_give_the_same_bytes(tmp_path, monkeypatch, force_cpus, small_scenario,
+                                                writers):
     # the edge rows are the last four of nine, so they fall in a child's chunk
     sc, p, s0 = small_scenario
     traj = integrate(s0, p, IntegratorConfig(t_end=1.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
     traj = _with_edge_rows(traj, p.layout.dimension)
-    forks = _force_writers(monkeypatch, traj.times.shape[0], writers)
-    write_timeseries(traj, p.layout, tmp_path / "ts.csv")
-    assert len(forks) == writers - 1
-    assert (tmp_path / "ts.csv").read_bytes() == _per_value_csv(traj, p.layout)
+    out = tmp_path / "out"
+    out.mkdir()
+    forks = _force_writers(monkeypatch, force_cpus, traj.times.shape[0], writers)
+    write_timeseries(traj, p.layout, out / "ts.csv")
+    assert len(forks()) == writers - 1
+    assert (out / "ts.csv").read_bytes() == _per_value_csv(traj, p.layout)
     _assert_no_child_left()
-    assert [f.name for f in tmp_path.iterdir()] == ["ts.csv"]
+    assert [f.name for f in out.iterdir()] == ["ts.csv"]
 
 
-@pytest.mark.parametrize("where, error", [("child", OSError), ("parent", RuntimeError)])
-def test_timeseries_writer_failure_leaves_no_child(tmp_path, monkeypatch, small_scenario,
-                                                   where, error):
+# a child's exception is raised in the parent as itself, like the parent's own
+@pytest.mark.parametrize("where, error", [("child", RuntimeError), ("parent", RuntimeError)])
+def test_timeseries_writer_failure_leaves_no_child(tmp_path, monkeypatch, force_cpus,
+                                                   small_scenario, where, error):
     sc, p, s0 = small_scenario
     traj = integrate(s0, p, IntegratorConfig(t_end=2.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
-    _force_writers(monkeypatch, traj.times.shape[0], 3)
+    out = tmp_path / "out"
+    out.mkdir()
+    _force_writers(monkeypatch, force_cpus, traj.times.shape[0], 3)
     _fail_in(monkeypatch, where)
-    with pytest.raises(error):
-        write_timeseries(traj, p.layout, tmp_path / "ts.csv")
+    with pytest.raises(error, match="writer failed"):
+        write_timeseries(traj, p.layout, out / "ts.csv")
     _assert_no_child_left()
-    assert list(tmp_path.iterdir()) == []  # no truncated file, no temporary one
+    assert list(out.iterdir()) == []  # no truncated file, no temporary one
 
 
-@pytest.mark.parametrize("where, error", [("child", OSError), ("parent", RuntimeError)])
-def test_timeseries_failed_rewrite_keeps_previous_file(tmp_path, monkeypatch, small_scenario,
-                                                       where, error):
+@pytest.mark.parametrize("where, error", [("child", RuntimeError), ("parent", RuntimeError)])
+def test_timeseries_failed_rewrite_keeps_previous_file(tmp_path, monkeypatch, force_cpus,
+                                                       small_scenario, where, error):
     sc, p, s0 = small_scenario
-    path = tmp_path / "ts.csv"
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "ts.csv"
     short = integrate(s0, p, IntegratorConfig(t_end=1.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
     write_timeseries(short, p.layout, path)
     before = path.read_bytes()
     traj = integrate(s0, p, IntegratorConfig(t_end=2.0, sample_dt=0.25, rtol=1e-9, atol=1e-9))
-    _force_writers(monkeypatch, traj.times.shape[0], 3)
+    _force_writers(monkeypatch, force_cpus, traj.times.shape[0], 3)
     _fail_in(monkeypatch, where)
-    with pytest.raises(error):
+    with pytest.raises(error, match="writer failed"):
         write_timeseries(traj, p.layout, path)
     _assert_no_child_left()
-    assert [f.name for f in tmp_path.iterdir()] == ["ts.csv"]
+    assert [f.name for f in out.iterdir()] == ["ts.csv"]
     assert path.read_bytes() == before
 
 
@@ -595,22 +597,28 @@ def test_report_bytes_do_not_depend_on_cpus(small_scenario, force_cpus):
     assert texts[0] == texts[1]
 
 
-@pytest.mark.parametrize("command", ["verify", "witness"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "witness"])
 def test_cli_killed_worker_is_not_an_input_error(tmp_path, small_scenario_file, monkeypatch,
                                                   force_cpus, command):
-    # a witness worker killed by a signal (as by the OOM killer) is no fault
-    # of the input, so it must not leave through the exit-2 OSError path
-    parent, run = os.getpid(), analysis.run_witness
+    # a worker (a CSV writer or a witness run) killed by a signal, as by the
+    # OOM killer, is no fault of the input, so it must not leave through the
+    # exit-2 OSError path
+    parent = os.getpid()
+    module, name = (output, "_write_rows") if command == "simulate" else (analysis, "run_witness")
+    call = getattr(module, name)
 
-    def killed_in_worker(w, p):
+    def killed_in_worker(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return run(w, p)
+        return call(*args)
 
-    monkeypatch.setattr(analysis, "run_witness", killed_in_worker)
-    forks = force_cpus(2)
+    monkeypatch.setattr(module, name, killed_in_worker)
+    if command == "simulate":
+        forks = _force_writers(monkeypatch, force_cpus, 51, 2)  # t_end 5 at sample_dt 0.1
+    else:
+        forks = force_cpus(2)
     argv = [command, str(small_scenario_file)]
-    argv += ["--out", str(tmp_path), "--t-end", "5"] if command == "verify" else []
+    argv += ["--out", str(tmp_path / "out"), "--t-end", "5"] if command != "witness" else []
     with pytest.raises(WorkerError, match=f"exited with status {-signal.SIGKILL}"):
         main(argv)
     assert forks() == [str(parent)]
@@ -710,13 +718,16 @@ def test_cli_simulate(tmp_path, small_scenario_file, capsys):
     assert header.count(",") == 12
 
 
-def test_cli_simulate_writer_failure(tmp_path, monkeypatch, small_scenario_file, capsys):
-    _force_writers(monkeypatch, 51, 2)  # t_end 5 at sample_dt 0.1
-    _fail_in(monkeypatch, "child")
+def test_cli_simulate_writer_failure(tmp_path, monkeypatch, force_cpus, small_scenario_file,
+                                    capsys):
+    # a full disk in a writer child is an OSError, raised in the parent as itself
+    forks = _force_writers(monkeypatch, force_cpus, 51, 2)  # t_end 5 at sample_dt 0.1
+    _fail_in(monkeypatch, "child", OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
     out = tmp_path / "simout"
     assert main(["simulate", str(small_scenario_file), "--out", str(out), "--t-end", "5.0"]) == 2
+    assert len(forks()) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "timeseries writer" in captured.err
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     _assert_no_child_left()
     assert list(out.iterdir()) == []
 

@@ -1,13 +1,17 @@
-"""Forked workers: outcomes, failures and cleanup.
+"""Forked workers: outcomes, failures, cleanup and the split of the work.
 
 Claims covered:
-    - a worker returns its call's value, computed in another process
+    - run returns each call's value in call order; every call but the first
+      is computed in another process, which sees one available CPU, so it
+      never forks again
+    - with one CPU, run forks nothing and makes the calls here, in order
     - a worker that raises gives the same exception type and message in the
       parent, and leaves no child; a scenario error keeps its field path
     - a worker that exits with a nonzero status raises WorkerError, which is
       not an OSError
-    - a parent that raises while a worker runs kills and reaps it
-    - a worker sees one available CPU, so it never forks again
+    - a first call that raises while a worker runs kills and reaps it
+    - shares cuts range(n) into contiguous slices, as many as the CPUs
+      allow with at least min_size items each, and at least one
 """
 import os
 import time
@@ -18,8 +22,8 @@ from hexnet import workers
 from hexnet.errors import ScenarioValidationError, WorkerError
 
 
-def _pid_and_cpus():
-    return os.getpid(), workers.available_cpus()
+def _tagged(tag):
+    return tag, os.getpid(), workers.available_cpus()
 
 
 def _fail(message):
@@ -29,43 +33,69 @@ def _fail(message):
 def test_worker_returns_the_value_from_another_process(force_cpus):
     forks = force_cpus(4)
     assert workers.available_cpus() == 4
-    with workers.start(_pid_and_cpus) as worker:
-        pid, cpus = worker.result()
-    assert pid == worker.pid != os.getpid()
-    assert cpus == 1
-    assert forks() == [str(os.getpid())]
+    here, *there = workers.run([(_tagged, tag) for tag in range(3)])
+    assert here == (0, os.getpid(), 4)
+    assert [tag for tag, _, _ in there] == [1, 2]
+    assert len({pid for _, pid, _ in there} | {os.getpid()}) == 3
+    assert [cpus for _, _, cpus in there] == [1, 1]
+    assert forks() == [str(os.getpid())] * 2
 
 
-def test_worker_exception_is_raised_in_the_parent():
-    with workers.start(_fail, "no such run") as worker:
-        with pytest.raises(KeyError, match="no such run"):
-            worker.result()
+def test_one_cpu_forks_nothing_and_runs_in_order(force_cpus):
+    forks = force_cpus(1)
+    made = []
+    assert workers.run([(made.append, i) for i in range(3)]) == [None] * 3
+    assert made == [0, 1, 2]
+    assert forks() == []
+
+
+def test_worker_exception_is_raised_in_the_parent(force_cpus):
+    forks = force_cpus(2)
+    with pytest.raises(KeyError, match="no such run"):
+        workers.run([(int,), (_fail, "no such run")])
+    assert len(forks()) == 1
 
 
 def _invalid(path, message):
     raise ScenarioValidationError(path, message)
 
 
-def test_worker_scenario_error_keeps_its_path():
-    with workers.start(_invalid, "field.phi", "must be positive") as worker:
-        with pytest.raises(ScenarioValidationError) as err:
-            worker.result()
+def test_worker_scenario_error_keeps_its_path(force_cpus):
+    force_cpus(2)
+    with pytest.raises(ScenarioValidationError) as err:
+        workers.run([(int,), (_invalid, "field.phi", "must be positive")])
     assert err.value.path == "field.phi"
     assert str(err.value) == "field.phi: must be positive"
 
 
-def test_worker_exit_status_raises_worker_error():
-    with workers.start(os._exit, 3) as worker:
-        with pytest.raises(WorkerError, match="exited with status 3") as err:
-            worker.result()
+def test_worker_exit_status_raises_worker_error(force_cpus):
+    force_cpus(2)
+    with pytest.raises(WorkerError, match="exited with status 3") as err:
+        workers.run([(int,), (os._exit, 3)])
     assert not isinstance(err.value, OSError)
 
 
-def test_parent_error_kills_and_reaps_the_worker():
+def _parent_fails():
+    raise RuntimeError("parent failed")
+
+
+def test_parent_error_kills_and_reaps_the_worker(force_cpus):
+    force_cpus(3)
     t0 = time.monotonic()
-    with pytest.raises(RuntimeError):
-        with workers.start(time.sleep, 60.0) as worker:
-            raise RuntimeError("parent failed")
+    with pytest.raises(RuntimeError, match="parent failed"):
+        workers.run([(_parent_fails,), (time.sleep, 60.0), (time.sleep, 60.0)])
     assert time.monotonic() - t0 < 30.0  # killed, not waited for
-    with pytest.raises(ProcessLookupError):
-        os.kill(worker.pid, 0)
+    with pytest.raises(ChildProcessError):  # and reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("min_size", [1, 7, 10])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_shares_cover_range_contiguously(force_cpus, cpus, min_size):
+    force_cpus(cpus)
+    for n in range(51):
+        chunks = workers.shares(n, min_size)
+        assert [i for s in chunks for i in range(n)[s]] == list(range(n))
+        k = min(cpus, max(1, n // min_size))  # slices, with bounds n * w // k
+        bounds = [n * w // k for w in range(k + 1)]
+        assert chunks == [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
