@@ -9,6 +9,11 @@ The two structural checks read the growth rates of each designed
 equilibrium and build no Jacobian: the field is each coordinate times its
 growth rate, so a zero coordinate's transverse eigenvalue is its rate.
 
+A trajectory's itinerary is read in one pass (extract_itinerary): the
+superstructure's visits, then each block's visits inside its gate's active
+windows. simulate, verify and the SVG shading all read that one list, and
+_active_runs is the only place that decides where a gate is active.
+
 The witness runs depend on the field alone, not on each other or on a
 scenario's trajectory, so workers.run spreads them over up to one process
 per available CPU, with results bitwise those of a serial run.
@@ -193,14 +198,20 @@ def run_bounds(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], cuts)), np.concatenate((cuts, [n]))
 
 
-def _active_runs(z: np.ndarray, epsilon: float):
-    """Where a gate is open (bump(z) > 0) along the samples z of its gate
-    distance (a column of gate_distances), and the start and end
-    (exclusive) sample indices of its maximal open runs."""
-    active = z < epsilon
-    starts, ends = run_bounds(active)
-    on = active[starts]
-    return active, starts[on], ends[on]
+def _active_runs(X: np.ndarray, epsilon: float):
+    """For each block in order: where its gate is active along the
+    superstructure samples X, and the start and end (exclusive) sample
+    indices of its maximal active runs.
+
+    Active means gate distance z < epsilon (gate_distances), the support of
+    bump, not bump(z) > 0: just below epsilon, where w > 700, bump is
+    exactly 0 and the sample is still active. ROADMAP item 4 owns any
+    change to this rule.
+    """
+    for active in (gate_distances(X) < epsilon).T:
+        starts, ends = run_bounds(active)
+        on = active[starts]
+        yield active, starts[on], ends[on]
 
 
 def _runs_to_visits(
@@ -232,34 +243,29 @@ def _runs_to_visits(
 def extract_itinerary(
     traj: Trajectory,
     p: FieldParams,
-    level: str,
-    j: int | None = None,
     near_tol: float = DEFAULT_NEAR_TOL,
     min_dwell: float = DEFAULT_MIN_DWELL,
-) -> ItineraryReport:
-    """Symbolic visit sequence of the superstructure or of substructure j.
+) -> list[ItineraryReport]:
+    """The symbolic itinerary of traj at both levels: the superstructure's
+    report, then one report per substructure block in block order.
 
-    For a substructure, only samples inside its active windows (gate value
-    positive) are considered, so a visit never spans a window boundary.
+    A block's visits are read only inside its active windows (gate distance
+    below epsilon, see _active_runs), so a visit never spans a window
+    boundary. The gate distances of all blocks come from one pass over X.
     """
     if not 0.0 < near_tol < 0.5:
         raise ValueError("near_tol must lie in (0, 0.5) for visit uniqueness")
     layout = p.layout
+    times = traj.times
     X = traj.states[:, layout.super_slice]
-    if level == LEVEL_SUPER:
-        vert = _vertex_stream(X, near_tol)
-        visits = _runs_to_visits(vert, traj.times, min_dwell, None)
-        return ItineraryReport(LEVEL_SUPER, None, visits, None, near_tol, min_dwell)
-
-    if level != LEVEL_SUB or j is None:
-        raise ValueError("level must be 'super' or 'sub' (with block index j)")
-    active, starts, ends = _active_runs(gate_distances(X)[:, j], p.epsilon)
-    windows = list(zip(traj.times[starts].tolist(), traj.times[ends - 1].tolist()))
-    block = traj.states[:, layout.sub_slice(j)]
-    vert = _vertex_stream(block, near_tol)
-    vert = np.where(active, vert, -1)
-    visits = _runs_to_visits(vert, traj.times, min_dwell, starts)
-    return ItineraryReport(LEVEL_SUB, j, visits, windows, near_tol, min_dwell)
+    visits = _runs_to_visits(_vertex_stream(X, near_tol), times, min_dwell, None)
+    reports = [ItineraryReport(LEVEL_SUPER, None, visits, None, near_tol, min_dwell)]
+    for j, (active, starts, ends) in enumerate(_active_runs(X, p.epsilon)):
+        windows = list(zip(times[starts].tolist(), times[ends - 1].tolist()))
+        vert = np.where(active, _vertex_stream(traj.states[:, layout.sub_slice(j)], near_tol), -1)
+        visits = _runs_to_visits(vert, times, min_dwell, starts)
+        reports.append(ItineraryReport(LEVEL_SUB, j, visits, windows, near_tol, min_dwell))
+    return reports
 
 
 @dataclass(eq=False)
@@ -504,8 +510,6 @@ def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
 @dataclass(eq=False)
 class ItineraryOutcome:
     scenario_index: int
-    level: str
-    j: int | None
     report: ItineraryReport
     check: ItineraryCheck
 
@@ -555,20 +559,13 @@ def verify_realization(
 
 def _check_itineraries(p: FieldParams, scenarios, near_tol: float,
                        min_dwell: float) -> list[ItineraryOutcome]:
-    """Integrate each scenario and check its itineraries against the hierarchy."""
+    """Integrate each scenario and check its itinerary, level by level,
+    against [superstructure, substructure 1, ..., substructure N]."""
+    graphs = [p.hierarchy.superstructure, *p.hierarchy.substructures]
     itineraries = []
-    gamma = p.hierarchy.superstructure
     for idx, (s0, cfg) in enumerate(scenarios):
         traj = integrate(s0, p, cfg)
-        rep = extract_itinerary(traj, p, LEVEL_SUPER, near_tol=near_tol, min_dwell=min_dwell)
-        itineraries.append(
-            ItineraryOutcome(idx, LEVEL_SUPER, None, rep, check_itinerary_against(rep, gamma))
-        )
-        for j, g in enumerate(p.hierarchy.substructures):
-            rep = extract_itinerary(
-                traj, p, LEVEL_SUB, j=j, near_tol=near_tol, min_dwell=min_dwell
-            )
-            itineraries.append(
-                ItineraryOutcome(idx, LEVEL_SUB, j, rep, check_itinerary_against(rep, g))
-            )
+        reports = extract_itinerary(traj, p, near_tol=near_tol, min_dwell=min_dwell)
+        itineraries += [ItineraryOutcome(idx, rep, check_itinerary_against(rep, g))
+                        for rep, g in zip(reports, graphs)]
     return itineraries

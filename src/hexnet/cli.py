@@ -10,8 +10,6 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    LEVEL_SUB,
-    LEVEL_SUPER,
     WitnessSpec,
     extract_itinerary,
     run_witness,  # unused here; kept as a module attribute that profilers wrap by name
@@ -89,18 +87,11 @@ def cmd_simulate(args) -> int:
     params = sc.field_params()
     traj = integrate(sc.initial_state(), params, sc.integrator)
     write_timeseries(traj, params.layout, out / "timeseries.csv")
-    pieces = [render_itinerary(
-        extract_itinerary(traj, params, LEVEL_SUPER, near_tol=sc.near_tol, min_dwell=sc.min_dwell)
-    )]
-    for j in range(params.layout.n_super):
-        pieces.append(render_itinerary(
-            extract_itinerary(traj, params, LEVEL_SUB, j=j,
-                              near_tol=sc.near_tol, min_dwell=sc.min_dwell)
-        ))
+    itinerary = extract_itinerary(traj, params, near_tol=sc.near_tol, min_dwell=sc.min_dwell)
     with publish(out / "itinerary.txt") as fh:
-        fh.write("\n".join(pieces))
+        fh.write("\n".join(render_itinerary(rep) for rep in itinerary))
     if args.plots:
-        write_svg_panels(traj, params, out / "plot.svg")
+        write_svg_panels(traj, params.layout, itinerary, out / "plot.svg")
     print(
         f"simulated to t={traj.last_time:g}: {traj.stats.accepted} steps accepted,"
         f" {traj.stats.rejected} rejected, termination {traj.termination}"

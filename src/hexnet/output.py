@@ -1,5 +1,8 @@
 """Result persistence: timeseries CSV, itinerary/report text, SVG panels.
 
+The itinerary text and the SVG's window shading render the reports of
+analysis.extract_itinerary; nothing here decides where a gate is active.
+
 Every file is published whole or not at all (publish). The timeseries rows
 are formatted by up to one process per available CPU, this one and forked
 workers (workers.run); the bytes do not depend on how many ran.
@@ -14,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import workers
-from .analysis import RealizationReport, ItineraryReport, WitnessResult, _active_runs
+from .analysis import LEVEL_SUPER, RealizationReport, ItineraryReport, WitnessResult
 from .integrator import Trajectory
-from .vectorfield import BlockLayout, FieldParams, gate_distances
+from .vectorfield import VARIANT_BOUNDED, BlockLayout
 
 __all__ = [
     "publish",
@@ -101,7 +104,7 @@ def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
 
 def render_itinerary(report: ItineraryReport) -> str:
     """Human-readable visit listing (1-based labels)."""
-    head = "superstructure" if report.level == "super" else f"substructure {report.j + 1}"
+    head = "superstructure" if report.level == LEVEL_SUPER else f"substructure {report.j + 1}"
     lines = [
         f"[{head}] near_tol={report.near_tol} min_dwell={report.min_dwell}",
         f"visits: {', '.join(str(v.vertex + 1) for v in report.visits) or '(none)'}",
@@ -129,7 +132,7 @@ def witness_line(w: WitnessResult) -> str:
         f"forward dist {w.forward_distance:.3e} at t={w.forward_time:.1f}"
         f" ({'converged' if w.forward_converged else 'NOT converged'})"
     )
-    if w.variant == "bounded":
+    if w.variant == VARIANT_BOUNDED:
         bwd = (
             f"backward bounded, live sub coords within {w.backward_inactive_gap:.3e} of 1"
             f" at t={w.backward_time:.1f}"
@@ -172,7 +175,7 @@ def render_report(report: RealizationReport) -> str:
 
     lines.append("[itineraries]")
     for o in report.itineraries:
-        head = "super" if o.level == "super" else f"sub {o.j + 1}"
+        head = "super" if o.report.level == LEVEL_SUPER else f"sub {o.report.j + 1}"
         seq = ",".join(str(v.vertex + 1) for v in o.report.visits) or "(none)"
         status = "PASS" if o.check.passed else "FAIL"
         lines.append(
@@ -209,10 +212,11 @@ def _polyline(ts, ys, x0, y0, w, h, t_max, y_max, color) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
 
 
-def write_svg_panels(traj: Trajectory, p: FieldParams, path) -> None:
-    """One panel for X, one per substructure block with active-window shading;
-    each trace draws at most _MAX_POINTS samples."""
-    layout = p.layout
+def write_svg_panels(traj: Trajectory, layout: BlockLayout,
+                     itinerary: list[ItineraryReport], path) -> None:
+    """One panel for X, one per substructure block shaded over the active
+    windows of its report in itinerary (extract_itinerary's list); each
+    trace draws at most _MAX_POINTS samples."""
     n_panels = 1 + layout.n_super
     idx = np.linspace(0, traj.times.shape[0] - 1, min(_MAX_POINTS, traj.times.shape[0]))
     idx = np.unique(idx.astype(int))
@@ -243,12 +247,10 @@ def write_svg_panels(traj: Trajectory, p: FieldParams, path) -> None:
                       t_max, y_max, _PALETTE[m % len(_PALETTE)])
         )
 
-    gates = gate_distances(X_full)
-    for j in range(layout.n_super):
+    for rep in itinerary[1:]:
+        j = rep.j
         y0 = panel_header(1 + j, f"x^{j + 1} (substructure {j + 1})")
-        _, starts, ends = _active_runs(gates[:, j], p.epsilon)
-        for t0, t1 in zip(traj.times[starts], traj.times[ends - 1]):
-            parts.append(_shade(t0, t1, y0, t_max))
+        parts += [_shade(t0, t1, y0, t_max) for t0, t1 in rep.active_windows]
         block = traj.states[:, layout.sub_slice(j)]
         y_max = max(1.05, float(block.max()) * 1.05)
         for m in range(layout.block_sizes[j]):

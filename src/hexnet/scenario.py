@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
+from .analysis import DEFAULT_MIN_DWELL, DEFAULT_NEAR_TOL, DEFAULT_WITNESS_DELTAS
 from .errors import (
     CoefficientSignError,
     DimensionMismatchError,
@@ -68,9 +69,9 @@ class Scenario:
     initial_X: tuple[float, ...] = ()
     initial_x: tuple[tuple[float, ...], ...] = ()
     integrator: IntegratorConfig = field(default_factory=lambda: IntegratorConfig(t_end=100.0))
-    near_tol: float = 0.1
-    min_dwell: float = 1.0
-    witness_deltas: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
+    near_tol: float = DEFAULT_NEAR_TOL
+    min_dwell: float = DEFAULT_MIN_DWELL
+    witness_deltas: tuple[float, ...] = DEFAULT_WITNESS_DELTAS
 
     # built once from the fields above; field_params() reuses it
     coeffs: CoefficientSet = field(init=False, repr=False, compare=False)

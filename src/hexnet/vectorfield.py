@@ -159,8 +159,8 @@ def gate_distances(X) -> np.ndarray:
     """Squared distances |X - e_j|^2 = |X|^2 - 2 X_j + 1 for every j.
 
     X is one superstructure state (length N) or a (samples x N) array; the
-    result has the same shape. Gate j is bump(z_j) and is open (positive)
-    exactly where z_j < epsilon.
+    result has the same shape. Gate j is bump(z_j); it is positive only where
+    z_j < epsilon, but exactly 0 just below epsilon, where w > 700.
     """
     X = np.asarray(X, dtype=float)
     return (X * X).sum(axis=-1, keepdims=True) - 2.0 * X + 1.0

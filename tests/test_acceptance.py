@@ -9,8 +9,6 @@ import pytest
 from dataclasses import replace
 
 from hexnet.analysis import (
-    LEVEL_SUB,
-    LEVEL_SUPER,
     WitnessSpec,
     check_edge_eigen_correspondence,
     check_itinerary_against,
@@ -47,7 +45,7 @@ def test_criterion_1_example1_super_itinerary(example1, example1_trajectory):
     _, p, _ = example1
     traj, wall = example1_trajectory
     assert traj.termination == "completed"
-    labels = extract_itinerary(traj, p, LEVEL_SUPER).labels()
+    labels = extract_itinerary(traj, p)[0].labels()
     assert labels[0] == 1
     assert _follows(labels, CYCLE3), labels
     completed_cycles = (len(labels) - 1) // 3
@@ -66,7 +64,7 @@ def test_criterion_2_kirk_silber_switch(example1, example1_trajectory, example1_
     # block fully saturates, so the switch is read with near_tol 0.2 and a
     # min_dwell matched to the fast substructure timescale
     fine = example1_fine_window0
-    rep = extract_itinerary(fine, p, LEVEL_SUB, j=2, near_tol=0.2, min_dwell=0.02)
+    rep = extract_itinerary(fine, p, near_tol=0.2, min_dwell=0.02)[3]
     w0 = [v.vertex + 1 for v in rep.visits if v.window == 0]
     assert w0[:3] == [1, 2, 3], w0
     assert w0.count(3) == 1, w0
@@ -74,7 +72,7 @@ def test_criterion_2_kirk_silber_switch(example1, example1_trajectory, example1_
     assert _is_lower_cycle_continuation(w0[3:]), w0
     # every later window of the full run contains only lower-cycle visits
     traj, _ = example1_trajectory
-    full = extract_itinerary(traj, p, LEVEL_SUB, j=2)
+    full = extract_itinerary(traj, p)[3]
     assert full.active_windows is not None and len(full.active_windows) >= 2
     later = [v for v in full.visits if v.window >= 1]
     assert later, "no visits found in later active windows"
@@ -94,13 +92,13 @@ def test_criterion_3_example2_itineraries(example2, example2_trajectory):
     _, p, _ = example2
     traj = example2_trajectory
     assert traj.termination == "completed"
-    labels = extract_itinerary(traj, p, LEVEL_SUPER).labels()
+    superstructure, *blocks = extract_itinerary(traj, p)
+    labels = superstructure.labels()
     assert labels[:6] == [1, 2, 3, 1, 2, 4], labels
     assert _is_lower_cycle_continuation(labels[6:]), labels
     assert len(labels) >= 9
     sub_counts = []
-    for j, g in enumerate(p.hierarchy.substructures):
-        rep = extract_itinerary(traj, p, LEVEL_SUB, j=j)
+    for j, (rep, g) in enumerate(zip(blocks, p.hierarchy.substructures)):
         chk = check_itinerary_against(rep, g)
         assert chk.passed, (j, chk.violations)
         assert chk.n_pairs >= 3

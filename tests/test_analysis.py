@@ -15,8 +15,11 @@ Claims covered:
     - both structural checks pass on a cycle-plus-chords hierarchy at d=800
     - non-edge pairs have nonpositive transverse eigenvalues both ways
     - run boundaries of label streams agree with a plain-loop oracle
-    - itinerary extraction: constant trajectories, window bookkeeping,
-      edge checks skipping window-crossing continuations
+    - itinerary extraction: one list per trajectory, the superstructure
+      then blocks 1..N, each block's windows the runs of gate distance
+      below epsilon, also where the bump is already exactly 0; constant
+      trajectories, window bookkeeping, edge checks skipping
+      window-crossing continuations
     - witness construction and runs (forward convergence, backward
       divergence / bounded backward saturation), convergence monotone in t
     - witness runs keep within max_time, which must be positive and finite,
@@ -26,7 +29,8 @@ Claims covered:
       once over all processes, and keeps nothing between calls
     - verify_realization aggregation on a cheap unit-timescale scenario,
       including the deliberately transposed orientation failing; with two
-      CPUs it forks exactly one worker
+      CPUs it forks exactly one worker; it extracts each scenario's
+      itinerary once and checks it against [superstructure, blocks 1..N]
 """
 import warnings
 
@@ -41,6 +45,7 @@ from hexnet.analysis import (
     LEVEL_SUB,
     LEVEL_SUPER,
     WitnessSpec,
+    _active_runs,
     check_edge_eigen_correspondence,
     check_itinerary_against,
     extract_itinerary,
@@ -57,8 +62,10 @@ from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.vectorfield import (
     FieldParams,
     build_coefficients,
+    bump,
     designed_equilibria,
     eval_field,
+    gate_distances,
     growth_rates,
     jacobian,
 )
@@ -265,16 +272,50 @@ def test_run_bounds_random_streams():
             assert _runs(active) == naive_runs(active.tolist())
 
 
+def test_gate_active_below_epsilon_where_bump_is_zero():
+    # the active rule is z < epsilon: just below epsilon, where w > 700,
+    # the bump is exactly 0 and the sample still counts as active
+    eps = 0.2
+    z = np.array([0.3, eps - 1e-4, 0.25, 0.1])
+    X = np.zeros((4, 2))
+    X[:, 0] = 1.0 - np.sqrt(z)  # gate distance z from e_1, more than 1 from e_2
+    z_seen = gate_distances(X)[:, 0]
+    assert z_seen == pytest.approx(z, abs=1e-12)
+    assert bump(z_seen[1], eps) == 0.0 and bump(z_seen[3], eps) > 0.0
+    (active, starts, ends), (other, _, _) = _active_runs(X, eps)
+    assert active.tolist() == [False, True, False, True]
+    assert starts.tolist() == [1, 3] and ends.tolist() == [2, 4]
+    assert not other.any()
+
+
+def test_itinerary_lists_super_then_blocks_in_order(small_scenario):
+    sc, p, s0 = small_scenario
+    traj = integrate(s0, p, sc.integrator)
+    reports = extract_itinerary(traj, p)
+    n = p.layout.n_super
+    assert [(r.level, r.j) for r in reports] == (
+        [(LEVEL_SUPER, None)] + [(LEVEL_SUB, j) for j in range(n)]
+    )
+    assert reports[0].active_windows is None
+    assert reports[0].labels()[:4] == [1, 2, 3, 1]
+    gates = gate_distances(traj.states[:, p.layout.super_slice])
+    for rep in reports[1:]:
+        runs = naive_runs((gates[:, rep.j] < p.epsilon).tolist())
+        assert rep.active_windows == [
+            (traj.times[a], traj.times[b - 1]) for on, a, b in runs if on
+        ]
+    assert max(len(rep.active_windows) for rep in reports[1:]) >= 2
+
+
 def test_itinerary_constant_trajectory(example1):
     _, p, _ = example1
     eqs = {e.name: e for e in designed_equilibria(p)}
     traj = integrate(eqs["Sub(2,1)"].state, p, IntegratorConfig(t_end=30.0))
-    rep = extract_itinerary(traj, p, LEVEL_SUB, j=1)
+    sup, _, rep, _ = extract_itinerary(traj, p)
     assert [v.vertex for v in rep.visits] == [0]
     assert rep.visits[0].t_enter == 0.0
     assert rep.visits[0].t_exit == 30.0
     assert rep.active_windows == [(0.0, 30.0)]
-    sup = extract_itinerary(traj, p, LEVEL_SUPER)
     assert [v.vertex for v in sup.visits] == [1]
 
 
@@ -282,7 +323,7 @@ def test_itinerary_min_dwell_filters(example1):
     _, p, _ = example1
     eqs = {e.name: e for e in designed_equilibria(p)}
     traj = integrate(eqs["Super(1)"].state, p, IntegratorConfig(t_end=5.0))
-    rep = extract_itinerary(traj, p, LEVEL_SUPER, min_dwell=10.0)
+    rep = extract_itinerary(traj, p, min_dwell=10.0)[0]
     assert rep.visits == []
     chk = check_itinerary_against(rep, p.hierarchy.superstructure)
     assert chk.passed and chk.n_pairs == 0  # vacuous pass
@@ -327,8 +368,7 @@ def test_check_itinerary_skips_window_crossings(example1):
 def test_sub_itineraries_match_digraphs_full_run(example1_trajectory, example1):
     traj, _ = example1_trajectory
     _, p, _ = example1
-    for j, g in enumerate(p.hierarchy.substructures):
-        rep = extract_itinerary(traj, p, LEVEL_SUB, j=j)
+    for rep, g in zip(extract_itinerary(traj, p)[1:], p.hierarchy.substructures):
         assert len(rep.active_windows) >= 1
         chk = check_itinerary_against(rep, g)
         assert chk.passed, chk.violations
@@ -338,7 +378,7 @@ def test_sub_itineraries_match_digraphs_full_run(example1_trajectory, example1):
 def test_super_dwell_times_nondecreasing(example1_trajectory, example1):
     traj, _ = example1_trajectory
     _, p, _ = example1
-    rep = extract_itinerary(traj, p, LEVEL_SUPER)
+    rep = extract_itinerary(traj, p)[0]
     visits = rep.visits
     # drop the final visit if the horizon truncated it
     if visits and visits[-1].t_exit >= traj.times[-1]:
@@ -359,13 +399,10 @@ def test_itinerary_near_tol_halving_invariance(
     # seen by the looser threshold
     for (traj_fix, fix) in ((example1_trajectory[0], example1), (example2_trajectory, example2)):
         _, p, _ = fix
-        a = extract_itinerary(traj_fix, p, LEVEL_SUPER, near_tol=0.1).labels()
-        b = extract_itinerary(traj_fix, p, LEVEL_SUPER, near_tol=0.05).labels()
+        a, *sub_a = [r.labels() for r in extract_itinerary(traj_fix, p, near_tol=0.1)]
+        b, *sub_b = [r.labels() for r in extract_itinerary(traj_fix, p, near_tol=0.05)]
         assert b == a or b == a[1:]
-        for j in range(p.layout.n_super):
-            sa = extract_itinerary(traj_fix, p, LEVEL_SUB, j=j, near_tol=0.1).labels()
-            sb = extract_itinerary(traj_fix, p, LEVEL_SUB, j=j, near_tol=0.05).labels()
-            assert sa == sb
+        assert sub_a == sub_b
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +619,29 @@ def test_verify_realization_forks_one_worker(small_scenario, force_cpus):
     report = verify_realization(p, [(s0, sc.integrator)], deltas=(0.01,))
     assert report.passed and len(report.witnesses) == 3
     assert len(forks()) == 1  # the worker runs every witness itself
+
+
+def test_verify_realization_extracts_each_itinerary_once(small_scenario, monkeypatch,
+                                                         force_cpus):
+    sc, p, s0 = small_scenario
+    force_cpus(1)  # the itineraries and the witnesses all run in this process
+    seen = []
+    extract = hexnet.analysis.extract_itinerary
+
+    def counting(traj, *args, **kwargs):
+        seen.append(traj.last_time)
+        return extract(traj, *args, **kwargs)
+
+    monkeypatch.setattr(hexnet.analysis, "extract_itinerary", counting)
+    scenarios_ = [(s0, replace(sc.integrator, t_end=t)) for t in (5.0, 10.0)]
+    report = verify_realization(p, scenarios_, deltas=(0.01,))
+    assert seen == [5.0, 10.0]
+    n = p.layout.n_super
+    assert [(o.scenario_index, o.report.level, o.report.j) for o in report.itineraries] == [
+        (idx, level, j)
+        for idx in range(2)
+        for level, j in [(LEVEL_SUPER, None)] + [(LEVEL_SUB, j) for j in range(n)]
+    ]
 
 
 def test_verify_realization_literal_orientation_fails(small_scenario, small_scenario_file):

@@ -39,7 +39,7 @@ from hexnet.integrator import (
     TERMINATION_STOPPED,
     integrate,
 )
-from hexnet.analysis import LEVEL_SUPER, extract_itinerary
+from hexnet.analysis import extract_itinerary
 from hexnet.vectorfield import designed_equilibria, eval_field, growth_rates, rate_table
 
 
@@ -224,8 +224,8 @@ def test_tolerance_halving(example1):
     sc, p, s0 = example1
     full = integrate(s0, p, IntegratorConfig(t_end=500.0))
     half = integrate(s0, p, IntegratorConfig(t_end=500.0, rtol=5e-13, atol=5e-13))
-    i_full = extract_itinerary(full, p, LEVEL_SUPER).labels()
-    i_half = extract_itinerary(half, p, LEVEL_SUPER).labels()
+    i_full = extract_itinerary(full, p)[0].labels()
+    i_half = extract_itinerary(half, p)[0].labels()
     assert i_full == i_half
     assert len(i_full) >= 5
     diff = np.abs(full.states - half.states).max(axis=1)

@@ -1,0 +1,53 @@
+"""The benchmark tracer's targets.
+
+Claims covered:
+    - bench/tracing.py's Tracer.installed finds every module attribute it
+      wraps (no KeyError), replaces them inside its block and restores
+      every original on exit, so removing or renaming a traced name fails
+      here and not only in a traced benchmark run
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import hexnet
+import hexnet.analysis
+import hexnet.cli
+import hexnet.integrator
+import hexnet.scenario
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+OWNERS = (hexnet, hexnet.analysis, hexnet.cli, hexnet.integrator, hexnet.scenario,
+          hexnet.scenario.Scenario)
+
+
+def _load_tracing(monkeypatch):
+    """bench/tracing.py as a module, loaded without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_exist_and_are_restored(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    before = [dict(vars(owner)) for owner in OWNERS]
+    with tracing.Tracer().installed(hexnet):
+        wrapped = {
+            (owner.__name__, name)
+            for owner, names in zip(OWNERS, before)
+            for name, value in vars(owner).items()
+            if names.get(name) is not value
+        }
+    assert {
+        ("hexnet.analysis", "extract_itinerary"),
+        ("hexnet.cli", "extract_itinerary"),
+        ("hexnet.cli", "run_witness"),
+        ("hexnet.cli", "write_svg_panels"),
+    } <= wrapped
+    after = [dict(vars(owner)) for owner in OWNERS]
+    for owner, names, names_after in zip(OWNERS, before, after):
+        assert names_after.keys() == names.keys(), owner.__name__
+        assert [n for n in names if names_after[n] is not names[n]] == [], owner.__name__

@@ -17,7 +17,9 @@ Claims covered:
       write that fails part-way, or at the rename, leaves neither a partial
       target nor a temporary file
     - CLI overrides rebuild the scenario, and check its coefficients, once
-    - itinerary/report rendering and SVG output are well-formed
+    - itinerary/report rendering and SVG output are well-formed; the SVG
+      shades exactly the active windows of the blocks' itinerary reports
+    - simulate extracts the itinerary once for itinerary.txt and plot.svg
     - report.txt bytes do not depend on the number of available CPUs
     - simulate, verify and witness report a killed worker as WorkerError,
       not as an input error (exit 2)
@@ -27,6 +29,7 @@ Claims covered:
 """
 import errno
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -40,7 +43,7 @@ from hypothesis import given, settings
 import yaml
 
 import hexnet
-from hexnet import analysis, output, vectorfield
+from hexnet import analysis, cli, output, vectorfield
 from hexnet.cli import main
 from hexnet.errors import (
     ScenarioParseError, ScenarioSchemaError, ScenarioValidationError, WorkerError,
@@ -54,7 +57,7 @@ from hexnet.output import (
     write_timeseries,
 )
 from hexnet.scenario import bundled_scenario_path, load_scenario, save_scenario
-from hexnet.analysis import LEVEL_SUPER, extract_itinerary, verify_realization
+from hexnet.analysis import extract_itinerary, verify_realization
 from strategies import scenarios
 
 
@@ -577,7 +580,7 @@ def test_timeseries_deterministic(tmp_path, small_scenario):
 def test_render_itinerary_and_report(small_scenario):
     sc, p, s0 = small_scenario
     traj = integrate(s0, p, sc.integrator)
-    rep = extract_itinerary(traj, p, LEVEL_SUPER)
+    rep = extract_itinerary(traj, p)[0]
     text = render_itinerary(rep)
     assert "superstructure" in text and "visits:" in text
     full = verify_realization(p, [(s0, sc.integrator)], deltas=(0.01,))
@@ -628,10 +631,42 @@ def test_svg_panels(tmp_path, small_scenario):
     sc, p, s0 = small_scenario
     traj = integrate(s0, p, IntegratorConfig(t_end=20.0, sample_dt=0.1, rtol=1e-9, atol=1e-9))
     path = tmp_path / "plot.svg"
-    write_svg_panels(traj, p, path)
+    itinerary = extract_itinerary(traj, p)
+    write_svg_panels(traj, p.layout, itinerary, path)
     text = path.read_text(encoding="utf-8")
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert text.count("<polyline") == 12  # 3 + 3x3 coordinate traces
+    # one shaded rect per active window of each block's report, in order
+    shades = re.findall(
+        r'<rect x="([\d.]+)" y="(\d+)" width="([\d.]+)" height="\d+" fill="#ffd27f"', text
+    )
+    windows = [(rep.j, t0, t1) for rep in itinerary[1:] for t0, t1 in rep.active_windows]
+    assert len(windows) >= 3 and len(shades) == len(windows)
+    t_max = traj.times[-1]
+    for (x, y, width), (j, t0, t1) in zip(shades, windows):
+        assert int(y) == output._MARGIN_T + (1 + j) * (output._PANEL_H + output._GAP)
+        x_expected = output._MARGIN_L + t0 / t_max * output._PANEL_W
+        assert float(x) == pytest.approx(x_expected, abs=0.006)
+        assert float(width) == pytest.approx(
+            max((t1 - t0) / t_max * output._PANEL_W, 0.5), abs=0.006
+        )
+
+
+def test_cli_simulate_extracts_the_itinerary_once(tmp_path, monkeypatch, small_scenario_file,
+                                                  capsys):
+    # itinerary.txt and plot.svg render one list (verify: see test_analysis)
+    calls = []
+    extract = cli.extract_itinerary
+
+    def counting(traj, *args, **kwargs):
+        calls.append(traj.last_time)
+        return extract(traj, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "extract_itinerary", counting)
+    monkeypatch.setattr(cli, "extract_itinerary", counting)
+    argv = ["simulate", str(small_scenario_file), "--out", str(tmp_path), "--t-end", "5.0"]
+    assert main(argv + ["--plots"]) == 0
+    assert calls == [5.0]
 
 
 def test_import_loads_no_scipy():
