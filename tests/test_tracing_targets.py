@@ -46,6 +46,7 @@ def test_tracer_targets_exist_and_are_restored(monkeypatch):
         ("hexnet.cli", "extract_itinerary"),
         ("hexnet.cli", "run_witness"),
         ("hexnet.cli", "write_svg_panels"),
+        ("hexnet.cli", "write_timeseries"),
     } <= wrapped
     after = [dict(vars(owner)) for owner in OWNERS]
     for owner, names, names_after in zip(OWNERS, before, after):

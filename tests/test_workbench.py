@@ -11,6 +11,11 @@ Claims covered:
       same bytes from 1, 2 or 3 writer processes, with no child process or
       part file left behind, also when a writer fails; a writer child's
       exception is raised in the parent as itself
+    - the CSV's numpy formatter gives the bytes of format(x, ".17g") on
+      finite float64 bit patterns of either sign, on zeros, subnormals,
+      powers of ten and their neighbours, 17th-digit ties, values out of
+      its range and non-finite values, and calls format itself only for
+      the values it splices in
     - a failed CSV write leaves no file, and a failed rewrite leaves the
       previous file byte for byte; the file gets the mode of a plain open()
     - report.txt, itinerary.txt and plot.svg are published like the CSV: a
@@ -18,7 +23,8 @@ Claims covered:
       target nor a temporary file
     - CLI overrides rebuild the scenario, and check its coefficients, once
     - itinerary/report rendering and SVG output are well-formed; the SVG
-      shades exactly the active windows of the blocks' itinerary reports
+      shades exactly the active windows of the blocks' itinerary reports;
+      report.txt marks an itinerary with no checked pair "not exercised"
     - simulate extracts the itinerary once for itinerary.txt and plot.svg
     - report.txt bytes do not depend on the number of available CPUs
     - simulate, verify and witness report a killed worker as WorkerError,
@@ -39,11 +45,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import yaml
 
 import hexnet
-from hexnet import analysis, cli, output, vectorfield
+from hexnet import analysis, cli, format17, output, vectorfield
 from hexnet.cli import main
 from hexnet.errors import (
     ScenarioParseError, ScenarioSchemaError, ScenarioValidationError, WorkerError,
@@ -457,18 +464,33 @@ def test_timeseries_t_end_zero_single_row(tmp_path, example2):
     assert [float(v) for v in lines[1].split(",")[1:]] == s0.tolist()
 
 
+# values exactly halfway between two 17-digit decimals: m/16 with m odd in
+# [1e13, 1e14), where x·10^(16-e) is exact in float64, and m·2^-24, m·2^-25
+# with m odd, where 10^(16-e) is not
+_TIES = ([1e13 + m / 16 for m in (1, 3, 5, 7, 9, 11, 13, 15)] + [1e14 - 1 / 16, 1e14 - 3 / 16]
+         + [m * 2.0**-24 for m in (3, 5, 7, 9, 11, 13, 15)] + [2.0**-25, 3 * 2.0**-25])
+
+
 def _with_edge_rows(traj, dimension):
-    """traj with four rows of formatting edge cases appended."""
-    edge = [0.0, 1e-300, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0, -0.0, 1 / 3]
+    """traj with four rows of formatting edge cases appended: values the
+    numpy kernel formats and values it splices in (ties, out of range,
+    negative, a power of ten whose float64 lies just below it)."""
+    edge = [0.0, 1e-300, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0, -0.0, 1 / 3,
+            _TIES[0], _TIES[-1], 1e17, 1e-275, 1e-7, -2.5]
     extra = np.resize(np.array(edge), (4, dimension))
     times = np.concatenate([traj.times, edge[:4]])
     return replace(traj, times=times, states=np.vstack([traj.states, extra]))
 
 
+def _per_value_rows(values: np.ndarray) -> bytes:
+    """The reference: format(x, ".17g") of each value, one row per line."""
+    return "".join(",".join(format(x, ".17g") for x in row) + "\n"
+                   for row in values.tolist()).encode()
+
+
 def _per_value_csv(traj, layout) -> bytes:
-    rows = [",".join(format(x, ".17g") for x in (t, *row)) for t, row in zip(traj.times, traj.states)]
-    header = ",".join(["t"] + layout.coord_names())
-    return "".join(line + "\n" for line in [header, *rows]).encode()
+    header = ",".join(["t"] + layout.coord_names()) + "\n"
+    return header.encode() + _per_value_rows(np.column_stack([traj.times, traj.states]))
 
 
 def test_timeseries_matches_per_value_format(tmp_path, small_scenario):
@@ -478,6 +500,70 @@ def test_timeseries_matches_per_value_format(tmp_path, small_scenario):
     path = tmp_path / "fmt.csv"
     write_timeseries(traj, p.layout, path)
     assert path.read_bytes() == _per_value_csv(traj, p.layout)
+
+
+def _edge_values() -> np.ndarray:
+    tens = [float(f"1e{k}") for k in range(-320, 308)]
+    near = [np.nextafter(v, to) for v in [*tens, 1e16, 1e17] for to in (0.0, np.inf)]
+    return np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, *tens, 1e16, 1e17, *near,
+                     1e-275, np.nextafter(1e-274, 0.0), 1e-300, *_TIES, np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("shape", [(1, -1), (-1, 1), (-1, 7)])
+def test_format_rows_edge_values(shape):
+    values = _edge_values()
+    values = np.concatenate([values, -values])
+    values = values[:values.size // 7 * 7].reshape(shape)
+    assert format17.format_rows(values) == _per_value_rows(values)
+
+
+@pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+def test_format_rows_does_not_trust_log10(monkeypatch, shift):
+    # a log10 that errs near powers of ten puts e one too low or one too high
+    # there; those values must be spliced in, not printed with shifted digits
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    values = _edge_values().reshape(-1, 1)
+    assert format17.format_rows(values) == _per_value_rows(values)
+
+
+# every finite float64 magnitude, as its bit pattern, with either sign
+_FINITE = st.tuples(st.booleans(), st.integers(0, 0x7FEF_FFFF_FFFF_FFFF))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(bits=st.lists(_FINITE, min_size=1, max_size=64))
+def test_format_rows_matches_format_on_finite_bit_patterns(bits):
+    values = np.array([sign << 63 | magnitude for sign, magnitude in bits],
+                      dtype=np.uint64).view(np.float64)
+    for shape in [(1, -1), (-1, 1)]:
+        assert format17.format_rows(values.reshape(shape)) == _per_value_rows(values.reshape(shape))
+
+
+def test_format_rows_calls_format_only_for_spliced_values(monkeypatch):
+    calls = []
+
+    def counting(x, spec):
+        calls.append(x)
+        return format(x, spec)
+
+    monkeypatch.setattr(format17, "format", counting, raising=False)
+    # below 1e6 a float64 has too many fraction bits to be an exact 17-digit
+    # tie; above it ties are common (every x in [1e15, 1e16) with a fraction
+    # of .25 or .75 is one) and are spliced, as the ties below show
+    rng = np.random.default_rng(0)
+    plain = np.concatenate([[0.0, 1.0, 10.0, 0.5, 1e16],
+                            np.exp(rng.uniform(np.log(1e-274), np.log(1e6), 5_000))])
+    assert format17.format_rows(plain.reshape(-1, 5)) == _per_value_rows(plain.reshape(-1, 5))
+    assert calls == []
+    # out of range, sign bit, non-finite, ties, and float64s just below a power
+    # of ten: 1e-7 prints as 9.9999999999999995e-08, and log10 of the one
+    # below 1e5 rounds up to 5
+    spliced = np.array([1e17, 1e-275, -1.0, -0.0, np.inf, np.nan, *_TIES, 1e-7,
+                        np.nextafter(1e5, 0.0)])
+    values = np.concatenate([plain[:100], spliced]).reshape(1, -1)
+    assert format17.format_rows(values) == _per_value_rows(values)
+    assert len(calls) == spliced.size
 
 
 def _force_writers(monkeypatch, force_cpus, rows: int, writers: int):
@@ -588,6 +674,34 @@ def test_render_itinerary_and_report(small_scenario):
     assert "verdict: PASS" in report_text
     assert "Super(1)" in report_text
     assert "edge (1,2)" in report_text
+
+
+def _outcome(level, j, vertices, n_pairs, violations=()):
+    visits = [analysis.Visit(v, float(i), i + 1.0) for i, v in enumerate(vertices)]
+    report = analysis.ItineraryReport(level, j, visits, None, 0.1, 1.0)
+    return analysis.ItineraryOutcome(0, report,
+                                     analysis.ItineraryCheck(not violations, list(violations), n_pairs))
+
+
+def test_render_report_marks_itineraries_without_pairs_not_exercised():
+    outcomes = [
+        _outcome(analysis.LEVEL_SUPER, None, [0, 1], 1),
+        _outcome(analysis.LEVEL_SUB, 0, [], 0),
+        _outcome(analysis.LEVEL_SUB, 1, [2], 0),
+        _outcome(analysis.LEVEL_SUB, 2, [0, 2], 1, [(0, 2, 1.0)]),
+    ]
+    for checked, verdict in [(outcomes[:3], "PASS"), (outcomes, "FAIL")]:
+        report = analysis.RealizationReport(analysis.ResidualReport([], 0.0, 1e-12, True),
+                                            analysis.CorrespondenceReport([], True), checked, [])
+        lines = render_report(report).splitlines()
+        # the verdict still counts a level with no checked pair as passed
+        assert lines[1] == f"verdict: {verdict}"
+        assert lines[lines.index("[itineraries]") + 1:][:len(checked)] == [
+            "  scenario 1 super: visits 1,2 (1 transitions checked): PASS",
+            "  scenario 1 sub 1: visits (none) (0 transitions checked): not exercised",
+            "  scenario 1 sub 2: visits 3 (0 transitions checked): not exercised",
+            "  scenario 1 sub 3: visits 1,3 (1 transitions checked): FAIL",
+        ][:len(checked)]
 
 
 def test_report_bytes_do_not_depend_on_cpus(small_scenario, force_cpus):
