@@ -11,7 +11,6 @@ from .hierarchy import (
     validate_hierarchy,
 )
 from .vectorfield import (
-    BlockLayout,
     CoefficientSet,
     Equilibrium,
     FieldParams,

@@ -29,6 +29,7 @@ from .errors import NotAnEdgeError
 from .hierarchy import Digraph, out_neighbors
 from .integrator import (
     IntegratorConfig,
+    TERMINATION_COMPLETED,
     TERMINATION_DIVERGED,
     Trajectory,
     integrate,
@@ -53,6 +54,7 @@ __all__ = [
     "WitnessSpec",
     "WitnessResult",
     "RealizationReport",
+    "check_analysis_value",
     "verify_equilibria",
     "check_edge_eigen_correspondence",
     "run_bounds",
@@ -72,6 +74,21 @@ DEFAULT_MIN_DWELL = 1.0
 DEFAULT_WITNESS_DELTAS = (1e-1, 1e-2, 1e-3)
 WITNESS_CONVERGENCE_TOL = 1e-6
 WITNESS_TOL = 1e-10  # rtol and atol of every witness run
+
+_ANALYSIS_VALUE_RULES = {  # name: (test, rule)
+    "near_tol": (lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)"),
+    "min_dwell": (lambda v: v >= 0.0, "must be nonnegative"),
+    "witness_deltas": (lambda v: all(0.0 < d < 1.0 for d in v), "must each lie in (0, 1)"),
+}
+
+
+def check_analysis_value(name: str, value) -> None:
+    """Raise ValueError unless value is admissible as the analysis option
+    name (near_tol, min_dwell, witness_deltas). extract_itinerary,
+    witness_initial_condition and the scenario loader all use it."""
+    holds, rule = _ANALYSIS_VALUE_RULES[name]
+    if not holds(value):
+        raise ValueError(f"{name} {rule}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +144,17 @@ def check_edge_eigen_correspondence(p: FieldParams) -> CorrespondenceReport:
     """At every Super(j) and Sub(j, i): the directions with positive transverse
     eigenvalue, read as the growth rates of the zero coordinates of that
     level, must be exactly the prescribed out-neighbors."""
-    layout = p.layout
-    gamma = p.hierarchy.superstructure
+    h = p.hierarchy
     checks = []
     for eq, rates in _equilibrium_rates(p):
         if eq.kind == "origin":
             continue
         if eq.kind == "super":
-            expected = frozenset(out_neighbors(gamma, eq.j))
-            level, unit = rates[layout.super_slice], eq.j
+            expected = frozenset(out_neighbors(h.superstructure, eq.j))
+            level, unit = rates[h.super_slice], eq.j
         else:
-            expected = frozenset(out_neighbors(p.hierarchy.substructures[eq.j], eq.i))
-            level, unit = rates[layout.sub_slice(eq.j)], eq.i
+            expected = frozenset(out_neighbors(h.substructures[eq.j], eq.i))
+            level, unit = rates[h.sub_slice(eq.j)], eq.i
         observed = frozenset(np.flatnonzero(level > 0.0).tolist()) - {unit}
         checks.append(EquilibriumEigenCheck(eq.name, expected, observed, expected == observed))
     return CorrespondenceReport(checks, all(c.passed for c in checks))
@@ -253,16 +269,16 @@ def extract_itinerary(
     below epsilon, see _active_runs), so a visit never spans a window
     boundary. The gate distances of all blocks come from one pass over X.
     """
-    if not 0.0 < near_tol < 0.5:
-        raise ValueError("near_tol must lie in (0, 0.5) for visit uniqueness")
-    layout = p.layout
+    check_analysis_value("near_tol", near_tol)
+    check_analysis_value("min_dwell", min_dwell)
+    h = p.hierarchy
     times = traj.times
-    X = traj.states[:, layout.super_slice]
+    X = traj.states[:, h.super_slice]
     visits = _runs_to_visits(_vertex_stream(X, near_tol), times, min_dwell, None)
     reports = [ItineraryReport(LEVEL_SUPER, None, visits, None, near_tol, min_dwell)]
     for j, (active, starts, ends) in enumerate(_active_runs(X, p.epsilon)):
         windows = list(zip(times[starts].tolist(), times[ends - 1].tolist()))
-        vert = np.where(active, _vertex_stream(traj.states[:, layout.sub_slice(j)], near_tol), -1)
+        vert = np.where(active, _vertex_stream(traj.states[:, h.sub_slice(j)], near_tol), -1)
         visits = _runs_to_visits(vert, times, min_dwell, starts)
         reports.append(ItineraryReport(LEVEL_SUB, j, visits, windows, near_tol, min_dwell))
     return reports
@@ -318,21 +334,18 @@ def witness_initial_condition(w: WitnessSpec, p: FieldParams) -> np.ndarray:
     X_j = 1 - eta, X_k = eta, x^j = e_1, x^k_1 = eta, everything else exactly
     zero, with eta = delta / 2.
     """
-    if not w.delta > 0.0:
-        raise ValueError("delta must be positive")
-    if w.delta >= 1.0:
-        raise ValueError("delta must be below 1 for a meaningful witness")
+    check_analysis_value("witness_deltas", (w.delta,))
     if (w.j, w.k) not in p.hierarchy.superstructure.edges:
         raise NotAnEdgeError(
             f"({w.j + 1},{w.k + 1}) is not an edge of the superstructure"
         )
-    layout = p.layout
-    state = np.zeros(layout.dimension)
+    h = p.hierarchy
+    state = np.zeros(h.dimension)
     eta = w.eta
     state[w.j] = 1.0 - eta
     state[w.k] = eta
-    state[layout.sub_offset(w.j)] = 1.0
-    state[layout.sub_offset(w.k)] = eta
+    state[h.sub_offset(w.j)] = 1.0
+    state[h.sub_offset(w.k)] = eta
     return state
 
 
@@ -365,19 +378,19 @@ class WitnessResult:
 def _witness_problem(w: WitnessSpec, p_run: FieldParams):
     """Initial state, forward target and live substructure mask of w's runs."""
     s0 = witness_initial_condition(w, p_run)
-    layout = p_run.layout
-    target = np.zeros(layout.dimension)
+    h = p_run.hierarchy
+    target = np.zeros(h.dimension)
     target[w.k] = 1.0
-    target[layout.sub_offset(w.k)] = 1.0
+    target[h.sub_offset(w.k)] = 1.0
     if p_run.variant == VARIANT_BOUNDED:
         # substructure coordinates at exactly 1 are invariant under the
         # bounded decay, so the connection targets the {0,1} copy of the
         # destination network with those coordinates still at 1
         pinned = s0 == 1.0
-        pinned[: layout.n_super] = False
+        pinned[: h.n_super] = False
         target[pinned] = 1.0
     sub_live = s0 > 0.0
-    sub_live[: layout.n_super] = False
+    sub_live[: h.n_super] = False
     return s0, target, sub_live
 
 
@@ -401,7 +414,7 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
         raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
     p_run = _with_unit_timescales(p)
     s0, target, sub_live = _witness_problem(w, p_run)
-    layout = p_run.layout
+    h = p_run.hierarchy
     cfg = IntegratorConfig(t_end=max_time, rtol=WITNESS_TOL, atol=WITNESS_TOL, sample_dt=max_time)
 
     def near_target(state):
@@ -421,10 +434,10 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
     coord = btraj.diverged_coordinate
     name = gate = None
     if coord is not None:
-        name = layout.coord_names()[coord]
-        if coord >= layout.n_super:  # a substructure coordinate: the gate of its block
-            j = int(layout.sub_block_index()[coord - layout.n_super])
-            gate = bump_j(bstate[layout.super_slice], j, p_run.epsilon)
+        name = h.coord_names()[coord]
+        if coord >= h.n_super:  # a substructure coordinate: the gate of its block
+            j = int(h.sub_block_index()[coord - h.n_super])
+            gate = bump_j(bstate[h.super_slice], j, p_run.epsilon)
     gap = float(np.abs(bstate[sub_live] - 1.0).max()) if sub_live.any() else None
 
     return WitnessResult(
@@ -470,7 +483,7 @@ def _run_plans(plans, p: FieldParams) -> list[WitnessResult]:
     done = [res for share in shares for res in share]
     runs = {key: (live, res) for (key, (_, live)), res in zip(first.items(), done)}
 
-    names = p.layout.coord_names()
+    names = p.hierarchy.coord_names()
     results = []
     for w, live, key in plans:
         run_live, res = runs[key]
@@ -518,14 +531,21 @@ class ItineraryOutcome:
 class RealizationReport:
     residuals: ResidualReport
     eigen: CorrespondenceReport
+    runs: list[tuple[str, float]]  # termination and last time of each scenario run
     itineraries: list[ItineraryOutcome]
     witnesses: list[WitnessResult]
+
+    @property
+    def completed(self) -> bool:
+        """Whether every scenario run reached its t_end."""
+        return all(termination == TERMINATION_COMPLETED for termination, _ in self.runs)
 
     @property
     def passed(self) -> bool:
         return (
             self.residuals.passed
             and self.eigen.passed
+            and self.completed
             and all(o.check.passed for o in self.itineraries)
             and all(w.passed for w in self.witnesses)
         )
@@ -551,21 +571,23 @@ def verify_realization(
     plans = _witness_plans(
         [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas], p
     )
-    itineraries, witnesses = workers.run([
+    (runs, itineraries), witnesses = workers.run([
         (_check_itineraries, p, scenarios, near_tol, min_dwell), (_run_plans, plans, p),
     ])
-    return RealizationReport(residuals, eigen, itineraries, witnesses)
+    return RealizationReport(residuals, eigen, runs, itineraries, witnesses)
 
 
-def _check_itineraries(p: FieldParams, scenarios, near_tol: float,
-                       min_dwell: float) -> list[ItineraryOutcome]:
+def _check_itineraries(p: FieldParams, scenarios, near_tol: float, min_dwell: float
+                       ) -> tuple[list[tuple[str, float]], list[ItineraryOutcome]]:
     """Integrate each scenario and check its itinerary, level by level,
-    against [superstructure, substructure 1, ..., substructure N]."""
+    against [superstructure, substructure 1, ..., substructure N]; also
+    return how each run ended."""
     graphs = [p.hierarchy.superstructure, *p.hierarchy.substructures]
-    itineraries = []
+    runs, itineraries = [], []
     for idx, (s0, cfg) in enumerate(scenarios):
         traj = integrate(s0, p, cfg)
+        runs.append((traj.termination, traj.last_time))
         reports = extract_itinerary(traj, p, near_tol=near_tol, min_dwell=min_dwell)
         itineraries += [ItineraryOutcome(idx, rep, check_itinerary_against(rep, g))
                         for rep, g in zip(reports, graphs)]
-    return itineraries
+    return runs, itineraries

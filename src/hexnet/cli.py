@@ -86,12 +86,12 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     params = sc.field_params()
     traj = integrate(sc.initial_state(), params, sc.integrator)
-    write_timeseries(traj, params.layout, out / "timeseries.csv")
+    write_timeseries(traj, params.hierarchy, out / "timeseries.csv")
     itinerary = extract_itinerary(traj, params, near_tol=sc.near_tol, min_dwell=sc.min_dwell)
     with publish(out / "itinerary.txt") as fh:
         fh.write("\n".join(render_itinerary(rep) for rep in itinerary))
     if args.plots:
-        write_svg_panels(traj, params.layout, itinerary, out / "plot.svg")
+        write_svg_panels(traj, params.hierarchy, itinerary, out / "plot.svg")
     print(
         f"simulated to t={traj.last_time:g}: {traj.stats.accepted} steps accepted,"
         f" {traj.stats.rejected} rejected, termination {traj.termination}"
@@ -99,7 +99,7 @@ def cmd_simulate(args) -> int:
     if traj.termination != TERMINATION_COMPLETED:
         where = ""
         if traj.diverged_coordinate is not None:
-            where = f" in {params.layout.coord_names()[traj.diverged_coordinate]}"
+            where = f" in {params.hierarchy.coord_names()[traj.diverged_coordinate]}"
         print(f"integration failed: {traj.termination}{where}", file=sys.stderr)
         return EXIT_INTEGRATION
     return EXIT_OK
@@ -121,6 +121,8 @@ def cmd_verify(args) -> int:
     with publish(out / "report.txt") as fh:
         fh.write(text)
     print(text, end="")
+    if not report.completed:
+        return EXIT_INTEGRATION
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

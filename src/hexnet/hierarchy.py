@@ -1,5 +1,9 @@
 """Directed graphs and two-level hierarchical collections of them.
 
+A hierarchy also fixes the layout of the state vector: X, one coordinate per
+superstructure vertex, then one block x^j per substructure, in order.
+HierarchySpec addresses that vector by level, block and index.
+
 Vertices are 0-based everywhere in memory; conversion to the 1-based labels
 used in files and reports happens only at the I/O boundary.
 """
@@ -44,7 +48,8 @@ class Digraph:
 
 @dataclass(frozen=True)
 class HierarchySpec:
-    """A superstructure digraph plus one substructure digraph per vertex."""
+    """A superstructure digraph plus one substructure digraph per vertex, and
+    the layout of the state vector they define."""
 
     superstructure: Digraph
     substructures: tuple[Digraph, ...]
@@ -60,6 +65,29 @@ class HierarchySpec:
     @property
     def dimension(self) -> int:
         return self.n_super + sum(self.block_sizes)
+
+    @property
+    def super_slice(self) -> slice:
+        return slice(0, self.n_super)
+
+    def sub_offset(self, j: int) -> int:
+        if not 0 <= j < self.n_super:
+            raise VertexOutOfRangeError(f"substructure index {j + 1} out of range")
+        return self.n_super + sum(self.block_sizes[:j])
+
+    def sub_slice(self, j: int) -> slice:
+        off = self.sub_offset(j)
+        return slice(off, off + self.block_sizes[j])
+
+    def sub_block_index(self) -> np.ndarray:
+        """For each substructure coordinate, the index j of its block."""
+        return np.repeat(np.arange(self.n_super), self.block_sizes)
+
+    def coord_names(self) -> list[str]:
+        names = [f"X{j + 1}" for j in range(self.n_super)]
+        for j, nj in enumerate(self.block_sizes):
+            names += [f"x{j + 1}_{i + 1}" for i in range(nj)]
+        return names
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,6 @@ class Trajectory:
     last_time: float
     last_state: np.ndarray
     diverged_coordinate: int | None = None
-    diverged_time: float | None = None
 
 
 def _sample_grid(t_end: float, dt: float) -> np.ndarray:
@@ -255,7 +254,7 @@ def integrate(
     complete keeps only the samples up to its last time. Backward direction
     integrates the time-reversed field.
     """
-    d = p.layout.dimension
+    d = p.hierarchy.dimension
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (d,):
         raise DimensionMismatchError(f"initial state has shape {s0.shape}, expected ({d},)")
@@ -326,7 +325,6 @@ def integrate(
     n_evals = 0
     termination = TERMINATION_COMPLETED
     div_coord: int | None = None
-    div_time: float | None = None
 
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         n_evals += run_stages(first_row, u)
@@ -383,7 +381,6 @@ def integrate(
                 if u.max() > _LOG_DIVERGENCE:
                     termination = TERMINATION_DIVERGED
                     div_coord = int(live[int(np.argmax(u))])
-                    div_time = t
                     break
                 if until is not None:
                     state = np.zeros(d)
@@ -414,5 +411,4 @@ def integrate(
         last_time=t,
         last_state=last_state,
         diverged_coordinate=div_coord,
-        diverged_time=div_time,
     )

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import workers
 from .analysis import LEVEL_SUPER, RealizationReport, ItineraryReport, WitnessResult
-from .integrator import Trajectory
-from .vectorfield import VARIANT_BOUNDED, BlockLayout
+from .hierarchy import HierarchySpec
+from .integrator import TERMINATION_COMPLETED, Trajectory
+from .vectorfield import VARIANT_BOUNDED
 
 __all__ = [
     "publish",
@@ -79,7 +80,7 @@ def _append(part, fd: int) -> None:
         offset += os.sendfile(fd, part.fileno(), offset, size - offset)
 
 
-def write_timeseries(traj: Trajectory, layout: BlockLayout, path) -> None:
+def write_timeseries(traj: Trajectory, layout: HierarchySpec, path) -> None:
     """CSV with header t, X1..XN, x1_1..; each value as format(x, ".17g")
     renders it, 17 significant digits.
 
@@ -186,6 +187,9 @@ def render_report(report: RealizationReport) -> str:
     lines.append("")
 
     lines.append("[itineraries]")
+    for idx, (termination, t) in enumerate(report.runs):
+        if termination != TERMINATION_COMPLETED:
+            lines.append(f"  scenario {idx + 1}: termination {termination} at t={t:g}: FAIL")
     for o in report.itineraries:
         head = "super" if o.report.level == LEVEL_SUPER else f"sub {o.report.j + 1}"
         seq = ",".join(str(v.vertex + 1) for v in o.report.visits) or "(none)"
@@ -228,48 +232,35 @@ def _polyline(ts, ys, x0, y0, w, h, t_max, y_max, color) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
 
 
-def write_svg_panels(traj: Trajectory, layout: BlockLayout,
+def write_svg_panels(traj: Trajectory, layout: HierarchySpec,
                      itinerary: list[ItineraryReport], path) -> None:
     """One panel for X, one per substructure block shaded over the active
     windows of its report in itinerary (extract_itinerary's list); each
     trace draws at most _MAX_POINTS samples."""
-    n_panels = 1 + layout.n_super
+    panels = [("X (superstructure)", layout.super_slice, [])]
+    panels += [(f"x^{rep.j + 1} (substructure {rep.j + 1})", layout.sub_slice(rep.j),
+                rep.active_windows) for rep in itinerary[1:]]
     idx = np.linspace(0, traj.times.shape[0] - 1, min(_MAX_POINTS, traj.times.shape[0]))
     idx = np.unique(idx.astype(int))
     ts = traj.times[idx]
     t_max = max(float(traj.times[-1]), 1e-12)
-    X_full = traj.states[:, layout.super_slice]
 
-    height = _MARGIN_T + n_panels * (_PANEL_H + _GAP)
+    height = _MARGIN_T + len(panels) * (_PANEL_H + _GAP)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PANEL_W + _MARGIN_L + 20}"'
         f' height="{height}" font-family="sans-serif" font-size="11">'
     ]
-
-    def panel_header(row, label):
+    for row, (label, coords, windows) in enumerate(panels):
         y0 = _MARGIN_T + row * (_PANEL_H + _GAP)
         parts.append(
             f'<rect x="{_MARGIN_L}" y="{y0}" width="{_PANEL_W}" height="{_PANEL_H}"'
             f' fill="white" stroke="#999"/>'
         )
         parts.append(f'<text x="{_MARGIN_L}" y="{y0 - 5}">{label}</text>')
-        return y0
-
-    y0 = panel_header(0, "X (superstructure)")
-    y_max = max(1.05, float(X_full.max()) * 1.05)
-    for m in range(layout.n_super):
-        parts.append(
-            _polyline(ts, X_full[idx, m], _MARGIN_L, y0, _PANEL_W, _PANEL_H,
-                      t_max, y_max, _PALETTE[m % len(_PALETTE)])
-        )
-
-    for rep in itinerary[1:]:
-        j = rep.j
-        y0 = panel_header(1 + j, f"x^{j + 1} (substructure {j + 1})")
-        parts += [_shade(t0, t1, y0, t_max) for t0, t1 in rep.active_windows]
-        block = traj.states[:, layout.sub_slice(j)]
+        parts += [_shade(t0, t1, y0, t_max) for t0, t1 in windows]
+        block = traj.states[:, coords]
         y_max = max(1.05, float(block.max()) * 1.05)
-        for m in range(layout.block_sizes[j]):
+        for m in range(block.shape[1]):
             parts.append(
                 _polyline(ts, block[idx, m], _MARGIN_L, y0, _PANEL_W, _PANEL_H,
                           t_max, y_max, _PALETTE[m % len(_PALETTE)])

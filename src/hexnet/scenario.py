@@ -20,7 +20,9 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from .analysis import DEFAULT_MIN_DWELL, DEFAULT_NEAR_TOL, DEFAULT_WITNESS_DELTAS
+from .analysis import (
+    DEFAULT_MIN_DWELL, DEFAULT_NEAR_TOL, DEFAULT_WITNESS_DELTAS, check_analysis_value,
+)
 from .errors import (
     CoefficientSignError,
     DimensionMismatchError,
@@ -226,19 +228,6 @@ class _Section:
         return {key: value for key, value in values if value is not None}
 
 
-_ANALYSIS_RULES = {  # key: (test, rule)
-    "near_tol": (lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)"),
-    "min_dwell": (lambda v: v >= 0.0, "must be nonnegative"),
-    "witness_deltas": (lambda v: all(0.0 < d < 1.0 for d in v), "each delta must lie in (0, 1)"),
-}
-
-
-def _analysis_rule(key, value) -> None:
-    holds, rule = _ANALYSIS_RULES[key]
-    if not holds(value):
-        raise ValueError(f"{rule}, got {value!r}")
-
-
 _FIELD = _Section(
     "field",
     {"epsilon": _number, "phi": _number, "psi": _number, "omega": _number,
@@ -257,7 +246,7 @@ _ANALYSIS = _Section(
     "analysis",
     {"near_tol": _number, "min_dwell": _number,
      "witness_deltas": lambda value, path: _numbers(value, path, nonempty=True)},
-    _analysis_rule,
+    check_analysis_value,
 )
 _SECTIONS = (_FIELD, _INTEGRATOR, _ANALYSIS)
 _TOP_KEYS = ("hierarchy", "coefficients", "field", "initial_state", "integrator", "analysis")

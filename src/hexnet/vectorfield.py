@@ -1,12 +1,14 @@
 """Polynomial vector fields realizing a hierarchy of digraphs.
 
 The state vector stacks the superstructure block X (length N) and one block
-x^j per substructure (length n_j). Every coordinate multiplies its own
-equation, so all coordinate subspaces are dynamically invariant. Substructure
-blocks are gated by a smooth bump of the squared distance between X and the
-corresponding unit vector, and the three timescale factors speed up or slow
-down the superstructure motion, the active substructure motion and the decay
-of inactive substructures independently.
+x^j per substructure (length n_j). The hierarchy (HierarchySpec) fixes that
+layout and addresses it, so FieldParams.layout is FieldParams.hierarchy.
+Every coordinate multiplies its own equation, so all coordinate subspaces
+are dynamically invariant. Substructure blocks are gated by a smooth bump of
+the squared distance between X and the corresponding unit vector, and the
+three timescale factors speed up or slow down the superstructure motion, the
+active substructure motion and the decay of inactive substructures
+independently.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ __all__ = [
     "EPSILON_HARD_BOUND",
     "EPSILON_DISJOINT_BOUND",
     "check_field_value",
-    "BlockLayout",
     "CoefficientSet",
     "FieldParams",
     "Equilibrium",
@@ -64,45 +65,6 @@ _ORIENTATIONS = (ORIENTATION_EIGENVALUE, ORIENTATION_LITERAL)
 
 EPSILON_HARD_BOUND = np.sqrt(2.0) / 2.0
 EPSILON_DISJOINT_BOUND = 0.5
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Offset table addressing the flat state vector by (level, block, index)."""
-
-    n_super: int
-    block_sizes: tuple[int, ...]
-
-    @classmethod
-    def from_hierarchy(cls, h: HierarchySpec) -> "BlockLayout":
-        return cls(h.n_super, h.block_sizes)
-
-    @property
-    def dimension(self) -> int:
-        return self.n_super + sum(self.block_sizes)
-
-    @property
-    def super_slice(self) -> slice:
-        return slice(0, self.n_super)
-
-    def sub_offset(self, j: int) -> int:
-        if not 0 <= j < self.n_super:
-            raise VertexOutOfRangeError(f"substructure index {j + 1} out of range")
-        return self.n_super + sum(self.block_sizes[:j])
-
-    def sub_slice(self, j: int) -> slice:
-        off = self.sub_offset(j)
-        return slice(off, off + self.block_sizes[j])
-
-    def sub_block_index(self) -> np.ndarray:
-        """For each substructure coordinate, the index j of its block."""
-        return np.repeat(np.arange(self.n_super), self.block_sizes)
-
-    def coord_names(self) -> list[str]:
-        names = [f"X{j + 1}" for j in range(self.n_super)]
-        for j, nj in enumerate(self.block_sizes):
-            names += [f"x{j + 1}_{i + 1}" for i in range(nj)]
-        return names
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +292,14 @@ class FieldParams:
     omega: float = 1.0
     variant: str = VARIANT_STANDARD
 
-    layout: BlockLayout = field(init=False, repr=False, compare=False)
     _rates: RateTable = field(init=False, repr=False, compare=False)  # on every coordinate
 
     @property
     def hierarchy(self) -> HierarchySpec:
+        """The hierarchy, which is also the layout of the state vector."""
         return self.coeffs.hierarchy
+
+    layout = hierarchy
 
     def __post_init__(self):
         for name in ("variant", "epsilon", "phi", "psi", "omega"):
@@ -347,19 +311,18 @@ class FieldParams:
                 stacklevel=3,
             )
 
-        layout = BlockLayout.from_hierarchy(self.hierarchy)
-        n = layout.n_super
+        h = self.hierarchy
 
         # Ungated rates are offset + matrix @ state**2. Each diagonal block is
         # the block's coefficient matrix minus all-ones (the -|block|^2 term),
         # scaled by phi (superstructure) or psi (substructures); the last row
         # gives 1 + |X|^2, from which the gate distances follow.
-        d = layout.dimension
+        d = h.dimension
         matrix = np.zeros((d + 1, d))
         offset = np.empty(d + 1)
-        blocks = [("a", layout.super_slice, self.coeffs.a, self.phi)]
-        blocks += [(f"alphas[{j + 1}]", layout.sub_slice(j), self.coeffs.alphas[j], self.psi)
-                   for j in range(n)]
+        blocks = [("a", h.super_slice, self.coeffs.a, self.phi)]
+        blocks += [(f"alphas[{j + 1}]", h.sub_slice(j), self.coeffs.alphas[j], self.psi)
+                   for j in range(h.n_super)]
         for where, sl, coeffs, scale in blocks:
             rates = scale * (coeffs - 1.0)
             matrix[sl, sl] = rates
@@ -371,10 +334,9 @@ class FieldParams:
             lost = np.sign(rates) != np.sign(coeffs)
             if lost.any():
                 _refuse_lost_sign(where, coeffs, scale, rates, lost, self.coeffs.orientation)
-        matrix[d, layout.super_slice] = 1.0
+        matrix[d, h.super_slice] = 1.0
         offset[d] = 1.0
 
-        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_rates", _restrict(self, matrix, offset, np.arange(d), False))
 
 
@@ -438,13 +400,13 @@ def _restrict(p: FieldParams, matrix: np.ndarray, offset: np.ndarray, live,
               backward: bool) -> RateTable:
     """rate_table of p, cut from the (d+1) x d matrix and offset of its rates
     on every coordinate."""
-    layout = p.layout
-    n = layout.n_super
+    h = p.hierarchy
+    n = h.n_super
     live = np.asarray(live, dtype=np.intp)
     sub_start = int(np.searchsorted(live, n))
-    blocks = layout.sub_block_index()[live[sub_start:] - n].tolist()
+    blocks = h.sub_block_index()[live[sub_start:] - n].tolist()
     gates = sorted(set(blocks))
-    rows = np.append(live, layout.dimension)
+    rows = np.append(live, h.dimension)
     matrix = matrix.take(rows, axis=0).take(live, axis=1)
     offset = offset[rows]
     omega = p.omega
@@ -500,10 +462,9 @@ def growth_rates(v: np.ndarray, t: RateTable) -> np.ndarray:
 
 def _check_state(state, p: FieldParams) -> np.ndarray:
     state = np.asarray(state, dtype=float)
-    if state.shape != (p.layout.dimension,):
-        raise DimensionMismatchError(
-            f"state has shape {state.shape}, expected ({p.layout.dimension},)"
-        )
+    d = p.hierarchy.dimension
+    if state.shape != (d,):
+        raise DimensionMismatchError(f"state has shape {state.shape}, expected ({d},)")
     if not np.isfinite(state).all():
         raise NonFiniteError("state contains non-finite entries")
     return state
@@ -542,18 +503,18 @@ class Equilibrium:
 def designed_equilibria(p: FieldParams) -> list[Equilibrium]:
     """Origin, all Super(j) and all Sub(j, i); field values are exactly zero
     there (every term carries a vanishing factor in exact arithmetic)."""
-    layout = p.layout
-    d = layout.dimension
+    h = p.hierarchy
+    d = h.dimension
     out = [Equilibrium("origin", None, None, np.zeros(d))]
-    for j in range(layout.n_super):
+    for j in range(h.n_super):
         st = np.zeros(d)
         st[j] = 1.0
         out.append(Equilibrium("super", j, None, st))
-    for j in range(layout.n_super):
-        for i in range(layout.block_sizes[j]):
+    for j in range(h.n_super):
+        for i in range(h.block_sizes[j]):
             st = np.zeros(d)
             st[j] = 1.0
-            st[layout.sub_offset(j) + i] = 1.0
+            st[h.sub_offset(j) + i] = 1.0
             out.append(Equilibrium("sub", j, i, st))
     return out
 

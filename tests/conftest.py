@@ -88,6 +88,7 @@ coefficients:
   c_minus: -1.5
 field:
   epsilon: 0.2
+  psi: 5.0
 initial_state:
   X: [0.9, 0.1, 0.1]
   x:
@@ -106,7 +107,8 @@ analysis:
 
 @pytest.fixture(scope="session")
 def small_scenario_file(tmp_path_factory):
-    """A cheap unit-timescale scenario for CLI and workbench tests."""
+    """A cheap scenario for CLI and workbench tests: unit timescales except
+    psi = 5, fast enough that every block walks its cycle by t = 80."""
     path = tmp_path_factory.mktemp("scen") / "small.yaml"
     path.write_text(_SMALL_SCENARIO, encoding="utf-8")
     return path

@@ -27,8 +27,10 @@ Claims covered:
     - run_witnesses equals per-spec run_witness field for field, with one
       CPU and with worker processes, runs each distinct witness subsystem
       once over all processes, and keeps nothing between calls
-    - verify_realization aggregation on a cheap unit-timescale scenario,
-      including the deliberately transposed orientation failing; with two
+    - verify_realization aggregation on a cheap scenario whose every level
+      checks at least one transition, including the deliberately transposed
+      orientation failing; a scenario run that does not complete fails the
+      verdict; with two
       CPUs it forks exactly one worker; it extracts each scenario's
       itinerary once and checks it against [superstructure, blocks 1..N]
 """
@@ -436,6 +438,28 @@ def test_witness_requires_edge(example1):
         witness_initial_condition(WitnessSpec(0, 2, 0.01), p)  # (1,3) not an edge
 
 
+@pytest.mark.parametrize("name, value, call", [
+    ("near_tol", 0.5, lambda traj, p: extract_itinerary(traj, p, near_tol=0.5)),
+    ("min_dwell", -1.0, lambda traj, p: extract_itinerary(traj, p, min_dwell=-1.0)),
+    ("witness_deltas", (0.0,),
+     lambda traj, p: witness_initial_condition(WitnessSpec(0, 1, 0.0), p)),
+    ("witness_deltas", (1.0,),
+     lambda traj, p: witness_initial_condition(WitnessSpec(0, 1, 1.0), p)),
+])
+def test_analysis_options_have_one_rule(small_scenario, name, value, call):
+    # the API refuses what the scenario loader refuses, with the same message
+    from hexnet.scenario import apply_overrides
+
+    sc, p, s0 = small_scenario
+    traj = integrate(s0, p, IntegratorConfig(t_end=1.0, sample_dt=0.5))
+    with pytest.raises(ValueError) as api:
+        call(traj, p)
+    with pytest.raises(ScenarioValidationError) as loader:
+        apply_overrides(sc, **{name: value})
+    assert loader.value.path == f"analysis.{name}"
+    assert str(api.value) == loader.value.message
+
+
 def test_run_witness_forward_and_backward(example1):
     _, p, _ = example1
     res = run_witness(WitnessSpec(0, 1, 1e-2), p)
@@ -608,8 +632,11 @@ def test_verify_realization_small_scenario(small_scenario):
     assert report.residuals.passed
     assert report.eigen.passed
     assert all(o.check.passed for o in report.itineraries)
+    # every level checks transitions, so none passes vacuously
+    assert [o.check.n_pairs > 0 for o in report.itineraries] == [True] * 4
     assert all(w.passed for w in report.witnesses)
     assert len(report.witnesses) == 3
+    assert report.runs == [("completed", 80.0)]
     assert report.passed
 
 

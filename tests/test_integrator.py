@@ -16,8 +16,8 @@ Claims covered:
     - the until predicate: called once per accepted step, ends the run
       "stopped" at the first step where it holds, changes nothing when
       it never fires
-    - last_time and diverged_time are Python floats for completed, stopped,
-      diverged and empty runs
+    - last_time is a Python float for completed, stopped, diverged and
+      empty runs
 """
 import numpy as np
 import pytest
@@ -259,7 +259,7 @@ def test_backward_divergence_detection(example1):
     name = p1.layout.coord_names()[traj.diverged_coordinate]
     assert name.startswith("x")
     assert traj.last_state[traj.diverged_coordinate] >= DIVERGENCE_BOUND * 0.9
-    assert traj.diverged_time < 200.0
+    assert traj.last_time < 200.0
 
 
 def test_step_statistics(example1, monkeypatch):
@@ -343,7 +343,7 @@ def test_until_stops_at_first_step_where_it_holds(example1):
 
 
 def test_times_are_python_floats(example1):
-    # last_time and diverged_time are plain floats however a run ends,
+    # last_time is a plain float however a run ends,
     # also for an integer t_end and for a run with nothing to integrate
     from hexnet.analysis import WitnessSpec, witness_initial_condition
 
@@ -364,5 +364,3 @@ def test_times_are_python_floats(example1):
     for name, traj in runs.items():
         assert type(traj.last_time) is float, name
     assert runs["completed"].last_time == runs["all masked"].last_time == 1.0
-    assert type(runs["diverged"].diverged_time) is float
-    assert runs["diverged"].diverged_time == runs["diverged"].last_time

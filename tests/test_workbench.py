@@ -78,6 +78,7 @@ def test_bundled_example1_values(example1):
     assert sc.orientation == "eigenvalue" and sc.variant == "standard"
     assert s0.tolist() == [0.9, 0.1, 0.1, 0.999, 0.1, 0.1, 0.1, 0.999, 0.1, 0.9, 0.1, 0.3, 1e-6]
     assert p.layout.dimension == 13
+    assert p.layout is p.hierarchy  # the hierarchy is the state layout
 
 
 def test_bundled_example2_values(example2):
@@ -692,7 +693,8 @@ def test_render_report_marks_itineraries_without_pairs_not_exercised():
     ]
     for checked, verdict in [(outcomes[:3], "PASS"), (outcomes, "FAIL")]:
         report = analysis.RealizationReport(analysis.ResidualReport([], 0.0, 1e-12, True),
-                                            analysis.CorrespondenceReport([], True), checked, [])
+                                            analysis.CorrespondenceReport([], True),
+                                            [("completed", 1.0)], checked, [])
         lines = render_report(report).splitlines()
         # the verdict still counts a level with no checked pair as passed
         assert lines[1] == f"verdict: {verdict}"
@@ -978,6 +980,24 @@ def test_cli_verify_literal_orientation_fails(tmp_path, small_scenario_file, cap
     ])
     assert code == 1
     assert "verdict: FAIL" in (out / "report.txt").read_text(encoding="utf-8")
+
+
+def test_cli_verify_run_that_does_not_complete(tmp_path, capsys):
+    # backward from example1's initial state the step size underflows at
+    # t ~ 0.0096: verify fails under the integration exit code, as simulate does
+    doc = yaml.safe_load(bundled_scenario_path("example1").read_text(encoding="utf-8"))
+    doc["integrator"].update(direction="backward", t_end=50)
+    path = tmp_path / "backward.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 3
+    assert main(["verify", str(path), "--out", str(out)]) == 3
+    assert "verdict: FAIL" in capsys.readouterr().out
+    lines = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "verdict: FAIL"
+    assert lines[lines.index("[itineraries]") + 1] == (
+        "  scenario 1: termination step_failure at t=0.00958219: FAIL"
+    )
 
 
 def test_cli_witness(small_scenario_file, capsys):
