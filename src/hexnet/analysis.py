@@ -17,6 +17,13 @@ _active_runs is the only place that decides where a gate is active.
 The witness runs depend on the field alone, not on each other or on a
 scenario's trajectory, so workers.run spreads them over up to one process
 per available CPU, with results bitwise those of a serial run.
+
+verify_realization integrates each scenario level by level. The field is a
+skew product: X's rates read only X, and block j's read only x^j and,
+through its gate, X. So X alone, with every block masked, follows the
+coupled run's X, and each "X + block j" run follows its (X, x^j); the block
+runs are independent of each other. They go through one workers.run call
+with the witness runs, heaviest first.
 """
 from __future__ import annotations
 
@@ -473,16 +480,19 @@ def _run_each(specs, p: FieldParams) -> list[WitnessResult]:
     return [run_witness(w, p) for w in specs]
 
 
-def _run_plans(plans, p: FieldParams) -> list[WitnessResult]:
-    """The results of run_witnesses for the plans of _witness_plans."""
+def _distinct_runs(plans) -> dict[tuple, tuple[WitnessSpec, np.ndarray]]:
+    """For each run key of plans (_witness_plans), in order: the spec and
+    live coordinates of its first plan."""
     first: dict[tuple, tuple[WitnessSpec, np.ndarray]] = {}
     for w, live, key in plans:
         first.setdefault(key, (w, live))
-    distinct = [w for w, _ in first.values()]
-    shares = workers.run([(_run_each, distinct[s], p) for s in workers.shares(len(distinct))])
-    done = [res for share in shares for res in share]
-    runs = {key: (live, res) for (key, (_, live)), res in zip(first.items(), done)}
+    return first
 
+
+def _plan_results(plans, first, done, p: FieldParams) -> list[WitnessResult]:
+    """The result of each plan, given done, the results of the specs of
+    first (_distinct_runs) in order."""
+    runs = {key: (live, res) for (key, (_, live)), res in zip(first.items(), done)}
     names = p.hierarchy.coord_names()
     results = []
     for w, live, key in plans:
@@ -513,7 +523,11 @@ def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
     per process: this one and forked workers (workers.run). integrate is
     deterministic, so the results are bitwise those of a serial run.
     """
-    return _run_plans(_witness_plans(specs, p), p)
+    plans = _witness_plans(specs, p)
+    first = _distinct_runs(plans)
+    distinct = [w for w, _ in first.values()]
+    shares = workers.run([(_run_each, distinct[s], p) for s in workers.shares(len(distinct))])
+    return _plan_results(plans, first, [res for share in shares for res in share], p)
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +574,12 @@ def verify_realization(
 ) -> RealizationReport:
     """Aggregate residual, eigenvalue, itinerary and witness verification.
 
-    The witnesses depend on the field alone. Their specs are checked first;
-    then workers.run runs them in a forked worker while this process
-    integrates the scenarios and extracts their itineraries, or after the
-    itineraries when only one CPU is available.
+    Each scenario is integrated level by level (_check_itineraries): X alone,
+    then one "X + block j" run per block with a live initial coordinate. The
+    superstructure report comes from the X run and block j's from its own
+    run; a block whose initial coordinates are all 0 is masked and reads the
+    X run. The witness specs are checked first; their runs share one
+    workers.run call with the block runs.
     """
     residuals = verify_equilibria(p)
     eigen = check_edge_eigen_correspondence(p)
@@ -571,23 +587,98 @@ def verify_realization(
     plans = _witness_plans(
         [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas], p
     )
-    (runs, itineraries), witnesses = workers.run([
-        (_check_itineraries, p, scenarios, near_tol, min_dwell), (_run_plans, plans, p),
-    ])
+    runs, itineraries, witnesses = _check_itineraries(p, scenarios, plans, near_tol, min_dwell)
     return RealizationReport(residuals, eigen, runs, itineraries, witnesses)
 
 
-def _check_itineraries(p: FieldParams, scenarios, near_tol: float, min_dwell: float
-                       ) -> tuple[list[tuple[str, float]], list[ItineraryOutcome]]:
-    """Integrate each scenario and check its itinerary, level by level,
-    against [superstructure, substructure 1, ..., substructure N]; also
-    return how each run ended."""
-    graphs = [p.hierarchy.superstructure, *p.hierarchy.substructures]
+def _level_state(s0: np.ndarray, p: FieldParams, j: int | None) -> np.ndarray:
+    """s0 with every block but block j set to exact 0, so masked: the
+    initial state of the X run (j None) or of the "X + block j" run."""
+    h = p.hierarchy
+    level = np.zeros_like(s0)
+    level[h.super_slice] = s0[h.super_slice]
+    if j is not None:
+        level[h.sub_slice(j)] = s0[h.sub_slice(j)]
+    return level
+
+
+def _schedule(weights: list[float], n_bins: int) -> list[list[int]]:
+    """Indices of the block runs in n_bins bins, then the witness job,
+    numbered len(weights).
+
+    The runs are dealt heaviest first, each into the least-loaded bin (of
+    equal loads, the one with fewest runs, then the first), so bin 0, which
+    workers.run keeps in this process, holds the heaviest run. The witness
+    job goes into the lightest bin, the last of equals.
+    """
+    bins = [[] for _ in range(n_bins)]
+    load = [0.0] * n_bins
+
+    def lightest(order) -> int:
+        return min(order, key=lambda b: (load[b], len(bins[b])))
+
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        b = lightest(range(n_bins))
+        bins[b].append(i)
+        load[b] += weights[i]
+    bins[lightest(reversed(range(n_bins)))].append(len(weights))
+    return bins
+
+
+def _first_samples(traj: Trajectory, n: int) -> Trajectory:
+    return replace(traj, times=traj.times[:n], states=traj.states[:n])
+
+
+def _run_jobs(jobs) -> list:
+    return [fn(*args) for fn, *args in jobs]
+
+
+def _check_itineraries(p: FieldParams, scenarios, plans, near_tol: float, min_dwell: float):
+    """The level runs of each scenario and the witness runs of plans.
+
+    Returns how each scenario ended, its itinerary checks level by level
+    against [superstructure, substructure 1, ..., substructure N], and the
+    witness results. The X runs come first, in this process. The block runs
+    and the witness job then go through one workers.run call over at most
+    available_cpus() bins (_schedule), a run weighing the model time its
+    gate is active in the X run's report windows.
+
+    A scenario ends at the earliest last time among its level runs, and
+    records that run's termination and time (the first level on ties, X
+    before the blocks); every level is read only up to that time.
+    """
+    h = p.hierarchy
+
+    def extract(traj):
+        return extract_itinerary(traj, p, near_tol=near_tol, min_dwell=min_dwell)
+
+    x_runs = [integrate(_level_state(s0, p, None), p, cfg) for s0, cfg in scenarios]
+    x_reports = [extract(traj) for traj in x_runs]
+    blocks = [(idx, j) for idx, (s0, _) in enumerate(scenarios)
+              for j in range(h.n_super) if s0[h.sub_slice(j)].any()]
+    jobs = [(integrate, _level_state(scenarios[idx][0], p, j), p, scenarios[idx][1])
+            for idx, j in blocks]
+    weights = [sum(b - a for a, b in x_reports[idx][1 + j].active_windows) for idx, j in blocks]
+    first = _distinct_runs(plans)
+    jobs.append((_run_each, [w for w, _ in first.values()], p))
+    bins = _schedule(weights, max(1, min(workers.available_cpus(), len(blocks) + bool(plans))))
+    results = [None] * len(jobs)
+    for b, values in zip(bins, workers.run([(_run_jobs, [jobs[i] for i in b]) for b in bins])):
+        for i, value in zip(b, values):
+            results[i] = value
+    *block_runs, done = results
+
+    block_run = dict(zip(blocks, block_runs))
+    graphs = [h.superstructure, *h.substructures]
     runs, itineraries = [], []
-    for idx, (s0, cfg) in enumerate(scenarios):
-        traj = integrate(s0, p, cfg)
-        runs.append((traj.termination, traj.last_time))
-        reports = extract_itinerary(traj, p, near_tol=near_tol, min_dwell=min_dwell)
+    for idx, x_run in enumerate(x_runs):
+        level = {j: traj for (i, j), traj in block_run.items() if i == idx}
+        ended = min([x_run, *level.values()], key=lambda traj: traj.last_time)
+        runs.append((ended.termination, ended.last_time))
+        n = ended.times.shape[0]
+        x_read = x_reports[idx] if x_run.times.shape[0] == n else extract(_first_samples(x_run, n))
+        read = {j: extract(_first_samples(traj, n)) for j, traj in level.items()}
+        reports = [x_read[0]] + [read.get(j, x_read)[1 + j] for j in range(h.n_super)]
         itineraries += [ItineraryOutcome(idx, rep, check_itinerary_against(rep, g))
                         for rep, g in zip(reports, graphs)]
-    return runs, itineraries
+    return runs, itineraries, _plan_results(plans, first, done, p)

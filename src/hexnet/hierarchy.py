@@ -9,7 +9,8 @@ used in files and reports happens only at the I/O boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,22 +50,29 @@ class Digraph:
 @dataclass(frozen=True)
 class HierarchySpec:
     """A superstructure digraph plus one substructure digraph per vertex, and
-    the layout of the state vector they define."""
+    the layout of the state vector they define.
+
+    The block sizes and offsets are computed once, when the spec is built;
+    equality, hash and repr read the two graphs alone."""
 
     superstructure: Digraph
     substructures: tuple[Digraph, ...]
+    block_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # offset of each block in the state vector, then the dimension
+    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = tuple(g.n_vertices for g in self.substructures)
+        object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "_offsets", tuple(accumulate(sizes, initial=self.n_super)))
 
     @property
     def n_super(self) -> int:
         return self.superstructure.n_vertices
 
     @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(g.n_vertices for g in self.substructures)
-
-    @property
     def dimension(self) -> int:
-        return self.n_super + sum(self.block_sizes)
+        return self._offsets[-1]
 
     @property
     def super_slice(self) -> slice:
@@ -73,7 +81,7 @@ class HierarchySpec:
     def sub_offset(self, j: int) -> int:
         if not 0 <= j < self.n_super:
             raise VertexOutOfRangeError(f"substructure index {j + 1} out of range")
-        return self.n_super + sum(self.block_sizes[:j])
+        return self._offsets[j]
 
     def sub_slice(self, j: int) -> slice:
         off = self.sub_offset(j)

@@ -30,9 +30,15 @@ Claims covered:
     - verify_realization aggregation on a cheap scenario whose every level
       checks at least one transition, including the deliberately transposed
       orientation failing; a scenario run that does not complete fails the
-      verdict; with two
-      CPUs it forks exactly one worker; it extracts each scenario's
-      itinerary once and checks it against [superstructure, blocks 1..N]
+      verdict
+    - verify_realization integrates each scenario level by level: its
+      reports equal those of one coupled run in both orientations; it makes
+      one X run, one run per block with a live initial coordinate and the
+      witness runs, over min(cpus, bins) processes with reports bitwise
+      independent of the CPU count; a block whose initial coordinates are
+      all 0 reads the X run; each level run's itinerary is extracted once
+      and checked against [superstructure, blocks 1..N]; the schedule keeps
+      the heaviest run in this process
 """
 import warnings
 
@@ -640,35 +646,165 @@ def test_verify_realization_small_scenario(small_scenario):
     assert report.passed
 
 
-def test_verify_realization_forks_one_worker(small_scenario, force_cpus):
-    sc, p, s0 = small_scenario
-    forks = force_cpus(2)
+def _report_rows(report):
+    """Every itinerary of a RealizationReport, with its check, as plain values."""
+    return [
+        (o.scenario_index, o.report.level, o.report.j,
+         [(v.vertex, v.t_enter, v.t_exit, v.window) for v in o.report.visits],
+         o.report.active_windows, o.check.n_pairs, o.check.violations)
+        for o in report.itineraries
+    ]
+
+
+def _assert_reads_as_coupled(report, coupled):
+    """The itinerary reports of a one-scenario RealizationReport equal
+    extract_itinerary's reports of a coupled run."""
+    for outcome, ref in zip(report.itineraries, coupled, strict=True):
+        rep = outcome.report
+        assert (rep.level, rep.j, rep.labels()) == (ref.level, ref.j, ref.labels())
+        assert [(v.t_enter, v.t_exit, v.window) for v in rep.visits] == [
+            (v.t_enter, v.t_exit, v.window) for v in ref.visits
+        ]
+        assert rep.active_windows == ref.active_windows
+
+
+@pytest.mark.parametrize("orientation", ["eigenvalue", "literal"])
+def test_verify_realization_level_runs_read_as_coupled_run(small_scenario_file, orientation):
+    # the skew product: the X run and the "X + block j" runs give the
+    # itinerary reports that one coupled run gives
+    from hexnet.scenario import load_scenario
+
+    sc = replace(load_scenario(small_scenario_file), orientation=orientation)
+    p, s0 = sc.field_params(), sc.initial_state()
     report = verify_realization(p, [(s0, sc.integrator)], deltas=(0.01,))
-    assert report.passed and len(report.witnesses) == 3
-    assert len(forks()) == 1  # the worker runs every witness itself
+    _assert_reads_as_coupled(report, extract_itinerary(integrate(s0, p, sc.integrator), p))
 
 
-def test_verify_realization_extracts_each_itinerary_once(small_scenario, monkeypatch,
+def test_verify_realization_ends_at_the_first_level_run_that_stops(example1):
+    # backward from example1's initial state block 1's run fails first: the
+    # scenario ends there, and every level is read only up to that time, as
+    # the coupled run's truncated trajectory is
+    sc, p, s0 = example1
+    cfg = replace(sc.integrator, direction="backward", t_end=50.0)
+    coupled = integrate(s0, p, cfg)
+    report = verify_realization(p, [(s0, cfg)], deltas=(0.01,))
+    [(termination, t)] = report.runs
+    assert termination == coupled.termination == "step_failure"
+    assert t == integrate(hexnet.analysis._level_state(s0, p, 0), p, cfg).last_time
+    assert f"{t:g}" == f"{coupled.last_time:g}" == "0.00958219"
+    _assert_reads_as_coupled(report, extract_itinerary(coupled, p))
+    assert not report.completed and not report.passed
+
+
+def test_verify_realization_reads_every_level_up_to_the_first_stop(small_scenario, monkeypatch):
+    # a block 1 run that stops at t = 40 ends the scenario there: X and the
+    # other blocks are read only up to t = 40, though they ran to t = 80
+    sc, p, s0 = small_scenario
+    h = p.hierarchy
+    integrate_ = hexnet.analysis.integrate
+
+    def stopping(state, p_, cfg, **kwargs):
+        if state[h.sub_slice(0)].any():
+            cfg = replace(cfg, t_end=40.0)
+            return replace(integrate_(state, p_, cfg, **kwargs), termination="stopped")
+        return integrate_(state, p_, cfg, **kwargs)
+
+    monkeypatch.setattr(hexnet.analysis, "integrate", stopping)
+    report = verify_realization(p, [(s0, sc.integrator)], deltas=())  # no witness runs
+    assert report.runs == [("stopped", 40.0)]
+    coupled = integrate(s0, p, sc.integrator)
+    n = int(np.searchsorted(coupled.times, 40.0)) + 1
+    cut = replace(coupled, times=coupled.times[:n], states=coupled.states[:n])
+    _assert_reads_as_coupled(report, extract_itinerary(cut, p))
+    assert extract_itinerary(cut, p)[0].labels() != extract_itinerary(coupled, p)[0].labels()
+
+
+def _small_input(small_scenario, dead=None):
+    """small_scenario's field, initial state and integrator settings, with
+    every initial coordinate of block dead set to 0."""
+    sc, p, s0 = small_scenario
+    s0 = s0.copy()
+    if dead is not None:
+        s0[p.hierarchy.sub_slice(dead)] = 0.0
+    return p, s0, sc.integrator
+
+
+@pytest.mark.parametrize("dead", [None, 1])
+def test_verify_realization_integrates_each_level_once(small_scenario, monkeypatch, tmp_path,
+                                                       force_cpus, dead):
+    # one X run, one run per block with a live initial coordinate, and the
+    # 4 witness runs of the 2 subsystems of the 3 witnesses; the block runs
+    # and the witness job fill min(cpus, bins) processes
+    p, s0, cfg = _small_input(small_scenario, dead)
+    n_blocks = 3 if dead is None else 2
+    log = tmp_path / "integrate.log"
+    calls = _count_integrate(monkeypatch, log)
+    reports = []
+    for cpus in (1, 2, 3):
+        forks = force_cpus(cpus)
+        n_forks = len(forks())
+        log.unlink(missing_ok=True)
+        reports.append(verify_realization(p, [(s0, cfg)], deltas=(0.01,)))
+        assert len(calls()) == 1 + n_blocks + 4, cpus
+        assert len(forks()) - n_forks == min(cpus, n_blocks + 1) - 1, cpus
+    first, *others = reports
+    assert first.passed
+    for other in others:  # bitwise the same for any CPU count
+        assert (_report_rows(other), other.runs) == (_report_rows(first), first.runs)
+        for a, b in zip(other.witnesses, first.witnesses, strict=True):
+            _assert_same_fields(a, b)
+
+
+def test_verify_realization_dead_block_reads_the_x_run(small_scenario):
+    # a block whose initial coordinates are all 0 is masked in the coupled
+    # run too: no visits, and the gate windows of X
+    p, s0, cfg = _small_input(small_scenario, dead=1)
+    coupled = extract_itinerary(integrate(s0, p, cfg), p)
+    report = verify_realization(p, [(s0, cfg)], deltas=(0.01,))
+    dead = report.itineraries[2].report
+    assert (dead.j, dead.visits) == (1, [])
+    assert dead.active_windows == coupled[2].active_windows
+
+
+def test_verify_realization_extracts_each_level_run_once(small_scenario, monkeypatch,
                                                          force_cpus):
     sc, p, s0 = small_scenario
-    force_cpus(1)  # the itineraries and the witnesses all run in this process
+    force_cpus(1)  # the level runs and the witnesses all run in this process
+    h = p.hierarchy
     seen = []
     extract = hexnet.analysis.extract_itinerary
 
     def counting(traj, *args, **kwargs):
-        seen.append(traj.last_time)
+        live = [j for j in range(h.n_super) if not traj.mask[h.sub_slice(j)].all()]
+        seen.append((traj.last_time, live))
         return extract(traj, *args, **kwargs)
 
     monkeypatch.setattr(hexnet.analysis, "extract_itinerary", counting)
     scenarios_ = [(s0, replace(sc.integrator, t_end=t)) for t in (5.0, 10.0)]
     report = verify_realization(p, scenarios_, deltas=(0.01,))
-    assert seen == [5.0, 10.0]
-    n = p.layout.n_super
+    # the X runs first, for the schedule; then each scenario's block runs
+    assert seen == [(5.0, []), (10.0, [])] + [
+        (t, [j]) for t in (5.0, 10.0) for j in range(h.n_super)
+    ]
+    n = h.n_super
     assert [(o.scenario_index, o.report.level, o.report.j) for o in report.itineraries] == [
         (idx, level, j)
         for idx in range(2)
         for level, j in [(LEVEL_SUPER, None)] + [(LEVEL_SUB, j) for j in range(n)]
     ]
+
+
+def test_schedule_keeps_the_heaviest_run_here():
+    from hexnet.analysis import _schedule
+
+    # heaviest first into the least-loaded bin (then the one with fewest
+    # runs), the witness job into the lightest bin, the last of equals
+    assert _schedule([1.0, 5.0, 2.0, 2.5], 2) == [[1, 4], [3, 2, 0]]
+    assert _schedule([1.0, 5.0, 2.0, 2.5], 3) == [[1], [3, 4], [2, 0]]
+    assert _schedule([0.0, 0.0, 0.0], 2) == [[0, 2], [1, 3]]
+    assert _schedule([3.0], 2) == [[0], [1]]
+    assert _schedule([3.0], 3) == [[0], [], [1]]
+    assert _schedule([], 1) == [[0]]
 
 
 def test_verify_realization_literal_orientation_fails(small_scenario, small_scenario_file):

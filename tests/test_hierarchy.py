@@ -5,7 +5,11 @@ Claims covered:
     - construction rejects duplicates, range violations, 1-cycles, 2-cycles
     - hierarchy validation aggregates violations with their location
     - out-neighbor queries, edge-list round trip
+    - the state layout is computed when the spec is built, and equality,
+      hash and repr read the two graphs alone
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -106,6 +110,23 @@ def test_example1_hierarchy_valid(example1):
 def test_example2_hierarchy_valid(example2):
     sc, _, _ = example2
     assert validate_hierarchy(sc.hierarchy) == []
+
+
+def test_layout_is_computed_once_and_left_out_of_equality():
+    gamma = digraph_from_edges(3, THREE_CYCLE)
+    blocks = (digraph_from_edges(3, THREE_CYCLE), digraph_from_edges(4, KIRK_SILBER),
+              digraph_from_edges(3, REVERSED_THREE_CYCLE))
+    h = HierarchySpec(gamma, blocks)
+    assert h.block_sizes == (3, 4, 3) and h.dimension == 13
+    assert [h.sub_offset(j) for j in range(3)] == [3, 6, 10]
+    assert [h.sub_slice(j) for j in range(3)] == [slice(3, 6), slice(6, 10), slice(10, 13)]
+    with pytest.raises(VertexOutOfRangeError):
+        h.sub_offset(3)
+    same = HierarchySpec(gamma, blocks)
+    assert same == h and hash(same) == hash(h)
+    assert repr(h) == f"HierarchySpec(superstructure={gamma!r}, substructures={blocks!r})"
+    swapped = replace(h, substructures=blocks[1:] + blocks[:1])  # the layout follows the graphs
+    assert swapped != h and [swapped.sub_offset(j) for j in range(3)] == [3, 7, 10]
 
 
 def test_substructure_count_mismatch():
