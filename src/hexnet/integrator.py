@@ -13,10 +13,12 @@ extension, which costs three extra stages in each step that covers a
 sample.
 
 Each stage is one pass of a single stage loop over preallocated buffers:
-the stage's log-state, clamped at _EXP_CLAMP, then exp, then growth_rates
-into the stage's row of K. The loop counts the evaluations in a local int
-and step-size control runs on Python floats, so the times a run returns are
-floats too.
+the stage's log-state, clamped against an array of _EXP_CLAMP, then exp,
+then growth_rates into the stage's row of K. The loop counts the
+evaluations in a local int and step-size control runs on Python floats, so
+the times a run returns are floats too. An accepted step finds the samples
+it covers with one binary search of the grid, and only a step that covers
+one evaluates the dense stages.
 
 A run ends "completed" at t_end, "diverged" when a live coordinate passes
 DIVERGENCE_BOUND, "step_failure" when the step size underflows, or
@@ -288,6 +290,8 @@ def integrate(
     m = live.size
     u = np.log(s0[live])
     u_new = np.empty(m)
+    abs_new = np.empty(m)
+    clamp = np.full(m, _EXP_CLAMP)
     v = np.empty(m)
     stage = np.empty(m)
     scale = np.empty(m)
@@ -307,11 +311,11 @@ def integrate(
         of rows: clamp, exp, growth_rates. Returns the evaluations made."""
         for a_row, k_head, k_out in rows:
             if a_row is None:
-                np.minimum(base, _EXP_CLAMP, out=v)
+                np.minimum(base, clamp, out=v)
             else:
                 np.dot(a_row, k_head, out=stage)
                 np.add(stage, base, out=stage)
-                np.minimum(stage, _EXP_CLAMP, out=v)
+                np.minimum(stage, clamp, out=v)
             np.exp(v, out=v)
             k_out[:] = growth_rates(v, table)
         return len(rows)
@@ -340,7 +344,8 @@ def integrate(
             combos *= h
             np.add(u, combos[0], out=u_new)
             np.abs(u, out=scale)
-            np.maximum(scale, np.abs(u_new), out=scale)
+            np.abs(u_new, out=abs_new)
+            np.maximum(scale, abs_new, out=scale)
             scale *= cfg.rtol
             scale += cfg.atol
             np.divide(combos[1:], scale, out=ratio)
@@ -359,9 +364,7 @@ def integrate(
                 n_evals += run_stages(fsal_row, u_new)
                 # emit dense-output samples covered by this step
                 if next_i < n_samples and grid[next_i] <= t_new + 1e-10:
-                    j_end = next_i
-                    while j_end < n_samples and grid[j_end] <= t_new + 1e-10:
-                        j_end += 1
+                    j_end = int(np.searchsorted(grid, t_new + 1e-10, side="right"))
                     n_evals += run_stages(dense_rows, u)
                     theta = (grid[next_i:j_end] - t) / h
                     interp = _dense_output(u, u_new, h, K, F, theta)

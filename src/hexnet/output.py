@@ -228,7 +228,7 @@ _MAX_POINTS = 2000
 def _polyline(ts, ys, x0, y0, w, h, t_max, y_max, color) -> str:
     xs = x0 + (ts / t_max) * w
     yy = y0 + h - np.clip(ys / y_max, 0.0, 1.0) * h
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, yy))
+    pts = " ".join(["%.2f,%.2f"] * xs.size) % tuple(np.column_stack((xs, yy)).ravel().tolist())
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
 
 

@@ -367,18 +367,16 @@ class RateTable:
     The m live coordinates are taken in ascending flat order, so the
     superstructure ones come first and the substructure ones start at
     sub_start. matrix is (m+1) x m: the live rate rows, then the gate row
-    that gives 1 + |X|^2. The g gated blocks are those with a live
-    substructure coordinate; gate_x holds, for each, the live position of
-    its X_j, or -1 where X_j is masked. gate_rows (2 x m) indexes each rate
-    row's factor and decay in [1, b_1..b_g, 0, c_1..c_g], with b_k the gate
-    of block k and c_k = omega (1 - b_k); superstructure rows take 1 and 0.
-    A backward table negates the rate rows and omega, not the gate row.
+    that gives 1 + |X|^2. The gated blocks are those with a live
+    substructure coordinate; in ascending order each one's live rows are a
+    contiguous run, and spans holds, for each, (live position of its X_j,
+    or -1 where X_j is masked, first row, end row). A backward table negates
+    the rate rows and omega, not the gate row.
     """
 
     matrix: np.ndarray
     offset: np.ndarray
-    gate_x: tuple[int, ...]
-    gate_rows: np.ndarray
+    spans: tuple[tuple[int, int, int], ...]
     sub_start: int
     epsilon: float
     omega: float
@@ -404,8 +402,7 @@ def _restrict(p: FieldParams, matrix: np.ndarray, offset: np.ndarray, live,
     n = h.n_super
     live = np.asarray(live, dtype=np.intp)
     sub_start = int(np.searchsorted(live, n))
-    blocks = h.sub_block_index()[live[sub_start:] - n].tolist()
-    gates = sorted(set(blocks))
+    blocks = h.sub_block_index()[live[sub_start:] - n]
     rows = np.append(live, h.dimension)
     matrix = matrix.take(rows, axis=0).take(live, axis=1)
     offset = offset[rows]
@@ -415,13 +412,13 @@ def _restrict(p: FieldParams, matrix: np.ndarray, offset: np.ndarray, live,
         offset[:-1] *= -1.0
         omega = -omega
     x_pos = {j: i for i, j in enumerate(live[:sub_start].tolist())}
-    gate_of = {j: k + 1 for k, j in enumerate(gates)}
-    factor = [0] * sub_start + [gate_of[j] for j in blocks]
-    return RateTable(
-        matrix, offset, tuple(x_pos.get(j, -1) for j in gates),
-        np.array([factor, [k + 1 + len(gates) for k in factor]]), sub_start,
-        p.epsilon, omega, p.variant == VARIANT_BOUNDED,
-    )
+    gates, first = np.unique(blocks, return_index=True)
+    first += sub_start
+    ends = np.append(first[1:], live.size)
+    spans = tuple((x_pos.get(j, -1), a, e)
+                  for j, a, e in zip(gates.tolist(), first.tolist(), ends.tolist()))
+    return RateTable(matrix, offset, spans, sub_start, p.epsilon, omega,
+                     p.variant == VARIANT_BOUNDED)
 
 
 def growth_rates(v: np.ndarray, t: RateTable) -> np.ndarray:
@@ -434,29 +431,28 @@ def growth_rates(v: np.ndarray, t: RateTable) -> np.ndarray:
     block j, and g = 1 (standard) or 1 - x^j_i (bounded). A backward table
     gives the negated rates, those of the time-reversed field.
 
-    The gates take one Python pass over the gated blocks, on the gate
-    distance z_j = (1 + |X|^2) - 2 X_j; one multiply and one subtract then
-    apply them to every row. No input validation, no errstate (callers own
-    both).
+    The gates take one Python pass over the spans, on the gate distance
+    z_j = (1 + |X|^2) - 2 X_j, and each gate applies to its own rows only.
+    In the standard variant a gate of exactly 1 leaves them as they are and
+    one of exactly 0 sets them to -omega, which is what the multiply and
+    subtract give for every finite rate. No input validation, no errstate
+    (callers own both).
     """
     r = t.matrix.dot(v * v)
     r += t.offset
     rates = r[:-1]
-    if t.gate_x:
+    if t.spans:
         z0 = float(r[-1])
-        X = v[:t.sub_start].tolist()
-        X.append(0.0)  # position -1: a masked X_j
-        eps, omega = t.epsilon, t.omega
-        gates, decays = [1.0], [0.0]
-        for k in t.gate_x:
-            b = _bump1(z0 - 2.0 * X[k], eps)
-            gates.append(b)
-            decays.append(omega * (1.0 - b))
-        f = np.array(gates + decays).take(t.gate_rows)
-        rates *= f[0]
-        if t.bounded:
-            f[1] *= 1.0 - v
-        rates -= f[1]
+        eps, omega, bounded = t.epsilon, t.omega, t.bounded
+        for k, first, end in t.spans:
+            b = _bump1(z0 - 2.0 * v.item(k) if k >= 0 else z0, eps)
+            if b == 0.0 and not bounded:
+                rates[first:end] = -omega
+            elif b != 1.0 or bounded:
+                c = omega * (1.0 - b)
+                rows = rates[first:end]
+                rows *= b
+                rows -= c * (1.0 - v[first:end]) if bounded else c
     return rates
 
 
@@ -538,9 +534,10 @@ def _rate_derivative(v: np.ndarray, t: RateTable) -> np.ndarray:
     r += t.offset
     D = t.matrix * (2.0 * v)
     s = t.sub_start
-    if t.gate_x:
-        pick = 2.0 * (np.arange(v.shape[0]) == np.array(t.gate_x)[:, None])
-        sub_gate = t.gate_rows[0, s:] - 1
+    if t.spans:
+        x, first, end = np.array(t.spans).T
+        pick = 2.0 * (np.arange(v.shape[0]) == x[:, None])
+        sub_gate = np.repeat(np.arange(x.size), end - first)
         z = r[-1] - pick @ v
         b = bump(z, t.epsilon)[sub_gate]
         db = (bump_derivative(z, t.epsilon)[:, None] * (D[-1] - pick))[sub_gate]

@@ -6,7 +6,9 @@ Claims covered:
     - non-finite configuration values and oversized sample grids are
       rejected before anything is allocated
     - equilibria give constant trajectories; exact zeros stay bitwise zero
-    - dense-output grid shape
+    - dense-output grid shape; a grid point up to 1e-10 past a step's end
+      is that step's sample, and every sample is emitted once when
+      sample_dt does not divide t_end
     - agreement with an independent original-chart integration (scipy RK45)
       on horizons where the original chart can represent the dynamics
     - halving tolerances: identical symbolic itinerary, small state shifts
@@ -340,6 +342,54 @@ def test_until_stops_at_first_step_where_it_holds(example1):
     reference = integrate(s0, p, cfg)
     n = traj.times.shape[0]
     assert np.array_equal(traj.states, reference.states[:n])
+
+
+def _stop_at_step(k):
+    """An until predicate that holds at the k-th accepted step."""
+    calls = 0
+
+    def until(state):
+        nonlocal calls
+        calls += 1
+        return calls == k
+
+    return until
+
+
+def test_sample_just_past_a_step_end_is_that_steps_sample(example1):
+    # a grid point at most 1e-10 after an accepted step's end is emitted by
+    # that step; the sample grid does not move the steps
+    _, p, s0 = example1
+    k, j = 40, 3
+    t_k = integrate(s0, p, IntegratorConfig(t_end=2.0), until=_stop_at_step(k)).last_time
+    for past, rows in ((5e-11, j + 1), (3e-10, j)):
+        cfg = IntegratorConfig(t_end=2.0, sample_dt=(t_k + past) / j)
+        traj = integrate(s0, p, cfg, until=_stop_at_step(k))
+        assert traj.last_time == t_k
+        assert traj.times.shape[0] == traj.states.shape[0] == rows
+        full = integrate(s0, p, cfg)
+        assert full.times[j] > t_k
+        assert np.array_equal(traj.states, full.states[:rows])
+
+
+def test_every_sample_emitted_once_when_sample_dt_does_not_divide_t_end(example1,
+                                                                        monkeypatch):
+    _, p, s0 = example1
+    emitted = []
+    dense_output = integrator._dense_output
+
+    def counting(u, u_new, h, K, F, theta):
+        emitted.append(theta.size)
+        return dense_output(u, u_new, h, K, F, theta)
+
+    monkeypatch.setattr(integrator, "_dense_output", counting)
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.3)
+    traj = integrate(s0, p, cfg)
+    assert np.array_equal(traj.times, integrator._sample_grid(2.0, 0.3))
+    assert traj.times[-1] == 2.0 and traj.times[-2] == 6 * 0.3
+    assert sum(emitted) == traj.times.shape[0] - 1
+    assert np.all(traj.states > 0.0)
+    assert np.abs(traj.states[-1] - traj.last_state).max() <= 1e-12
 
 
 def test_times_are_python_floats(example1):

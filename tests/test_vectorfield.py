@@ -17,7 +17,8 @@ Claims covered:
       parameter sets, both variants) and vanishes on coordinate subspaces
     - rate tables restricted to live coordinates agree with the scalar
       transcription forward, backward, bounded, with a masked X_j (gate
-      exactly 0) and on an N = 10 hierarchy
+      exactly 0) and on an N = 10 hierarchy; their spans are the contiguous
+      live rows of each gated block, with -1 where X_j is masked
     - growth_rates is bitwise equal to the earlier per-block gate arithmetic
       on random live sets: masked X_j with a live block, gates closed, open,
       and exactly 0 or 1 (|w| > 700), forward, backward, bounded and N = 10
@@ -518,6 +519,28 @@ def test_rate_table_masked_gate_is_zero(example1):
             ref = sign * _oracle(s, pv)[live] / s[live]
             assert np.abs(rates - ref).max() <= 1e-12
             assert np.all(rates[block1] == sign * -pv.omega * g)
+
+
+@pytest.mark.parametrize("case", ["forward", "n10"])
+def test_rate_table_spans_are_the_live_rows_of_each_gated_block(example1, case):
+    # each block with a live coordinate owns one contiguous run of live rows;
+    # its span names the live position of its X_j, or -1 where X_j is masked
+    _, p, _ = example1
+    p = _rate_case(p, case)
+    h = p.layout
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        live = np.flatnonzero(rng.random(h.dimension) < (0.2, 0.5, 0.9)[trial % 3])
+        expected = []
+        for j in range(h.n_super):
+            sl = h.sub_slice(j)
+            rows = np.flatnonzero((live >= sl.start) & (live < sl.stop))
+            if rows.size:
+                assert rows[-1] + 1 - rows[0] == rows.size
+                x = np.flatnonzero(live == j)
+                expected.append((int(x[0]) if x.size else -1, int(rows[0]), int(rows[-1]) + 1))
+        for backward in (False, True):
+            assert rate_table(p, live, backward).spans == tuple(expected)
 
 
 def _reference_growth_rates(v, t, p, live):

@@ -24,6 +24,8 @@ Claims covered:
     - CLI overrides rebuild the scenario, and check its coefficients, once
     - itinerary/report rendering and SVG output are well-formed; the SVG
       shades exactly the active windows of the blocks' itinerary reports;
+      its polylines render byte for byte as one f-string per point would,
+      .xx5 ties included;
       report.txt marks an itinerary with no checked pair "not exercised"
     - simulate extracts the itinerary once for itinerary.txt and plot.svg
     - report.txt bytes do not depend on the number of available CPUs
@@ -766,6 +768,31 @@ def test_svg_panels(tmp_path, small_scenario):
         assert float(width) == pytest.approx(
             max((t1 - t0) / t_max * output._PANEL_W, 0.5), abs=0.006
         )
+
+
+def _polyline_by_fstrings(ts, ys, x0, y0, w, h, t_max, y_max, color):
+    """output._polyline as it was, one f-string per point: the byte reference."""
+    xs = x0 + (ts / t_max) * w
+    yy = y0 + h - np.clip(ys / y_max, 0.0, 1.0) * h
+    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, yy))
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
+
+
+def test_polyline_matches_fstring_rendering():
+    rng = np.random.default_rng(43)
+    for n in (0, 1, 7, output._MAX_POINTS):
+        ts = np.sort(rng.uniform(0.0, 80.0, n))
+        ys = rng.uniform(-0.2, 1.3, n)
+        args = (ts, ys, output._MARGIN_L, 18, output._PANEL_W, output._PANEL_H, 80.0, 1.05,
+                "#1f77b4")
+        assert output._polyline(*args) == _polyline_by_fstrings(*args)
+    # .xx5 ties: exact in binary (0.125, 2.375) and not (0.005, 2.675), of
+    # either sign; with x0 = y0 = 0 and unit scales they reach the format as is
+    ties = np.array([0.125, 0.375, 2.375, 0.005, 0.015, 1.005, 2.675, 10.345, 0.0])
+    ties = np.concatenate([ties, -ties, ties + rng.integers(0, 900, ties.size)])
+    args = (ties, 1.0 - np.clip(np.abs(ties), 0.0, 1.0), 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, "#000")
+    assert output._polyline(*args) == _polyline_by_fstrings(*args)
+    assert "0.12," in output._polyline(*args)
 
 
 def test_cli_simulate_extracts_the_itinerary_once(tmp_path, monkeypatch, small_scenario_file,
