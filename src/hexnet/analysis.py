@@ -383,7 +383,9 @@ class WitnessResult:
 
 
 def _witness_problem(w: WitnessSpec, p_run: FieldParams):
-    """Initial state, forward target and live substructure mask of w's runs."""
+    """Initial state, forward target, live substructure mask and coordinate
+    order of w's runs. The order lists the live coordinates by role: X_j,
+    X_k, x^j_1, x^k_1."""
     s0 = witness_initial_condition(w, p_run)
     h = p_run.hierarchy
     target = np.zeros(h.dimension)
@@ -398,7 +400,7 @@ def _witness_problem(w: WitnessSpec, p_run: FieldParams):
         target[pinned] = 1.0
     sub_live = s0 > 0.0
     sub_live[: h.n_super] = False
-    return s0, target, sub_live
+    return s0, target, sub_live, np.array([w.j, w.k, h.sub_offset(w.j), h.sub_offset(w.k)])
 
 
 def _with_unit_timescales(p: FieldParams) -> FieldParams:
@@ -411,7 +413,10 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
     Witness dynamics uses unit timescales; convergence needs no timescale
     separation and the realization statement is scale-neutral. Each
     direction is one integrate run of at most max_time, at rtol = atol =
-    WITNESS_TOL. Forward: it stops once the sup-distance to Sub(k, 1) is
+    WITNESS_TOL, on the four live coordinates in role order (X_j, X_k,
+    x^j_1, x^k_1), so that an edge j -> k runs as any other edge whose
+    subsystem has the same coefficients, whichever of j and k is larger.
+    Forward: it stops once the sup-distance to Sub(k, 1) is
     below 1e-7 (reported against the 1e-6 criterion). Backward: the
     standard variant must reach the divergence bound in a gated-off
     substructure coordinate; the bounded variant stays in [0, 1] and stops
@@ -420,7 +425,7 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
     if not 0.0 < max_time < np.inf:
         raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
     p_run = _with_unit_timescales(p)
-    s0, target, sub_live = _witness_problem(w, p_run)
+    s0, target, sub_live, order = _witness_problem(w, p_run)
     h = p_run.hierarchy
     cfg = IntegratorConfig(t_end=max_time, rtol=WITNESS_TOL, atol=WITNESS_TOL, sample_dt=max_time)
 
@@ -430,11 +435,11 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
     def near_unit(state):
         return float(np.abs(state[sub_live] - 1.0).max()) <= 1e-4
 
-    ftraj = integrate(s0, p_run, cfg, until=near_target)
+    ftraj = integrate(s0, p_run, cfg, until=near_target, order=order)
     fdist = float(np.abs(ftraj.last_state - target).max())
     btraj = integrate(
         s0, p_run, replace(cfg, direction="backward"),
-        until=near_unit if p_run.variant == VARIANT_BOUNDED else None,
+        until=near_unit if p_run.variant == VARIANT_BOUNDED else None, order=order,
     )
     bstate = btraj.last_state
     diverged = btraj.termination == TERMINATION_DIVERGED
@@ -463,12 +468,12 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
 
 
 def _witness_plans(specs, p: FieldParams) -> list[tuple[WitnessSpec, np.ndarray, tuple]]:
-    """(spec, live coordinates, run key) for each spec; checks every spec."""
+    """(spec, live coordinates in role order, run key) for each spec; checks
+    every spec."""
     p_run = _with_unit_timescales(p)
     plans = []
     for w in specs:
-        s0, target, sub_live = _witness_problem(w, p_run)
-        live = np.flatnonzero(s0)
+        s0, target, sub_live, live = _witness_problem(w, p_run)
         table = rate_table(p_run, live)
         key = tuple(np.asarray(getattr(table, f.name)).tobytes() for f in fields(table))
         key += (np.log(s0[live]).tobytes(), target[live].tobytes(), sub_live[live].tobytes())
@@ -499,7 +504,7 @@ def _plan_results(plans, first, done, p: FieldParams) -> list[WitnessResult]:
         run_live, res = runs[key]
         coord = res.backward_coordinate
         if coord is not None:
-            coord = int(live[np.searchsorted(run_live, coord)])
+            coord = int(live[run_live.tolist().index(coord)])
         results.append(replace(
             res, spec=w, backward_coordinate=coord,
             backward_coordinate_name=None if coord is None else names[coord],
@@ -510,14 +515,17 @@ def _plan_results(plans, first, done, p: FieldParams) -> list[WitnessResult]:
 def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
     """run_witness(w, p) for each spec w, integrating each distinct run once.
 
-    A run reads only its live coordinates, those nonzero at the start. Two
-    specs share a run when, on their live coordinates, the forward rate
-    table, the log initial state, the forward target and the live
-    substructure mask are equal byte for byte. The runs are then bitwise
-    the same, so each spec takes its group's result with the backward
-    coordinate moved through its own live set; the gate of that coordinate
-    is equal too, because the table fixes which live X gates it. The
-    grouping lasts for this one call. Every spec is checked before any run.
+    A run reads only its live coordinates, those nonzero at the start, in
+    role order (X_j, X_k, x^j_1, x^k_1). Two specs share a run when, on
+    their live coordinates in that order, the forward rate table, the log
+    initial state, the forward target and the live substructure mask are
+    equal byte for byte. The runs are then bitwise the same, so each spec
+    takes its group's result with the backward coordinate mapped by role
+    to its own; the gate of that coordinate is equal too, because the table
+    fixes which live X gates it. Under a uniform coefficient rule every
+    edge, j < k or j > k, has one subsystem, so one run per delta serves
+    them all. The grouping lasts for this one call. Every spec is checked
+    before any run.
 
     The distinct runs are cut into contiguous shares (workers.shares), one
     per process: this one and forked workers (workers.run). integrate is

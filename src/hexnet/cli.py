@@ -6,6 +6,7 @@ Exit codes: 0 success/pass, 1 verification or validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -144,7 +145,10 @@ def cmd_witness(args) -> int:
     return EXIT_OK if all(res.passed for res in results) else EXIT_FAIL
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. parse_args keeps no
+    state in it: each call returns a new namespace from the defaults."""
     parser = argparse.ArgumentParser(
         prog="hexnet",
         description="Realize hierarchies of digraphs as excitable/heteroclinic networks,"
@@ -172,18 +176,15 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("validate", help="parse and validate a scenario")
     add_common(sp, with_integrator=False)
-    sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("simulate", help="integrate and write timeseries/itineraries")
     add_common(sp)
     sp.add_argument("--out", default="out", help="output directory")
     sp.add_argument("--plots", action="store_true", help="also write SVG panels")
-    sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("verify", help="full realization verification")
     add_common(sp)
     sp.add_argument("--out", default="out", help="output directory")
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("witness", help="run excitable-connection witnesses")
     add_common(sp, with_integrator=False)
@@ -191,11 +192,15 @@ def main(argv=None) -> int:
                     help="single superstructure edge (1-based)")
     sp.add_argument("--delta", type=float, action="append",
                     help="witness amplitude (repeatable)")
-    sp.set_defaults(func=cmd_witness)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a wrapped or replaced command function runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ScenarioError, OSError) as exc:  # OSError: a path named on the command line
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

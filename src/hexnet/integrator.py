@@ -244,6 +244,7 @@ def integrate(
     cfg: IntegratorConfig,
     *,
     until: Callable[[np.ndarray], bool] | None = None,
+    order: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate from a nonnegative state; exact zeros define the mask.
 
@@ -255,6 +256,14 @@ def integrate(
     original chart; the run then ends at that step. A run that does not
     complete keeps only the samples up to its last time. Backward direction
     integrates the time-reversed field.
+
+    order is the order of the stepper's coordinates: the nonzero
+    coordinates of s0, each once, in an order rate_table takes (the
+    superstructure ones first, each block's together). It sets the order in
+    which sums over coordinates are taken, so two runs that differ only in
+    how their coordinates are numbered are bitwise the same when each lists
+    them in one shared role. The default is ascending flat order. An order
+    that breaks these rules raises ValueError before any step.
     """
     d = p.hierarchy.dimension
     s0 = np.asarray(s0, dtype=float)
@@ -267,6 +276,14 @@ def integrate(
 
     mask = s0 == 0.0
     live = np.flatnonzero(~mask)
+    if order is not None:
+        order = np.asarray(order, dtype=np.intp)
+        if not np.array_equal(np.sort(order), live):
+            raise ValueError(f"order must list the nonzero coordinates {live.tolist()} of the"
+                             f" initial state once each, got {order.tolist()}")
+        live = order
+    # The stepper works on the m live coordinates only; masked ones stay 0.
+    table = rate_table(p, live, backward=cfg.direction == "backward")
     grid = _sample_grid(cfg.t_end, cfg.sample_dt)
     n_samples = grid.shape[0]
     states = np.zeros((n_samples, d))
@@ -285,8 +302,6 @@ def integrate(
             last_state=s0.copy(),
         )
 
-    # The stepper works on the m live coordinates only; masked ones stay 0.
-    table = rate_table(p, live, backward=cfg.direction == "backward")
     m = live.size
     u = np.log(s0[live])
     u_new = np.empty(m)

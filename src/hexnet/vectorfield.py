@@ -364,14 +364,14 @@ def _refuse_lost_sign(where: str, coeffs: np.ndarray, scale: float, rates: np.nd
 class RateTable:
     """The folded rate matrix of a FieldParams restricted to live coordinates.
 
-    The m live coordinates are taken in ascending flat order, so the
-    superstructure ones come first and the substructure ones start at
-    sub_start. matrix is (m+1) x m: the live rate rows, then the gate row
-    that gives 1 + |X|^2. The gated blocks are those with a live
-    substructure coordinate; in ascending order each one's live rows are a
-    contiguous run, and spans holds, for each, (live position of its X_j,
-    or -1 where X_j is masked, first row, end row). A backward table negates
-    the rate rows and omega, not the gate row.
+    The m live coordinates are taken in the order rate_table was given:
+    the sub_start superstructure ones first, then the substructure ones,
+    each block's in one contiguous run. matrix is (m+1) x m: the live rate
+    rows, then the gate row that gives 1 + |X|^2. The gated blocks are those
+    with a live substructure coordinate, and spans holds, for each in order,
+    (live position of its X_j, or -1 where X_j is masked, first row, end
+    row). A backward table negates the rate rows and omega, not the gate
+    row.
     """
 
     matrix: np.ndarray
@@ -384,9 +384,12 @@ class RateTable:
 
 
 def rate_table(p: FieldParams, live, backward: bool = False) -> RateTable:
-    """The rate table of p on the coordinates live (ascending flat indices),
-    for the time-reversed field if backward.
+    """The rate table of p on the coordinates live (flat indices, in the
+    order of the table's rows), for the time-reversed field if backward.
 
+    live lists each coordinate once, the superstructure ones before the
+    substructure ones and each block's together; ascending order is one
+    such order. An order that breaks these rules raises ValueError.
     Masked coordinates are exact zeros, so dropping their rows and columns
     changes no live rate. A gated block whose X_j is masked has gate
     distance 1 + |X|^2 >= 1 > epsilon, so its gate is exactly 0.
@@ -401,8 +404,15 @@ def _restrict(p: FieldParams, matrix: np.ndarray, offset: np.ndarray, live,
     h = p.hierarchy
     n = h.n_super
     live = np.asarray(live, dtype=np.intp)
-    sub_start = int(np.searchsorted(live, n))
+    sub_start = int(np.count_nonzero(live < n))
     blocks = h.sub_block_index()[live[sub_start:] - n]
+    first = np.flatnonzero(blocks[1:] != blocks[:-1]) + 1  # where each block's run starts
+    first = np.append(0, first) if blocks.size else first
+    gates = blocks[first]
+    if ((live[:sub_start] >= n).any() or np.bincount(live).max(initial=0) > 1
+            or np.bincount(gates).max(initial=0) > 1):
+        raise ValueError("live must list coordinates once each, the superstructure ones"
+                         f" first and each block's together, got {live.tolist()}")
     rows = np.append(live, h.dimension)
     matrix = matrix.take(rows, axis=0).take(live, axis=1)
     offset = offset[rows]
@@ -412,7 +422,6 @@ def _restrict(p: FieldParams, matrix: np.ndarray, offset: np.ndarray, live,
         offset[:-1] *= -1.0
         omega = -omega
     x_pos = {j: i for i, j in enumerate(live[:sub_start].tolist())}
-    gates, first = np.unique(blocks, return_index=True)
     first += sub_start
     ends = np.append(first[1:], live.size)
     spans = tuple((x_pos.get(j, -1), a, e)

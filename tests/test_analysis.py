@@ -27,6 +27,9 @@ Claims covered:
     - run_witnesses equals per-spec run_witness field for field, with one
       CPU and with worker processes, runs each distinct witness subsystem
       once over all processes, and keeps nothing between calls
+    - witnesses run in role order: under the uniform rule an edge j -> k
+      with j > k gives its j < k twin's result, the backward coordinate
+      mapped by role, so a uniform hierarchy needs one run per delta
     - verify_realization aggregation on a cheap scenario whose every level
       checks at least one transition, including the deliberately transposed
       orientation failing; a scenario run that does not complete fails the
@@ -577,6 +580,35 @@ def test_run_witnesses_equals_run_witness(request, force_cpus, case, variant):
             _assert_same_fields(res, ref)
 
 
+@pytest.mark.parametrize("variant", ["standard", "bounded"])
+@pytest.mark.parametrize("case", ["example1", "uniform_n10"])
+def test_run_witness_of_a_descending_edge_equals_its_ascending_twin(request, case, variant):
+    # both run in role order (X_j, X_k, x^j_1, x^k_1), so under the uniform
+    # rule an edge j -> k with j > k integrates its j < k twin's subsystem
+    # bitwise, and its backward coordinate is the twin's mapped by role
+    p = _uniform_n10() if case == "uniform_n10" else request.getfixturevalue(case)[1]
+    p = replace(p, variant=variant)
+    h = p.hierarchy
+    names = h.coord_names()
+
+    def role(w):
+        return [w.j, w.k, h.sub_offset(w.j), h.sub_offset(w.k)]
+
+    edges = sorted(h.superstructure.edges)
+    twin = WitnessSpec(*next(e for e in edges if e[0] < e[1]), 0.01)
+    ref = run_witness(twin, p)
+    descending = [WitnessSpec(j, k, 0.01) for j, k in edges if j > k]
+    assert len(descending) == {"example1": 1, "uniform_n10": 4}[case]
+    for w in descending:
+        coord = ref.backward_coordinate
+        if coord is not None:
+            coord = role(w)[role(twin).index(coord)]
+        expected = replace(ref, spec=w, backward_coordinate=coord,
+                           backward_coordinate_name=None if coord is None else names[coord])
+        _assert_same_fields(run_witness(w, p), expected)
+    assert (ref.backward_coordinate is not None) == (variant == "standard")
+
+
 def _count_integrate(monkeypatch, log):
     """Append the direction of each integrate call, made in this process or
     in a forked worker, as one line of the file log; return a function that
@@ -593,8 +625,9 @@ def _count_integrate(monkeypatch, log):
 
 
 @pytest.mark.parametrize("case, deltas, n_calls", [
-    ("uniform_n10", (0.01,), 4),  # 20 witnesses, 2 subsystems: j < k and j > k
-    ("example1", DEFAULT_WITNESS_DELTAS, 12),  # 9 witnesses, 6 subsystems
+    ("uniform_n10", (0.01,), 2),  # 20 witnesses, 1 subsystem: j < k and j > k in role order
+    ("example1", DEFAULT_WITNESS_DELTAS, 6),  # 9 witnesses, 3 subsystems
+    ("example2", DEFAULT_WITNESS_DELTAS, 18),  # 15 witnesses, 9 subsystems
 ])
 def test_run_witnesses_integrates_each_subsystem_once(request, monkeypatch, tmp_path, force_cpus,
                                                       case, deltas, n_calls):
@@ -733,7 +766,7 @@ def _small_input(small_scenario, dead=None):
 def test_verify_realization_integrates_each_level_once(small_scenario, monkeypatch, tmp_path,
                                                        force_cpus, dead):
     # one X run, one run per block with a live initial coordinate, and the
-    # 4 witness runs of the 2 subsystems of the 3 witnesses; the block runs
+    # 2 witness runs of the 1 subsystem of the 3 witnesses; the block runs
     # and the witness job fill min(cpus, bins) processes
     p, s0, cfg = _small_input(small_scenario, dead)
     n_blocks = 3 if dead is None else 2
@@ -745,7 +778,7 @@ def test_verify_realization_integrates_each_level_once(small_scenario, monkeypat
         n_forks = len(forks())
         log.unlink(missing_ok=True)
         reports.append(verify_realization(p, [(s0, cfg)], deltas=(0.01,)))
-        assert len(calls()) == 1 + n_blocks + 4, cpus
+        assert len(calls()) == 1 + n_blocks + 2, cpus
         assert len(forks()) - n_forks == min(cpus, n_blocks + 1) - 1, cpus
     first, *others = reports
     assert first.passed

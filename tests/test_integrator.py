@@ -20,6 +20,8 @@ Claims covered:
       it never fires
     - last_time is a Python float for completed, stopped, diverged and
       empty runs
+    - an explicit ascending coordinate order is bitwise the default run; a
+      malformed order is refused before any evaluation
 """
 import numpy as np
 import pytest
@@ -414,3 +416,43 @@ def test_times_are_python_floats(example1):
     for name, traj in runs.items():
         assert type(traj.last_time) is float, name
     assert runs["completed"].last_time == runs["all masked"].last_time == 1.0
+
+
+def _masked_start(s0):
+    s = s0.copy()
+    s[[4, 11]] = 0.0  # x1_2 and x3_3: live is 0-3, 5-10 and 12
+    return s
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_ascending_order_is_the_default_run(example1, direction):
+    _, p, s0 = example1
+    s = _masked_start(s0)
+    cfg = IntegratorConfig(t_end=5.0, sample_dt=0.1, direction=direction)
+    plain = integrate(s, p, cfg)
+    ordered = integrate(s, p, cfg, order=np.flatnonzero(s))
+    for name in ("times", "states", "mask", "last_state"):
+        assert np.array_equal(getattr(ordered, name), getattr(plain, name)), name
+    assert (ordered.termination, ordered.last_time, ordered.diverged_coordinate) == (
+        plain.termination, plain.last_time, plain.diverged_coordinate)
+    assert (ordered.stats.accepted, ordered.stats.rejected, ordered.stats.n_evals) == (
+        plain.stats.accepted, plain.stats.rejected, plain.stats.n_evals)
+
+
+@pytest.mark.parametrize("case", ["repeated", "masked", "missing", "block_first", "split_block"])
+def test_malformed_order_is_refused_before_any_evaluation(example1, monkeypatch, case):
+    _, p, s0 = example1
+    s = _masked_start(s0)
+    live = np.flatnonzero(s)
+    order = {
+        "repeated": np.append(live, live[-1]),
+        "masked": np.append(live, 4),
+        "missing": live[:-1],
+        "block_first": np.concatenate((live[3:4], live[:3], live[4:])),  # x1_1 before X
+        "split_block": np.concatenate((live[:4], live[5:6], live[4:5], live[6:])),  # x1_1, x2_1, x1_3
+    }[case]
+    calls = []
+    monkeypatch.setattr(integrator, "growth_rates", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^(order|live) must list"):
+        integrate(s, p, IntegratorConfig(t_end=1.0), order=order)
+    assert calls == []

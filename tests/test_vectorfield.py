@@ -18,7 +18,9 @@ Claims covered:
     - rate tables restricted to live coordinates agree with the scalar
       transcription forward, backward, bounded, with a masked X_j (gate
       exactly 0) and on an N = 10 hierarchy; their spans are the contiguous
-      live rows of each gated block, with -1 where X_j is masked
+      live rows of each gated block, with -1 where X_j is masked; a table
+      on the live coordinates in any order rate_table takes is the ascending
+      table permuted
     - growth_rates is bitwise equal to the earlier per-block gate arithmetic
       on random live sets: masked X_j with a live block, gates closed, open,
       and exactly 0 or 1 (|w| > 700), forward, backward, bounded and N = 10
@@ -541,6 +543,54 @@ def test_rate_table_spans_are_the_live_rows_of_each_gated_block(example1, case):
                 expected.append((int(x[0]) if x.size else -1, int(rows[0]), int(rows[-1]) + 1))
         for backward in (False, True):
             assert rate_table(p, live, backward).spans == tuple(expected)
+
+
+def _random_order(live, h, rng):
+    """live in a random order that rate_table takes: the superstructure
+    coordinates shuffled, then the live blocks in shuffled order, each
+    block's coordinates shuffled among themselves."""
+    sub = live[live >= h.n_super]
+    blocks = h.sub_block_index()[sub - h.n_super]
+    parts = [rng.permutation(live[live < h.n_super])]
+    parts += [rng.permutation(sub[blocks == j]) for j in rng.permutation(np.unique(blocks))]
+    return np.concatenate(parts).astype(np.intp)
+
+
+@pytest.mark.parametrize("case", ["forward", "backward", "bounded", "n10"])
+def test_rate_table_in_any_order_is_the_ascending_table_permuted(example1, case):
+    # rows and columns follow the order with the gate row last, and each
+    # span names the same X_j and block coordinates, the spans in turn
+    # covering the substructure rows
+    _, p, _ = example1
+    p = _rate_case(p, case)
+    backward = case == "backward"
+    h = p.layout
+    rng = np.random.default_rng(43)
+
+    def named_spans(t, coords):
+        return {(int(coords[x]) if x >= 0 else -1, tuple(sorted(coords[a:e].tolist())))
+                for x, a, e in t.spans}
+
+    for trial in range(200):
+        s = rng.uniform(0.05, 1.0, h.dimension)
+        if trial:
+            s[rng.random(h.dimension) < 0.4] = 0.0
+        live = np.flatnonzero(s)
+        order = _random_order(live, h, rng)
+        pos = np.searchsorted(live, order)  # live[pos] == order
+        rows = np.append(pos, live.size)
+        asc, t = rate_table(p, live, backward), rate_table(p, order, backward)
+        assert np.array_equal(t.matrix, asc.matrix[rows][:, pos])
+        assert np.array_equal(t.offset, asc.offset[rows])
+        assert (t.sub_start, t.epsilon, t.omega, t.bounded) == (
+            asc.sub_start, asc.epsilon, asc.omega, asc.bounded)
+        assert named_spans(t, order) == named_spans(asc, live)
+        bounds = [t.sub_start] + [e for _, _, e in t.spans]
+        assert [(a, e) for _, a, e in t.spans] == list(zip(bounds, bounds[1:]))
+        assert bounds[-1] == (live.size if t.spans else t.sub_start)
+        ref = growth_rates(s[live], asc)[pos]
+        ours = growth_rates(s[order], t)
+        assert (np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))).max(initial=0.0) <= 1e-12
 
 
 def _reference_growth_rates(v, t, p, live):

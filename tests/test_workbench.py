@@ -31,6 +31,9 @@ Claims covered:
     - report.txt bytes do not depend on the number of available CPUs
     - simulate, verify and witness report a killed worker as WorkerError,
       not as an input error (exit 2)
+    - two CLI calls in one process share no state: an option given to the
+      first does not reach the second, and a replaced command function is
+      the one called
     - CLI exit codes: 0 ok, 1 verification/validation failure, 2 input
       error, 3 integration failure; a coefficient that loses its sign in
       the rate table is a validation failure or an input error
@@ -739,7 +742,10 @@ def test_cli_killed_worker_is_not_an_input_error(tmp_path, small_scenario_file, 
     else:
         forks = force_cpus(2)
     argv = [command, str(small_scenario_file)]
-    argv += ["--out", str(tmp_path / "out"), "--t-end", "5"] if command != "witness" else []
+    if command == "witness":  # one subsystem per delta: two deltas, two runs, one worker
+        argv += ["--delta", "0.1", "--delta", "0.01"]
+    else:
+        argv += ["--out", str(tmp_path / "out"), "--t-end", "5"]
     with pytest.raises(WorkerError, match=f"exited with status {-signal.SIGKILL}"):
         main(argv)
     assert forks() == [str(parent)]
@@ -1032,6 +1038,29 @@ def test_cli_witness(small_scenario_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "edge (1,2)" in out and "converged" in out
+
+
+def test_cli_calls_in_one_process_share_no_state(tmp_path, small_scenario_file, capsys,
+                                                 monkeypatch):
+    # the parser is built once per process: an option given to one call
+    # must not reach the next
+    scen = str(small_scenario_file)
+    assert main(["witness", scen, "--delta", "0.1", "--delta", "0.01"]) == 0
+    assert main(["witness", scen]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 + 3  # 3 edges at 2 deltas, then at the scenario's 1
+    assert all("delta=0.01:" in line for line in lines[6:])
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["simulate", scen, *out, "--t-end", "5"]) == 0
+    assert main(["simulate", scen, *out]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("simulated to t=5:") and second.startswith("simulated to t=80:")
+    # commands are looked up when main runs, so a replaced one is the one called
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.t_end) or 7)
+    assert main(["verify", scen, "--t-end", "5"]) == 7
+    assert main(["verify", scen]) == 7
+    assert seen == [5.0, None]
 
 
 @pytest.mark.parametrize("delta", ["2", "0", "nan"])
