@@ -15,15 +15,16 @@ windows. simulate, verify and the SVG shading all read that one list, and
 _active_runs is the only place that decides where a gate is active.
 
 The witness runs depend on the field alone, not on each other or on a
-scenario's trajectory, so workers.run spreads them over up to one process
-per available CPU, with results bitwise those of a serial run.
+scenario's trajectory, so each distinct run is one job of workers.deal,
+which spreads the jobs over up to one process per available CPU, with
+results bitwise those of a serial run.
 
 verify_realization integrates each scenario level by level. The field is a
 skew product: X's rates read only X, and block j's read only x^j and,
 through its gate, X. So X alone, with every block masked, follows the
 coupled run's X, and each "X + block j" run follows its (X, x^j); the block
-runs are independent of each other. They go through one workers.run call
-with the witness runs, heaviest first.
+runs are independent of each other. One workers.deal call runs them with
+the witness jobs, heaviest first.
 """
 from __future__ import annotations
 
@@ -382,10 +383,14 @@ class WitnessResult:
         return self.backward_diverged
 
 
+def _roles(w: WitnessSpec, h) -> np.ndarray:
+    """The live coordinates of w's runs by role: X_j, X_k, x^j_1, x^k_1."""
+    return np.array([w.j, w.k, h.sub_offset(w.j), h.sub_offset(w.k)])
+
+
 def _witness_problem(w: WitnessSpec, p_run: FieldParams):
     """Initial state, forward target, live substructure mask and coordinate
-    order of w's runs. The order lists the live coordinates by role: X_j,
-    X_k, x^j_1, x^k_1."""
+    order (_roles) of w's runs."""
     s0 = witness_initial_condition(w, p_run)
     h = p_run.hierarchy
     target = np.zeros(h.dimension)
@@ -400,10 +405,12 @@ def _witness_problem(w: WitnessSpec, p_run: FieldParams):
         target[pinned] = 1.0
     sub_live = s0 > 0.0
     sub_live[: h.n_super] = False
-    return s0, target, sub_live, np.array([w.j, w.k, h.sub_offset(w.j), h.sub_offset(w.k)])
+    return s0, target, sub_live, _roles(w, h)
 
 
 def _with_unit_timescales(p: FieldParams) -> FieldParams:
+    if p.phi == p.psi == p.omega == 1.0:
+        return p
     return replace(p, phi=1.0, psi=1.0, omega=1.0)
 
 
@@ -467,48 +474,42 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
     )
 
 
-def _witness_plans(specs, p: FieldParams) -> list[tuple[WitnessSpec, np.ndarray, tuple]]:
-    """(spec, live coordinates in role order, run key) for each spec; checks
-    every spec."""
+def _witness_plans(specs, p: FieldParams) -> tuple[list[tuple], list[int]]:
+    """The distinct runs of specs, each a job (run_witness, spec, p at unit
+    timescales), and the index of each spec's job; checks every spec.
+
+    A run is keyed on delta and the rate table of its _roles: the log
+    initial state, the target and the live mask on them follow from delta
+    and table.bounded, so specs of equal keys run bitwise the same.
+    """
     p_run = _with_unit_timescales(p)
-    plans = []
+    h = p_run.hierarchy
+    index: dict[tuple, int] = {}
+    jobs, runs = [], []
     for w in specs:
-        s0, target, sub_live, live = _witness_problem(w, p_run)
-        table = rate_table(p_run, live)
-        key = tuple(np.asarray(getattr(table, f.name)).tobytes() for f in fields(table))
-        key += (np.log(s0[live]).tobytes(), target[live].tobytes(), sub_live[live].tobytes())
-        plans.append((w, live, key))
-    return plans
+        witness_initial_condition(w, p_run)  # checks w
+        table = rate_table(p_run, _roles(w, h))
+        key = (w.delta, *(np.asarray(getattr(table, f.name)).tobytes() for f in fields(table)))
+        if key not in index:
+            index[key] = len(jobs)
+            jobs.append((run_witness, w, p_run))
+        runs.append(index[key])
+    return jobs, runs
 
 
-def _run_each(specs, p: FieldParams) -> list[WitnessResult]:
-    return [run_witness(w, p) for w in specs]
-
-
-def _distinct_runs(plans) -> dict[tuple, tuple[WitnessSpec, np.ndarray]]:
-    """For each run key of plans (_witness_plans), in order: the spec and
-    live coordinates of its first plan."""
-    first: dict[tuple, tuple[WitnessSpec, np.ndarray]] = {}
-    for w, live, key in plans:
-        first.setdefault(key, (w, live))
-    return first
-
-
-def _plan_results(plans, first, done, p: FieldParams) -> list[WitnessResult]:
-    """The result of each plan, given done, the results of the specs of
-    first (_distinct_runs) in order."""
-    runs = {key: (live, res) for (key, (_, live)), res in zip(first.items(), done)}
-    names = p.hierarchy.coord_names()
+def _by_role(specs, runs, done, h) -> list[WitnessResult]:
+    """The result of each spec, given the index of its job (_witness_plans)
+    in runs and the jobs' values in done: its job's result with the
+    backward coordinate mapped by role (_roles) into the spec's blocks."""
+    names = h.coord_names()
     results = []
-    for w, live, key in plans:
-        run_live, res = runs[key]
+    for w, i in zip(specs, runs):
+        res = done[i]
         coord = res.backward_coordinate
         if coord is not None:
-            coord = int(live[run_live.tolist().index(coord)])
-        results.append(replace(
-            res, spec=w, backward_coordinate=coord,
-            backward_coordinate_name=None if coord is None else names[coord],
-        ))
+            coord = int(_roles(w, h)[_roles(res.spec, h).tolist().index(coord)])
+        results.append(replace(res, spec=w, backward_coordinate=coord,
+                               backward_coordinate_name=None if coord is None else names[coord]))
     return results
 
 
@@ -516,26 +517,22 @@ def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
     """run_witness(w, p) for each spec w, integrating each distinct run once.
 
     A run reads only its live coordinates, those nonzero at the start, in
-    role order (X_j, X_k, x^j_1, x^k_1). Two specs share a run when, on
-    their live coordinates in that order, the forward rate table, the log
-    initial state, the forward target and the live substructure mask are
-    equal byte for byte. The runs are then bitwise the same, so each spec
-    takes its group's result with the backward coordinate mapped by role
-    to its own; the gate of that coordinate is equal too, because the table
-    fixes which live X gates it. Under a uniform coefficient rule every
-    edge, j < k or j > k, has one subsystem, so one run per delta serves
-    them all. The grouping lasts for this one call. Every spec is checked
-    before any run.
+    role order (X_j, X_k, x^j_1, x^k_1). Two specs share a run when their
+    deltas are equal and so are the forward rate tables of those
+    coordinates, byte for byte (_witness_plans). The runs are then bitwise
+    the same, so each spec takes its group's result with the backward
+    coordinate mapped by role to its own; the gate of that coordinate is
+    equal too, because the table fixes which live X gates it. Under a
+    uniform coefficient rule every edge, j < k or j > k, has one subsystem,
+    so one run per delta serves them all. The grouping lasts for this one
+    call. Every spec is checked before any run.
 
-    The distinct runs are cut into contiguous shares (workers.shares), one
-    per process: this one and forked workers (workers.run). integrate is
+    Each distinct run is one job of weight 0 of workers.deal, which shares
+    the jobs between this process and forked workers. integrate is
     deterministic, so the results are bitwise those of a serial run.
     """
-    plans = _witness_plans(specs, p)
-    first = _distinct_runs(plans)
-    distinct = [w for w, _ in first.values()]
-    shares = workers.run([(_run_each, distinct[s], p) for s in workers.shares(len(distinct))])
-    return _plan_results(plans, first, [res for share in shares for res in share], p)
+    jobs, runs = _witness_plans(specs, p)
+    return _by_role(specs, runs, workers.deal(jobs, [0.0] * len(jobs)), p.hierarchy)
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +583,16 @@ def verify_realization(
     then one "X + block j" run per block with a live initial coordinate. The
     superstructure report comes from the X run and block j's from its own
     run; a block whose initial coordinates are all 0 is masked and reads the
-    X run. The witness specs are checked first; their runs share one
-    workers.run call with the block runs.
+    X run. The witness specs are checked first; their distinct runs
+    (_witness_plans) go through one workers.deal call with the block runs.
     """
     residuals = verify_equilibria(p)
     eigen = check_edge_eigen_correspondence(p)
     gamma = p.hierarchy.superstructure
-    plans = _witness_plans(
-        [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas], p
-    )
-    runs, itineraries, witnesses = _check_itineraries(p, scenarios, plans, near_tol, min_dwell)
+    specs = [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas]
+    jobs, witness_runs = _witness_plans(specs, p)
+    runs, itineraries, done = _check_itineraries(p, scenarios, jobs, near_tol, min_dwell)
+    witnesses = _by_role(specs, witness_runs, done, p.hierarchy)
     return RealizationReport(residuals, eigen, runs, itineraries, witnesses)
 
 
@@ -610,46 +607,19 @@ def _level_state(s0: np.ndarray, p: FieldParams, j: int | None) -> np.ndarray:
     return level
 
 
-def _schedule(weights: list[float], n_bins: int) -> list[list[int]]:
-    """Indices of the block runs in n_bins bins, then the witness job,
-    numbered len(weights).
-
-    The runs are dealt heaviest first, each into the least-loaded bin (of
-    equal loads, the one with fewest runs, then the first), so bin 0, which
-    workers.run keeps in this process, holds the heaviest run. The witness
-    job goes into the lightest bin, the last of equals.
-    """
-    bins = [[] for _ in range(n_bins)]
-    load = [0.0] * n_bins
-
-    def lightest(order) -> int:
-        return min(order, key=lambda b: (load[b], len(bins[b])))
-
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        b = lightest(range(n_bins))
-        bins[b].append(i)
-        load[b] += weights[i]
-    bins[lightest(reversed(range(n_bins)))].append(len(weights))
-    return bins
-
-
 def _first_samples(traj: Trajectory, n: int) -> Trajectory:
     return replace(traj, times=traj.times[:n], states=traj.states[:n])
 
 
-def _run_jobs(jobs) -> list:
-    return [fn(*args) for fn, *args in jobs]
-
-
-def _check_itineraries(p: FieldParams, scenarios, plans, near_tol: float, min_dwell: float):
-    """The level runs of each scenario and the witness runs of plans.
+def _check_itineraries(p: FieldParams, scenarios, witness_jobs, near_tol: float,
+                       min_dwell: float):
+    """The level runs of each scenario, and the values of witness_jobs.
 
     Returns how each scenario ended, its itinerary checks level by level
     against [superstructure, substructure 1, ..., substructure N], and the
-    witness results. The X runs come first, in this process. The block runs
-    and the witness job then go through one workers.run call over at most
-    available_cpus() bins (_schedule), a run weighing the model time its
-    gate is active in the X run's report windows.
+    witness jobs' values. The X runs come first, in this process. Then one
+    workers.deal call runs the block runs, each weighing the model time its
+    gate is active in the X run's report windows, and the witness jobs, 0.
 
     A scenario ends at the earliest last time among its level runs, and
     records that run's termination and time (the first level on ties, X
@@ -667,16 +637,9 @@ def _check_itineraries(p: FieldParams, scenarios, plans, near_tol: float, min_dw
     jobs = [(integrate, _level_state(scenarios[idx][0], p, j), p, scenarios[idx][1])
             for idx, j in blocks]
     weights = [sum(b - a for a, b in x_reports[idx][1 + j].active_windows) for idx, j in blocks]
-    first = _distinct_runs(plans)
-    jobs.append((_run_each, [w for w, _ in first.values()], p))
-    bins = _schedule(weights, max(1, min(workers.available_cpus(), len(blocks) + bool(plans))))
-    results = [None] * len(jobs)
-    for b, values in zip(bins, workers.run([(_run_jobs, [jobs[i] for i in b]) for b in bins])):
-        for i, value in zip(b, values):
-            results[i] = value
-    *block_runs, done = results
+    values = workers.deal(jobs + witness_jobs, weights + [0.0] * len(witness_jobs))
 
-    block_run = dict(zip(blocks, block_runs))
+    block_run = dict(zip(blocks, values))
     graphs = [h.superstructure, *h.substructures]
     runs, itineraries = [], []
     for idx, x_run in enumerate(x_runs):
@@ -689,4 +652,4 @@ def _check_itineraries(p: FieldParams, scenarios, plans, near_tol: float, min_dw
         reports = [x_read[0]] + [read.get(j, x_read)[1 + j] for j in range(h.n_super)]
         itineraries += [ItineraryOutcome(idx, rep, check_itinerary_against(rep, g))
                         for rep, g in zip(reports, graphs)]
-    return runs, itineraries, _plan_results(plans, first, done, p)
+    return runs, itineraries, values[len(blocks):]

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .hierarchy import Digraph, HierarchySpec, digraph_from_edges, edge_list, validate_hierarchy
 from .integrator import _DIRECTIONS, IntegratorConfig
+from .output import publish
 from .vectorfield import (
     _ORIENTATIONS,
     _VARIANTS,
@@ -413,8 +414,9 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def save_scenario(sc: Scenario, path) -> None:
-    """Write a scenario document that load_scenario reproduces field-for-field."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a scenario document that load_scenario reproduces field-for-field;
+    path is replaced only once the whole document is written (publish)."""
+    with publish(path) as fh:
         yaml.safe_dump(scenario_to_dict(sc), fh, sort_keys=False)
 
 

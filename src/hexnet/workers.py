@@ -10,10 +10,10 @@ raised) comes back pickled through an unnamed temporary file. With one CPU,
 or without fork, the calls run here, one after another. Either way a call's
 exception is raised in the caller, and no worker outlives run.
 
-shares(n, min_size) cuts range(n) into contiguous slices, one per process
-that run would use, so a caller splits its work with
-
-    run([(fn, items[s]) for s in shares(len(items))])
+deal(calls, weights) deals calls by weight into one bin per process and
+runs the bins through run. shares(n, min_size) cuts range(n) into
+contiguous slices, one per process that run would use, for work of even
+cost per item: run([(fn, items[s]) for s in shares(len(items))]).
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import tempfile
 
 from hexnet.errors import WorkerError
 
-__all__ = ["available_cpus", "run", "shares"]
+__all__ = ["available_cpus", "deal", "run", "shares"]
 
 # set in a worker right after the fork: a worker runs its calls serially
 _in_worker = False
@@ -56,7 +56,7 @@ def run(calls: list) -> list:
     raises WorkerError. Workers not yet collected when run leaves are killed
     (SIGKILL); every worker has been reaped when run returns or raises.
     """
-    if available_cpus() == 1:
+    if available_cpus() == 1 or len(calls) < 2:
         return [fn(*args) for fn, *args in calls]
     pending = []  # (pid, outcome file) of each worker not yet reaped, in call order
     try:
@@ -72,6 +72,36 @@ def run(calls: list) -> list:
             with outcome:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+def deal(calls: list, weights: list[float]) -> list:
+    """[fn(*args) for fn, *args in calls], the calls dealt by weight, an
+    estimate of their cost, into min(available_cpus(), len(calls)) bins
+    (_schedule), each bin's calls made in order by one call of run."""
+    bins = _schedule(weights, min(available_cpus(), len(calls)))
+    values = [None] * len(calls)
+    for b, got in zip(bins, run([(_run_bin, [calls[i] for i in b]) for b in bins])):
+        for i, value in zip(b, got):
+            values[i] = value
+    return values
+
+
+def _schedule(weights: list[float], n_bins: int) -> list[list[int]]:
+    """Indices of deal's calls in n_bins bins: heaviest first (equal
+    weights in call order), each into the least-loaded bin (of equal loads,
+    the one with fewest calls, then the first), so bin 0, which run keeps in
+    this process, holds the heaviest call."""
+    bins = [[] for _ in range(n_bins)]
+    load = [0.0] * n_bins
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        b = min(range(n_bins), key=lambda b: (load[b], len(bins[b])))
+        bins[b].append(i)
+        load[b] += weights[i]
+    return bins
+
+
+def _run_bin(calls) -> list:
+    return [fn(*args) for fn, *args in calls]
 
 
 def _fork(fn, args) -> tuple[int, object]:

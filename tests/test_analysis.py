@@ -40,9 +40,14 @@ Claims covered:
       witness runs, over min(cpus, bins) processes with reports bitwise
       independent of the CPU count; a block whose initial coordinates are
       all 0 reads the X run; each level run's itinerary is extracted once
-      and checked against [superstructure, blocks 1..N]; the schedule keeps
-      the heaviest run in this process
+      and checked against [superstructure, blocks 1..N]
+    - verify_realization's witnesses equal run_witnesses' field for field
+      at any CPU count; on example1 with two CPUs this process runs block
+      1, and the worker blocks 2 and 3 and the witness runs
+    - one run_witnesses call builds the unit-timescale parameters at most
+      once, and not at all when the field's timescales are already 1
 """
+import os
 import warnings
 
 import numpy as np
@@ -649,6 +654,28 @@ def test_run_witnesses_integrates_each_subsystem_once(request, monkeypatch, tmp_
     assert len(forks()) == 2 * sum(min(cpus, n_calls // 2) - 1 for cpus in (1, 2, 3))
 
 
+def test_run_witnesses_builds_the_unit_timescale_params_once(example1, monkeypatch, force_cpus):
+    # example1's 9 witnesses share 3 runs, and every run reads the one
+    # unit-timescale copy of the field: 1 build, none if the field has
+    # unit timescales already
+    _, p, _ = example1
+    unit = replace(p, phi=1.0, psi=1.0, omega=1.0)
+    force_cpus(1)
+    builds = []
+    post_init = FieldParams.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FieldParams, "__post_init__", counting)
+    for params, n_builds in ((p, 1), (unit, 0)):
+        builds.clear()
+        results = run_witnesses(_all_specs(params, DEFAULT_WITNESS_DELTAS), params)
+        assert len(results) == 9 and all(res.passed for res in results)
+        assert len(builds) == n_builds
+
+
 def test_run_witnesses_checks_every_spec_first(example1, monkeypatch, tmp_path):
     _, p, _ = example1
     calls = _count_integrate(monkeypatch, tmp_path / "integrate.log")
@@ -767,7 +794,7 @@ def test_verify_realization_integrates_each_level_once(small_scenario, monkeypat
                                                        force_cpus, dead):
     # one X run, one run per block with a live initial coordinate, and the
     # 2 witness runs of the 1 subsystem of the 3 witnesses; the block runs
-    # and the witness job fill min(cpus, bins) processes
+    # and the witness run's job fill min(cpus, jobs) processes
     p, s0, cfg = _small_input(small_scenario, dead)
     n_blocks = 3 if dead is None else 2
     log = tmp_path / "integrate.log"
@@ -786,6 +813,45 @@ def test_verify_realization_integrates_each_level_once(small_scenario, monkeypat
         assert (_report_rows(other), other.runs) == (_report_rows(first), first.runs)
         for a, b in zip(other.witnesses, first.witnesses, strict=True):
             _assert_same_fields(a, b)
+
+
+@pytest.mark.parametrize("case", ["small_scenario", "example1"])
+def test_verify_realization_witnesses_equal_run_witnesses(request, force_cpus, case):
+    sc, p, s0 = request.getfixturevalue(case)
+    cfg = replace(sc.integrator, t_end=10.0)
+    specs = _all_specs(p, DEFAULT_WITNESS_DELTAS)
+    for cpus in (1, 2, 3):
+        force_cpus(cpus)
+        report = verify_realization(p, [(s0, cfg)])
+        for res, ref in zip(report.witnesses, run_witnesses(specs, p), strict=True):
+            _assert_same_fields(res, ref)
+
+
+def test_verify_realization_keeps_the_heaviest_block_here(example1, monkeypatch, tmp_path,
+                                                          force_cpus):
+    # on example1 to t = 33 block 1's gate is active longer than blocks 2
+    # and 3 together, so with two CPUs this process runs it and the worker
+    # runs blocks 2 and 3 and the 3 witness runs (two integrate calls each)
+    sc, p, s0 = example1
+    h = p.hierarchy
+    log = tmp_path / "runs.log"
+    original = hexnet.analysis.integrate
+
+    def logged(state, *args, **kwargs):
+        live = [f"block {j + 1}" for j in range(h.n_super) if state[h.sub_slice(j)].any()]
+        run = "witness" if "order" in kwargs else (live[0] if len(live) == 1 else "X")
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {run}\n")
+        return original(state, *args, **kwargs)
+
+    monkeypatch.setattr(hexnet.analysis, "integrate", logged)
+    force_cpus(2)
+    assert verify_realization(p, [(s0, replace(sc.integrator, t_end=33.0))]).passed
+    runs = [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
+    here = [run for pid, run in runs if pid == str(os.getpid())]
+    there = [run for pid, run in runs if pid != str(os.getpid())]
+    assert here == ["X", "block 1"]
+    assert there == ["block 2", "block 3"] + ["witness"] * 6
 
 
 def test_verify_realization_dead_block_reads_the_x_run(small_scenario):
@@ -825,19 +891,6 @@ def test_verify_realization_extracts_each_level_run_once(small_scenario, monkeyp
         for idx in range(2)
         for level, j in [(LEVEL_SUPER, None)] + [(LEVEL_SUB, j) for j in range(n)]
     ]
-
-
-def test_schedule_keeps_the_heaviest_run_here():
-    from hexnet.analysis import _schedule
-
-    # heaviest first into the least-loaded bin (then the one with fewest
-    # runs), the witness job into the lightest bin, the last of equals
-    assert _schedule([1.0, 5.0, 2.0, 2.5], 2) == [[1, 4], [3, 2, 0]]
-    assert _schedule([1.0, 5.0, 2.0, 2.5], 3) == [[1], [3, 4], [2, 0]]
-    assert _schedule([0.0, 0.0, 0.0], 2) == [[0, 2], [1, 3]]
-    assert _schedule([3.0], 2) == [[0], [1]]
-    assert _schedule([3.0], 3) == [[0], [], [1]]
-    assert _schedule([], 1) == [[0]]
 
 
 def test_verify_realization_literal_orientation_fails(small_scenario, small_scenario_file):

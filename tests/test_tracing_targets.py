@@ -5,6 +5,8 @@ Claims covered:
       wraps (no KeyError), replaces them inside its block and restores
       every original on exit, so removing or renaming a traced name fails
       here and not only in a traced benchmark run
+    - under the tracer, witness on example1 records one witness span per
+      distinct run, each the parent of its two integrate spans
 """
 import importlib.util
 import sys
@@ -52,3 +54,19 @@ def test_tracer_targets_exist_and_are_restored(monkeypatch):
     for owner, names, names_after in zip(OWNERS, before, after):
         assert names_after.keys() == names.keys(), owner.__name__
         assert [n for n in names if names_after[n] is not names[n]] == [], owner.__name__
+
+
+def test_witness_spans_parent_their_integrate_spans(monkeypatch, force_cpus, capsys):
+    # the witness jobs look run_witness up when they are planned, so they
+    # call the tracer's wrapper: example1's 9 witnesses share 3 runs, each
+    # a forward and a backward integrate call
+    tracing = _load_tracing(monkeypatch)
+    force_cpus(1)
+    tracer = tracing.Tracer()
+    with tracer.installed(hexnet):
+        assert hexnet.cli.main(["witness", str(hexnet.bundled_scenario_path("example1"))]) == 0
+    assert capsys.readouterr().out.count(": PASS") == 9
+    witness = [s for s in tracer.spans if s.name == "witness"]
+    assert len(witness) == 3
+    for span in witness:
+        assert [s.name for s in tracer.spans if s.parent == span.id] == ["integrate"] * 2

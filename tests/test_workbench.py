@@ -6,7 +6,8 @@ Claims covered:
       including out-of-range coefficient overrides and non-finite verbatim
       matrices
     - importing the package loads no scipy (a test-only oracle)
-    - save/load round trip is field-for-field identical
+    - save/load round trip is field-for-field identical; a save that fails
+      leaves the previous file byte for byte, and no temporary file
     - CSV layout, full precision, bitwise-zero columns, determinism; the
       same bytes from 1, 2 or 3 writer processes, with no child process or
       part file left behind, also when a writer fails; a writer child's
@@ -389,6 +390,20 @@ def test_round_trip_override_form(tmp_path, small_scenario_file):
     out = tmp_path / "ov.yaml"
     save_scenario(sc2, out)
     assert load_scenario(out) == sc2
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path):
+    sc = load_scenario(bundled_scenario_path("example1"))
+    path = tmp_path / "sc.yaml"
+    save_scenario(sc, path)
+    previous = path.read_bytes()
+    # yaml.safe_dump cannot represent a numpy scalar: the dump fails part-way
+    bad = replace(sc, initial_X=(np.float64(0.5), *sc.initial_X[1:]))
+    with pytest.raises(yaml.representer.RepresenterError):
+        save_scenario(bad, path)
+    assert path.read_bytes() == previous
+    assert [f.name for f in tmp_path.iterdir()] == ["sc.yaml"]
+    assert load_scenario(path) == sc
 
 
 @pytest.mark.parametrize("uniform", [

@@ -4,7 +4,8 @@ Claims covered:
     - run returns each call's value in call order; every call but the first
       is computed in another process, which sees one available CPU, so it
       never forks again
-    - with one CPU, run forks nothing and makes the calls here, in order
+    - with one CPU, run forks nothing and makes the calls here, in order;
+      with no calls it returns [] and forks nothing at any CPU count
     - a worker that raises gives the same exception type and message in the
       parent, and leaves no child; a scenario error keeps its field path
     - a worker that exits with a nonzero status raises WorkerError, which is
@@ -12,6 +13,9 @@ Claims covered:
     - a first call that raises while a worker runs kills and reaps it
     - shares cuts range(n) into contiguous slices, as many as the CPUs
       allow with at least min_size items each, and at least one
+    - deal returns each call's value in call order over min(cpus, calls)
+      processes; its schedule deals the calls heaviest first into the
+      least-loaded bin, so the heaviest call runs in this process
 """
 import os
 import time
@@ -46,6 +50,13 @@ def test_one_cpu_forks_nothing_and_runs_in_order(force_cpus):
     made = []
     assert workers.run([(made.append, i) for i in range(3)]) == [None] * 3
     assert made == [0, 1, 2]
+    assert forks() == []
+
+
+def test_no_calls_return_nothing_and_fork_nothing(force_cpus):
+    forks = force_cpus(2)
+    assert workers.run([]) == []
+    assert workers.deal([], []) == []
     assert forks() == []
 
 
@@ -99,3 +110,29 @@ def test_shares_cover_range_contiguously(force_cpus, cpus, min_size):
         k = min(cpus, max(1, n // min_size))  # slices, with bounds n * w // k
         bounds = [n * w // k for w in range(k + 1)]
         assert chunks == [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_deal_returns_values_in_call_order(force_cpus):
+    for cpus in (1, 2, 3):
+        forks = force_cpus(cpus)
+        n_forks = len(forks())
+        values = workers.deal([(_tagged, tag) for tag in range(5)], [1.0, 5.0, 2.0, 2.5, 0.0])
+        assert [tag for tag, _, _ in values] == list(range(5))
+        assert values[1][1] == os.getpid()  # the heaviest call runs here
+        assert len({pid for _, pid, _ in values}) == cpus
+        assert len(forks()) - n_forks == cpus - 1
+    n_forks = len(forks())
+    assert [tag for tag, _, _ in workers.deal([(_tagged, "only")], [0.0])] == ["only"]
+    assert len(forks()) == n_forks  # one call: no worker, at 3 CPUs
+
+
+def test_schedule_keeps_the_heaviest_run_here():
+    from hexnet.workers import _schedule
+
+    # heaviest first into the least-loaded bin (then the one with fewest
+    # calls, then the first); a witness run weighs 0
+    assert _schedule([1.0, 5.0, 2.0, 2.5, 0.0], 2) == [[1, 4], [3, 2, 0]]
+    assert _schedule([1.0, 5.0, 2.0, 2.5, 0.0], 3) == [[1], [3, 4], [2, 0]]
+    assert _schedule([0.0] * 4, 2) == [[0, 2], [1, 3]]
+    assert _schedule([3.0, 0.0], 2) == [[0], [1]]
+    assert _schedule([], 0) == []
