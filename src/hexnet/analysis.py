@@ -16,8 +16,10 @@ _active_runs is the only place that decides where a gate is active.
 
 The witness runs depend on the field alone, not on each other or on a
 scenario's trajectory, so each distinct run is one job of workers.deal,
-which spreads the jobs over up to one process per available CPU, with
-results bitwise those of a serial run.
+which spreads the jobs over up to one process per available CPU. A run's
+forward and backward halves are independent too, and run_witness deals
+them onto a CPU the outer deal left free, if there is one. The results are
+bitwise those of a serial run.
 
 verify_realization integrates each scenario level by level. The field is a
 skew product: X's rates read only X, and block j's read only x^j and,
@@ -29,6 +31,7 @@ the witness jobs, heaviest first.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -428,6 +431,12 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
     standard variant must reach the divergence bound in a gated-off
     substructure coordinate; the bounded variant stays in [0, 1] and stops
     once its live substructure coordinates are within 1e-4 of 1.
+
+    The two runs are independent, so they are two jobs of weight 0 of
+    workers.deal, forward first: with a free CPU the backward run is made
+    in a forked worker while this process makes the forward one; with
+    none, both run here, in that order. Either way the results are bitwise
+    those of a serial run.
     """
     if not 0.0 < max_time < np.inf:
         raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
@@ -442,12 +451,13 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
     def near_unit(state):
         return float(np.abs(state[sub_live] - 1.0).max()) <= 1e-4
 
-    ftraj = integrate(s0, p_run, cfg, until=near_target, order=order)
+    back_until = near_unit if p_run.variant == VARIANT_BOUNDED else None
+    ftraj, btraj = workers.deal([
+        (partial(integrate, until=near_target, order=order), s0, p_run, cfg),
+        (partial(integrate, until=back_until, order=order), s0, p_run,
+         replace(cfg, direction="backward")),
+    ], [0.0, 0.0])
     fdist = float(np.abs(ftraj.last_state - target).max())
-    btraj = integrate(
-        s0, p_run, replace(cfg, direction="backward"),
-        until=near_unit if p_run.variant == VARIANT_BOUNDED else None, order=order,
-    )
     bstate = btraj.last_state
     diverged = btraj.termination == TERMINATION_DIVERGED
     coord = btraj.diverged_coordinate

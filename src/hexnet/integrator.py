@@ -21,9 +21,9 @@ it covers with one binary search of the grid, and only a step that covers
 one evaluates the dense stages.
 
 A run ends "completed" at t_end, "diverged" when a live coordinate passes
-DIVERGENCE_BOUND, "step_failure" when the step size underflows, or
-"stopped" when the caller's `until` predicate first holds after an accepted
-step.
+DIVERGENCE_BOUND, "step_failure" when the step size underflows before
+t_end, or "stopped" when the caller's `until` predicate first holds after an
+accepted step.
 """
 from __future__ import annotations
 
@@ -251,11 +251,11 @@ def integrate(
     Samples are produced on the grid {0, sample_dt, 2 sample_dt, ..., t_end}
     by dense interpolation. Termination is "completed", or "diverged" when an
     unmasked log-coordinate exceeds log(1e6), or "step_failure" on step-size
-    underflow, or "stopped" when until(state) returns true. until is called
-    after each accepted step that did not diverge, with the state in the
-    original chart; the run then ends at that step. A run that does not
-    complete keeps only the samples up to its last time. Backward direction
-    integrates the time-reversed field.
+    underflow before t_end, or "stopped" when until(state) returns true.
+    until is called after each accepted step that did not diverge, with the
+    state in the original chart; the run then ends at that step. A run that
+    does not complete keeps only the samples up to its last time. Backward
+    direction integrates the time-reversed field.
 
     order is the order of the stepper's coordinates: the nonzero
     coordinates of s0, each once, in an order rate_table takes (the
@@ -409,7 +409,7 @@ def integrate(
             else:
                 stats.rejected += 1
                 h *= min(1.0, max(_FAC_MIN, _SAFETY * err_norm**-_ERR_EXPONENT))
-            if h < 1e-12 * max(1.0, t):
+            if t < t_end and h < 1e-12 * max(1.0, t):
                 termination = TERMINATION_STEP_FAILURE
                 break
         last_state = np.zeros(d)

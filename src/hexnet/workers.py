@@ -14,6 +14,12 @@ deal(calls, weights) deals calls by weight into one bin per process and
 runs the bins through run. shares(n, min_size) cuts range(n) into
 contiguous slices, one per process that run would use, for work of even
 cost per item: run([(fn, items[s]) for s in shares(len(items))]).
+
+The CPUs a call sees are those its process has not yet handed to a worker:
+while k forked workers run, available_cpus() is k fewer (at least 1), and a
+worker sees one. So a deal nested inside the first call of another forks
+only onto CPUs that are free, and the two together never run more
+processes than there are CPUs.
 """
 from __future__ import annotations
 
@@ -28,15 +34,18 @@ __all__ = ["available_cpus", "deal", "run", "shares"]
 
 # set in a worker right after the fork: a worker runs its calls serially
 _in_worker = False
+# the workers this process has forked and not yet reaped
+_live = 0
 
 
 def available_cpus() -> int:
     """How many processes work may be split into: the size of this
-    process's CPU affinity set; 1 without fork or affinity, and 1 inside a
+    process's CPU affinity set less the workers it has forked and not yet
+    reaped, and at least 1; 1 without fork or affinity, and 1 inside a
     worker, so workers never fork again."""
     if _in_worker or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return len(os.sched_getaffinity(0))
+    return max(1, len(os.sched_getaffinity(0)) - _live)
 
 
 def shares(n: int, min_size: int = 1) -> list[slice]:
@@ -53,8 +62,9 @@ def run(calls: list) -> list:
 
     The first exception, in call order, is raised here; a worker that exits
     without reporting (it was killed, or its outcome could not be pickled)
-    raises WorkerError. Workers not yet collected when run leaves are killed
-    (SIGKILL); every worker has been reaped when run returns or raises.
+    raises WorkerError. Workers not yet reaped when run leaves, also when an
+    exception interrupts the wait for one, are killed (SIGKILL); every
+    worker has been reaped when run returns or raises.
     """
     if available_cpus() == 1 or len(calls) < 2:
         return [fn(*args) for fn, *args in calls]
@@ -65,13 +75,16 @@ def run(calls: list) -> list:
         fn, *args = calls[0]
         values = [fn(*args)]
         while pending:
-            values.append(_collect(*pending.pop(0)))
+            pid, outcome = pending[0]
+            status = _reap(pid)  # an interrupt here leaves the worker pending
+            del pending[0]
+            values.append(_read_outcome(pid, status, outcome))
         return values
     finally:
         for pid, outcome in pending:
             with outcome:
                 os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                _reap(pid)
 
 
 def deal(calls: list, weights: list[float]) -> list:
@@ -107,7 +120,7 @@ def _run_bin(calls) -> list:
 def _fork(fn, args) -> tuple[int, object]:
     """Fork a child that runs fn(*args) and pickles its outcome to a fresh
     temporary file; return the child's pid and that file."""
-    global _in_worker
+    global _in_worker, _live
     outcome = tempfile.TemporaryFile()
     try:
         pid = os.fork()
@@ -115,6 +128,7 @@ def _fork(fn, args) -> tuple[int, object]:
         outcome.close()
         raise
     if pid:
+        _live += 1
         return pid, outcome
     status = 1
     try:
@@ -130,10 +144,18 @@ def _fork(fn, args) -> tuple[int, object]:
         os._exit(status)
 
 
-def _collect(pid: int, outcome):
-    """Reap the worker pid; return its call's value or raise its exception."""
+def _reap(pid: int) -> int:
+    """Wait for the worker pid to exit; return its exit code."""
+    global _live
+    status = os.waitpid(pid, 0)[1]
+    _live -= 1
+    return os.waitstatus_to_exitcode(status)
+
+
+def _read_outcome(pid: int, status: int, outcome):
+    """The value of the call of the worker pid, reaped with exit code
+    status, from its outcome file; or raise the call's exception."""
     with outcome:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if status != 0:
             raise WorkerError(f"worker {pid} exited with status {status}")
         outcome.seek(0)

@@ -26,7 +26,9 @@ Claims covered:
       and their forward times follow the escape-time scaling in log(1/delta)
     - run_witnesses equals per-spec run_witness field for field, with one
       CPU and with worker processes, runs each distinct witness subsystem
-      once over all processes, and keeps nothing between calls
+      once over all processes, and keeps nothing between calls; a lone run
+      with a free CPU makes its backward half in a worker, while runs that
+      fill the CPUs each run whole in one process
     - witnesses run in role order: under the uniform rule an edge j -> k
       with j > k gives its j < k twin's result, the backward coordinate
       mapped by role, so a uniform hierarchy needs one run per delta
@@ -576,6 +578,7 @@ def test_run_witnesses_equals_run_witness(request, force_cpus, case, variant):
         p, deltas = request.getfixturevalue(case)[1], DEFAULT_WITNESS_DELTAS
     p = replace(p, variant=variant)
     specs = _all_specs(p, deltas)
+    force_cpus(1)  # the reference is a one-process run
     serial = [run_witness(spec, p) for spec in specs]
     for cpus in (1, 2, 3):  # this process alone, then with one or two workers
         force_cpus(cpus)
@@ -616,17 +619,23 @@ def test_run_witness_of_a_descending_edge_equals_its_ascending_twin(request, cas
 
 def _count_integrate(monkeypatch, log):
     """Append the direction of each integrate call, made in this process or
-    in a forked worker, as one line of the file log; return a function that
-    reads the lines back."""
+    in a forked worker, and the pid of its process as one line of the file
+    log; return a function that reads the directions back, or with
+    pids=True the (direction, pid) pairs."""
     original = hexnet.analysis.integrate
 
     def counting(*args, **kwargs):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(args[2].direction + "\n")
+            fh.write(f"{args[2].direction} {os.getpid()}\n")
         return original(*args, **kwargs)
 
+    def calls(pids=False):
+        lines = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+        pairs = [tuple(line.split()) for line in lines]
+        return pairs if pids else [direction for direction, _ in pairs]
+
     monkeypatch.setattr(hexnet.analysis, "integrate", counting)
-    return lambda: log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+    return calls
 
 
 @pytest.mark.parametrize("case, deltas, n_calls", [
@@ -650,8 +659,36 @@ def test_run_witnesses_integrates_each_subsystem_once(request, monkeypatch, tmp_
         assert len(calls()) == 2 * n_calls, cpus
         for a, b in zip(first, second, strict=True):
             _assert_same_fields(a, b)
-    # each call forked one worker fewer than it had processes
-    assert len(forks()) == 2 * sum(min(cpus, n_calls // 2) - 1 for cpus in (1, 2, 3))
+    # each call forked one worker fewer than it had processes: one per
+    # distinct run, and a lone run's backward half takes a second CPU
+    assert len(forks()) == 2 * sum(min(cpus, max(2, n_calls // 2)) - 1 for cpus in (1, 2, 3))
+
+
+def test_a_lone_witness_run_makes_its_backward_half_in_a_worker(example1, monkeypatch, tmp_path,
+                                                                force_cpus):
+    # at 2 CPUs the one run of the uniform hierarchy forks 1 worker, which
+    # makes the backward integrate call while this process makes the
+    # forward one; example1's 3 runs fill the 2 CPUs, so each runs whole in
+    # one process and the only fork is the one worker of the runs
+    log = tmp_path / "integrate.log"
+    calls = _count_integrate(monkeypatch, log)
+    forks = force_cpus(2)
+    me = str(os.getpid())
+    p = _uniform_n10()
+    assert all(res.passed for res in run_witnesses(_all_specs(p, (0.01,)), p))
+    assert forks() == [me]
+    [(forward, here), (backward, there)] = calls(pids=True)
+    assert (forward, here) == ("forward", me)
+    assert backward == "backward" and there != me
+    log.unlink()
+    _, p, _ = example1
+    assert all(res.passed for res in run_witnesses(_all_specs(p, DEFAULT_WITNESS_DELTAS), p))
+    assert forks() == [me] * 2
+    runs = calls(pids=True)
+    assert len(runs) == 6
+    for pid in {pid for _, pid in runs}:  # both halves of a run in one process
+        directions = [direction for direction, at in runs if at == pid]
+        assert directions == ["forward", "backward"] * (len(directions) // 2)
 
 
 def test_run_witnesses_builds_the_unit_timescale_params_once(example1, monkeypatch, force_cpus):

@@ -14,7 +14,8 @@ Claims covered:
     - halving tolerances: identical symbolic itinerary, small state shifts
     - time-reversal consistency
     - backward divergence detection with coordinate attribution
-    - step statistics (exact RHS call count) and failure modes
+    - step statistics (exact RHS call count) and failure modes; a run
+      whose last step lands on t_end completes, however small the step
     - the until predicate: called once per accepted step, ends the run
       "stopped" at the first step where it holds, changes nothing when
       it never fires
@@ -281,6 +282,20 @@ def test_step_statistics(example1, monkeypatch):
     traj = integrate(s0, p, IntegratorConfig(t_end=2.0))
     assert traj.stats.accepted > 0
     assert traj.stats.n_evals == calls
+
+
+@pytest.mark.parametrize("t_end", [1e-13, 2e-13])
+def test_a_run_that_reaches_t_end_is_completed(example1, t_end):
+    # the one step lands on t_end; at 1e-13 it leaves the next step size
+    # under the 1e-12 floor, which is no underflow once the run is at t_end
+    _, p, s0 = example1
+    traj = integrate(s0, p, IntegratorConfig(t_end=t_end, sample_dt=t_end))
+    assert traj.termination == TERMINATION_COMPLETED
+    assert traj.last_time == t_end
+    assert traj.times.tolist() == [0.0, t_end]
+    assert np.array_equal(traj.states, [s0, traj.last_state])
+    stats = traj.stats  # first stage, 11 step stages, FSAL, 3 dense stages
+    assert (stats.accepted, stats.rejected, stats.n_evals) == (1, 0, 16)
 
 
 def test_deterministic_repeat(example1):

@@ -7,6 +7,9 @@ Claims covered:
       here and not only in a traced benchmark run
     - under the tracer, witness on example1 records one witness span per
       distinct run, each the parent of its two integrate spans
+    - a lone witness run with a free CPU traces one integrate span, its
+      forward half; the RHS calls the tracer counts are that span's
+      evaluations, so a traced benchmark run stays consistent
 """
 import importlib.util
 import sys
@@ -70,3 +73,24 @@ def test_witness_spans_parent_their_integrate_spans(monkeypatch, force_cpus, cap
     assert len(witness) == 3
     for span in witness:
         assert [s.name for s in tracer.spans if s.parent == span.id] == ["integrate"] * 2
+
+
+def test_a_lone_witness_run_traces_its_forward_half_here(monkeypatch, force_cpus, capsys,
+                                                         small_scenario_file):
+    # small_scenario's 3 witnesses at one delta share 1 run; with 2 CPUs
+    # its backward half runs in a worker, which the tracer does not see, so
+    # the witness span has one integrate child, and the RHS calls counted
+    # here are that child's evaluations, as bench/run.py's trace check reads
+    tracing = _load_tracing(monkeypatch)
+    forks = force_cpus(2)
+    tracer = tracing.Tracer()
+    with tracer.installed(hexnet):
+        assert hexnet.cli.main(["witness", str(small_scenario_file)]) == 0
+    assert capsys.readouterr().out.count(": PASS") == 3
+    assert len(forks()) == 1
+    [witness] = [s for s in tracer.spans if s.name == "witness"]
+    [integ] = [s for s in tracer.spans if s.parent == witness.id]
+    assert integ.name == "integrate"
+    assert tracer.rhs_calls == integ.counts["rhs_calls"] == integ.counts["n_evals"] > 0
+    metrics = tracing.layer_metrics(tracer.spans, 1.0)
+    assert metrics["vectorfield.evals"] == metrics["_n_evals"]

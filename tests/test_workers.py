@@ -4,13 +4,17 @@ Claims covered:
     - run returns each call's value in call order; every call but the first
       is computed in another process, which sees one available CPU, so it
       never forks again
+    - the first call sees the CPUs its k workers leave, max(1, cpus - k),
+      and every CPU is available again once run returns or raises; so a
+      deal nested in a dealt call forks only onto free CPUs
     - with one CPU, run forks nothing and makes the calls here, in order;
       with no calls it returns [] and forks nothing at any CPU count
     - a worker that raises gives the same exception type and message in the
       parent, and leaves no child; a scenario error keeps its field path
     - a worker that exits with a nonzero status raises WorkerError, which is
       not an OSError
-    - a first call that raises while a worker runs kills and reaps it
+    - a first call that raises while a worker runs kills and reaps it, and
+      so does an exception that interrupts the wait for a worker
     - shares cuts range(n) into contiguous slices, as many as the CPUs
       allow with at least min_size items each, and at least one
     - deal returns each call's value in call order over min(cpus, calls)
@@ -18,6 +22,7 @@ Claims covered:
       least-loaded bin, so the heaviest call runs in this process
 """
 import os
+import signal
 import time
 
 import pytest
@@ -38,11 +43,44 @@ def test_worker_returns_the_value_from_another_process(force_cpus):
     forks = force_cpus(4)
     assert workers.available_cpus() == 4
     here, *there = workers.run([(_tagged, tag) for tag in range(3)])
-    assert here == (0, os.getpid(), 4)
+    assert here == (0, os.getpid(), 4 - 2)  # the first call runs beside 2 workers
     assert [tag for tag, _, _ in there] == [1, 2]
     assert len({pid for _, pid, _ in there} | {os.getpid()}) == 3
     assert [cpus for _, _, cpus in there] == [1, 1]
     assert forks() == [str(os.getpid())] * 2
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+@pytest.mark.parametrize("n_calls", [2, 3, 5])
+def test_first_call_sees_the_cpus_its_workers_leave(force_cpus, cpus, n_calls):
+    forks = force_cpus(cpus)
+    here, *there = workers.run([(_tagged, tag) for tag in range(n_calls)])
+    assert here[2] == max(1, cpus - (n_calls - 1))
+    assert [cpus_seen for _, _, cpus_seen in there] == [1] * (n_calls - 1)
+    assert workers.available_cpus() == cpus  # every worker reaped
+    assert len(forks()) == n_calls - 1
+
+
+def _deal_inside(n_calls):
+    return workers.deal([(_tagged, tag) for tag in range(n_calls)], [0.0] * n_calls)
+
+
+def test_nested_deal_forks_only_onto_free_cpus(force_cpus):
+    # an outer deal of 2 calls at 3 CPUs leaves its first call 2: that call's
+    # own deal of 2 forks 1 worker, so 3 processes run at most; the outer
+    # worker sees 1 CPU and forks nothing
+    forks = force_cpus(3)
+    here, there = workers.deal([(_deal_inside, 2), (_deal_inside, 2)], [0.0, 0.0])
+    assert len({pid for _, pid, _ in here}) == 2
+    assert len({pid for _, pid, _ in there}) == 1
+    assert forks() == [str(os.getpid())] * 2
+    assert workers.available_cpus() == 3
+    # at 2 CPUs the first call has 1 left and deals its calls here
+    forks = force_cpus(2)
+    n_forks = len(forks())
+    here, there = workers.deal([(_deal_inside, 2), (_deal_inside, 2)], [0.0, 0.0])
+    assert {pid for _, pid, _ in here} == {os.getpid()}
+    assert len(forks()) - n_forks == 1
 
 
 def test_one_cpu_forks_nothing_and_runs_in_order(force_cpus):
@@ -65,6 +103,7 @@ def test_worker_exception_is_raised_in_the_parent(force_cpus):
     with pytest.raises(KeyError, match="no such run"):
         workers.run([(int,), (_fail, "no such run")])
     assert len(forks()) == 1
+    assert workers.available_cpus() == 2  # the worker is reaped
 
 
 def _invalid(path, message):
@@ -97,6 +136,34 @@ def test_parent_error_kills_and_reaps_the_worker(force_cpus):
         workers.run([(_parent_fails,), (time.sleep, 60.0), (time.sleep, 60.0)])
     assert time.monotonic() - t0 < 30.0  # killed, not waited for
     with pytest.raises(ChildProcessError):  # and reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert workers.available_cpus() == 3
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def _interrupt(signum, frame):
+    raise _Interrupt
+
+
+def test_an_interrupted_wait_kills_and_reaps_the_worker(force_cpus):
+    # the alarm fires while this process waits for the worker: run still
+    # kills and reaps it, and every CPU is available again
+    force_cpus(2)
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        t0 = time.monotonic()
+        with pytest.raises(_Interrupt):
+            workers.run([(time.sleep, 0.0), (time.sleep, 60.0)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - t0 < 30.0
+    assert workers.available_cpus() == 2
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
