@@ -12,13 +12,21 @@ Dense output on a uniform sample grid comes from its 7th-order continuous
 extension, which costs three extra stages in each step that covers a
 sample.
 
-Each stage is one pass of a single stage loop over preallocated buffers:
-the stage's log-state, clamped against an array of _EXP_CLAMP, then exp,
-then growth_rates into the stage's row of K. The loop counts the
-evaluations in a local int and step-size control runs on Python floats, so
-the times a run returns are floats too. An accepted step finds the samples
-it covers with one binary search of the grid, and only a step that covers
-one evaluates the dense stages.
+At d = 13 a numpy call costs its fixed dispatch, not its arithmetic, so the
+loop makes as few calls as the arithmetic allows, each at the dispatch
+floor. numpy converts a Python-float operand anew on every call, so every
+operand of a per-stage or per-step ufunc is an array: h is a 0-d array set
+once per step, rtol, atol and _EXP_CLAMP are arrays of the live length, and
+the row views and the ufuncs are made and bound once per run. A stage is one pass of a single stage loop over preallocated buffers:
+hA[i, :i] @ K[:i] plus the base, clamped, then exp, then growth_rates into
+the stage's row of K. The two stages at the base itself, the first and the
+FSAL one, skip the dot and the add. Error control reuses |u| from the
+accepted step before. Step-size control runs on Python floats, so the
+times a run returns are floats too. An accepted step finds the samples it
+covers with one binary search of the grid, and only a step that covers one
+evaluates the dense stages. None of this moves a rounding: every sum and
+product is taken in the order of a plain loop with Python-float scalars
+(reference_integrate in the tests' oracles), and gives its bits.
 
 A run ends "completed" at t_end, "diverged" when a live coordinate passes
 DIVERGENCE_BOUND, "step_failure" when the step size underflows before
@@ -305,8 +313,13 @@ def integrate(
     m = live.size
     u = np.log(s0[live])
     u_new = np.empty(m)
+    abs_u = np.abs(u)
     abs_new = np.empty(m)
+    # array operands for the per-stage and per-step ufuncs (module docstring)
     clamp = np.full(m, _EXP_CLAMP)
+    rtol = np.full(m, cfg.rtol)
+    atol = np.full(m, cfg.atol)
+    h_arr = np.empty(())
     v = np.empty(m)
     stage = np.empty(m)
     scale = np.empty(m)
@@ -315,25 +328,33 @@ def integrate(
     combos = np.empty((3, m))  # h * (_B, _E5, _E3) @ K
     ratio = np.empty((2, m))
     F = np.empty((7, m))
-    # stage i is (hA[i, :i], K[:i], K[i]); a stage without terms (None) is
-    # evaluated at the base itself: K[0] at u, the FSAL stage K[12] at u_new
-    rows = [(hA[i, :i], K[:i], K[i]) for i in range(16)]
-    step_rows, dense_rows = rows[1:_N_STAGES], rows[13:]
-    first_row, fsal_row = [(None, None, K[0])], [(None, None, K[12])]
+    # the views and ufuncs the loop uses, made and bound once per run; stage
+    # i is (hA[i, :i], K[:i], K[i]), evaluated at the base plus hA[i, :i] @ K[:i]
+    step_rows = [(hA[i, :i], K[:i], K[i]) for i in range(1, _N_STAGES)]
+    dense_rows = [(hA[i, :i], K[:i], K[i]) for i in range(13, 16)]
+    K0, K12, K_step = K[0], K[12], K[:_N_STAGES]
+    sol, errs = combos[0], combos[1:]
+    ratio5, ratio3 = ratio
+    dot, add, multiply, divide = np.dot, np.add, np.multiply, np.divide
+    minimum, maximum, absolute, exp = np.minimum, np.maximum, np.absolute, np.exp
 
-    def run_stages(rows, base) -> int:
+    def base_stage(base, k_out) -> None:
+        """Write the log-chart field at base itself into k_out: clamp, exp,
+        growth_rates. The first stage K[0] is at u, the FSAL stage K[12] at
+        u_new."""
+        minimum(base, clamp, out=v)
+        exp(v, out=v)
+        k_out[:] = growth_rates(v, table)
+
+    def run_stages(rows, base) -> None:
         """Write the log-chart field at base + a_row @ k_head into each k_out
-        of rows: clamp, exp, growth_rates. Returns the evaluations made."""
+        of rows: clamp, exp, growth_rates."""
         for a_row, k_head, k_out in rows:
-            if a_row is None:
-                np.minimum(base, clamp, out=v)
-            else:
-                np.dot(a_row, k_head, out=stage)
-                np.add(stage, base, out=stage)
-                np.minimum(stage, clamp, out=v)
-            np.exp(v, out=v)
+            dot(a_row, k_head, out=stage)
+            add(stage, base, out=stage)
+            minimum(stage, clamp, out=v)
+            exp(v, out=v)
             k_out[:] = growth_rates(v, table)
-        return len(rows)
 
     t_end = float(cfg.t_end)
     max_step = float(cfg.max_step) if cfg.max_step is not None else math.inf
@@ -341,31 +362,32 @@ def integrate(
     h = min(_INITIAL_STEP, t_end, max_step)
     next_i = 1
     err_prev = 1.0
-    n_evals = 0
+    n_evals = 1
     termination = TERMINATION_COMPLETED
     div_coord: int | None = None
 
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        n_evals += run_stages(first_row, u)
+        base_stage(u, K0)
         while t < t_end:
             if h >= t_end - t:
                 h = t_end - t
                 t_new = t_end
             else:
                 t_new = t + h
-            np.multiply(_A, h, out=hA)
-            n_evals += run_stages(step_rows, u)
-            np.dot(_WEIGHTS, K[:_N_STAGES], out=combos)
-            combos *= h
-            np.add(u, combos[0], out=u_new)
-            np.abs(u, out=scale)
-            np.abs(u_new, out=abs_new)
-            np.maximum(scale, abs_new, out=scale)
-            scale *= cfg.rtol
-            scale += cfg.atol
-            np.divide(combos[1:], scale, out=ratio)
-            err5 = float(ratio[0] @ ratio[0])
-            err3 = float(ratio[1] @ ratio[1])
+            h_arr[()] = h
+            multiply(_A, h_arr, out=hA)
+            run_stages(step_rows, u)
+            n_evals += _N_STAGES - 1
+            dot(_WEIGHTS, K_step, out=combos)
+            combos *= h_arr
+            add(u, sol, out=u_new)
+            absolute(u_new, out=abs_new)
+            maximum(abs_u, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
+            divide(errs, scale, out=ratio)
+            err5 = float(ratio5.dot(ratio5))
+            err3 = float(ratio3.dot(ratio3))
             if err5 == 0.0 and err3 == 0.0:
                 err_norm = 0.0
             else:
@@ -376,18 +398,21 @@ def integrate(
                 err_norm = math.inf
 
             if err_norm <= 1.0:
-                n_evals += run_stages(fsal_row, u_new)
+                base_stage(u_new, K12)
+                n_evals += 1
                 # emit dense-output samples covered by this step
                 if next_i < n_samples and grid[next_i] <= t_new + 1e-10:
                     j_end = int(np.searchsorted(grid, t_new + 1e-10, side="right"))
-                    n_evals += run_stages(dense_rows, u)
+                    run_stages(dense_rows, u)
+                    n_evals += len(dense_rows)
                     theta = (grid[next_i:j_end] - t) / h
                     interp = _dense_output(u, u_new, h, K, F, theta)
                     states[next_i:j_end][:, live] = np.exp(interp)
                     next_i = j_end
                 t = t_new
                 u, u_new = u_new, u
-                K[0] = K[12]
+                abs_u, abs_new = abs_new, abs_u
+                K0[:] = K12
                 stats.accepted += 1
                 if err_norm == 0.0:
                     fac = _FAC_MAX
@@ -396,7 +421,10 @@ def integrate(
                     fac = min(_FAC_MAX, max(_FAC_MIN, fac))
                 h = min(h * fac, max_step)
                 err_prev = max(err_norm, 1e-10)
-                if u.max() > _LOG_DIVERGENCE:
+                # maximum() carries a NaN of u_new into err_norm, which then
+                # rejects the step, so an accepted u holds none and the
+                # largest of its floats is u.max()
+                if max(u.tolist()) > _LOG_DIVERGENCE:
                     termination = TERMINATION_DIVERGED
                     div_coord = int(live[int(np.argmax(u))])
                     break

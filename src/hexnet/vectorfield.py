@@ -430,6 +430,13 @@ def _restrict(p: FieldParams, matrix: np.ndarray, offset: np.ndarray, live,
                      p.variant == VARIANT_BOUNDED)
 
 
+# growth_rates' scratch operands b and omega * (1 - b), set per open gate.
+# They are not RateTable fields, so no table, nor a key made of its fields,
+# carries them; hexnet runs no threads, and a forked worker has its own.
+_GATE = np.empty(())
+_DECAY = np.empty(())
+
+
 def growth_rates(v: np.ndarray, t: RateTable) -> np.ndarray:
     """Per-coordinate growth rate r with dstate/dt = state * r, on the live
     coordinates of t (v holds their values).
@@ -444,8 +451,12 @@ def growth_rates(v: np.ndarray, t: RateTable) -> np.ndarray:
     z_j = (1 + |X|^2) - 2 X_j, and each gate applies to its own rows only.
     In the standard variant a gate of exactly 1 leaves them as they are and
     one of exactly 0 sets them to -omega, which is what the multiply and
-    subtract give for every finite rate. No input validation, no errstate
-    (callers own both).
+    subtract give for every finite rate. An open gate multiplies by b and
+    subtracts omega * (1 - b) as 0-d arrays (_GATE, _DECAY): numpy converts
+    a Python float operand anew on every call, and on a block's few rows
+    that conversion costs more than the arithmetic. The rates returned are
+    a fresh array on each call. No input validation, no errstate (callers
+    own both).
     """
     r = t.matrix.dot(v * v)
     r += t.offset
@@ -458,10 +469,11 @@ def growth_rates(v: np.ndarray, t: RateTable) -> np.ndarray:
             if b == 0.0 and not bounded:
                 rates[first:end] = -omega
             elif b != 1.0 or bounded:
-                c = omega * (1.0 - b)
+                _GATE[()] = b
+                _DECAY[()] = omega * (1.0 - b)
                 rows = rates[first:end]
-                rows *= b
-                rows -= c * (1.0 - v[first:end]) if bounded else c
+                rows *= _GATE
+                rows -= _DECAY * (1.0 - v[first:end]) if bounded else _DECAY
     return rates
 
 

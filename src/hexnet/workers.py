@@ -2,10 +2,11 @@
 work over processes, and the one place it calls os.fork.
 
 run(calls) runs a list of independent calls and returns their values in
-order. The first call runs in this process. With more than one available
-CPU every other call runs at the same time in a forked copy of this
+order. It cuts them into contiguous groups in call order, one per process,
+as many as there are available CPUs and calls. The first group runs in this
+process. Every other group runs at the same time in a forked copy of this
 process, so it sees the caller's objects as they were at the fork and needs
-nothing sent to it; its outcome (the return value, or the exception it
+nothing sent to it; its outcome (the values, or the exception a call
 raised) comes back pickled through an unnamed temporary file. With one CPU,
 or without fork, the calls run here, one after another. Either way a call's
 exception is raised in the caller, and no worker outlives run.
@@ -57,8 +58,9 @@ def shares(n: int, min_size: int = 1) -> list[slice]:
 
 
 def run(calls: list) -> list:
-    """[fn(*args) for fn, *args in calls], with every call but the first in
-    a forked worker when more than one CPU is available.
+    """[fn(*args) for fn, *args in calls], cut into min(available_cpus(),
+    len(calls)) contiguous groups (the slices of shares), every group but
+    the first in a forked worker.
 
     The first exception, in call order, is raised here; a worker that exits
     without reporting (it was killed, or its outcome could not be pickled)
@@ -66,19 +68,19 @@ def run(calls: list) -> list:
     exception interrupts the wait for one, are killed (SIGKILL); every
     worker has been reaped when run returns or raises.
     """
-    if available_cpus() == 1 or len(calls) < 2:
-        return [fn(*args) for fn, *args in calls]
+    groups = [calls[s] for s in shares(len(calls))]
+    if len(groups) < 2:
+        return _run_bin(calls)
     pending = []  # (pid, outcome file) of each worker not yet reaped, in call order
     try:
-        for fn, *args in calls[1:]:
-            pending.append(_fork(fn, args))
-        fn, *args = calls[0]
-        values = [fn(*args)]
+        for group in groups[1:]:
+            pending.append(_fork(_run_bin, (group,)))
+        values = _run_bin(groups[0])
         while pending:
             pid, outcome = pending[0]
             status = _reap(pid)  # an interrupt here leaves the worker pending
             del pending[0]
-            values.append(_read_outcome(pid, status, outcome))
+            values += _read_outcome(pid, status, outcome)
         return values
     finally:
         for pid, outcome in pending:
@@ -153,8 +155,8 @@ def _reap(pid: int) -> int:
 
 
 def _read_outcome(pid: int, status: int, outcome):
-    """The value of the call of the worker pid, reaped with exit code
-    status, from its outcome file; or raise the call's exception."""
+    """The values of the calls of the worker pid, reaped with exit code
+    status, from its outcome file; or raise the exception a call raised."""
     with outcome:
         if status != 0:
             raise WorkerError(f"worker {pid} exited with status {status}")

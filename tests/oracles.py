@@ -1,8 +1,11 @@
 """Independent reference implementations used only as test oracles.
 
-Everything here is written as plain scalar Python against the defining
-formulas, with its own bump evaluation, so it shares no code path with the
-package internals it checks.
+Everything here but reference_integrate is written as plain scalar Python
+against the defining formulas, with its own bump evaluation, so it shares no
+code path with the package internals it checks. reference_integrate is a
+bitwise reference for the stepper's loop: it shares the package's tableau
+and rates, and makes the stepper's floating-point operations in the same
+order, but plainly.
 """
 import math
 
@@ -154,3 +157,114 @@ def central_difference_jacobian(f, x0, h: float = 1e-6):
         xm[c] -= h
         cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def reference_integrate(s0, p, cfg, *, until=None, order=None):
+    """integrate(s0, p, cfg, until=until, order=order) as a plain DOP853
+    loop: each stage, error estimate and dense output is a fresh numpy
+    expression with Python-float scalars, in the stepper's order of
+    operations, so it gives the stepper's trajectory bit for bit. Returns a
+    dict of times, states, last_time, last_state, termination,
+    diverged_coordinate, accepted, rejected and n_evals. Only for runs with
+    a live coordinate and t_end > 0."""
+    import numpy as np
+
+    from hexnet import integrator as ig
+    from hexnet.vectorfield import growth_rates, rate_table
+
+    d = p.hierarchy.dimension
+    s0 = np.asarray(s0, dtype=float)
+    live = np.flatnonzero(s0) if order is None else np.asarray(order, dtype=np.intp)
+    table = rate_table(p, live, backward=cfg.direction == "backward")
+    grid = ig._sample_grid(cfg.t_end, cfg.sample_dt)
+    states = np.zeros((grid.shape[0], d))
+    states[0] = s0
+    m = live.size
+
+    def field(w):
+        return growth_rates(np.exp(np.minimum(w, ig._EXP_CLAMP)), table)
+
+    u = np.log(s0[live])
+    K = np.empty((16, m))
+    K[0] = field(u)
+    n_evals, accepted, rejected = 1, 0, 0
+    t, t_end = 0.0, float(cfg.t_end)
+    max_step = math.inf if cfg.max_step is None else float(cfg.max_step)
+    h = min(ig._INITIAL_STEP, t_end, max_step)
+    next_i, err_prev = 1, 1.0
+    termination, div_coord = ig.TERMINATION_COMPLETED, None
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        while t < t_end:
+            if h >= t_end - t:
+                h = t_end - t
+                t_new = t_end
+            else:
+                t_new = t + h
+            hA = ig._A * h
+            for i in range(1, 12):
+                K[i] = field(np.dot(hA[i, :i], K[:i]) + u)
+            n_evals += 11
+            combos = np.dot(ig._WEIGHTS, K[:12]) * h
+            u_new = u + combos[0]
+            scale = np.maximum(np.abs(u), np.abs(u_new)) * cfg.rtol + cfg.atol
+            ratio = combos[1:] / scale
+            err5 = float(ratio[0] @ ratio[0])
+            err3 = float(ratio[1] @ ratio[1])
+            if err5 == 0.0 and err3 == 0.0:
+                err_norm = 0.0
+            else:
+                err_norm = err5 / math.sqrt((err5 + 0.01 * err3) * m)
+            if not math.isfinite(err_norm):
+                err_norm = math.inf
+            if err_norm <= 1.0:
+                K[12] = field(u_new)
+                n_evals += 1
+                if next_i < grid.shape[0] and grid[next_i] <= t_new + 1e-10:
+                    j_end = int(np.searchsorted(grid, t_new + 1e-10, side="right"))
+                    for i in range(13, 16):
+                        K[i] = field(np.dot(hA[i, :i], K[:i]) + u)
+                    n_evals += 3
+                    du = u_new - u
+                    F = np.vstack([
+                        du,
+                        K[0] * h - du,
+                        (K[0] + K[12]) * -h + 2.0 * du,
+                        np.dot(ig._D, K) * h,
+                    ])
+                    theta = ((grid[next_i:j_end] - t) / h)[:, None]
+                    w = np.cumprod(np.where(ig._THETA_FACTOR, theta, 1.0 - theta), axis=1)
+                    states[next_i:j_end][:, live] = np.exp(w @ F + u)
+                    next_i = j_end
+                t, u = t_new, u_new
+                K[0] = K[12]
+                accepted += 1
+                if err_norm == 0.0:
+                    fac = ig._FAC_MAX
+                else:
+                    fac = ig._SAFETY * err_norm**-ig._PI_ALPHA * err_prev**ig._PI_BETA
+                    fac = min(ig._FAC_MAX, max(ig._FAC_MIN, fac))
+                h = min(h * fac, max_step)
+                err_prev = max(err_norm, 1e-10)
+                if u.max() > np.log(ig.DIVERGENCE_BOUND):
+                    termination = ig.TERMINATION_DIVERGED
+                    div_coord = int(live[int(np.argmax(u))])
+                    break
+                if until is not None:
+                    state = np.zeros(d)
+                    state[live] = np.exp(u)
+                    if until(state):
+                        termination = ig.TERMINATION_STOPPED
+                        break
+            else:
+                rejected += 1
+                h *= min(1.0, max(ig._FAC_MIN, ig._SAFETY * err_norm**-ig._ERR_EXPONENT))
+            if t < t_end and h < 1e-12 * max(1.0, t):
+                termination = ig.TERMINATION_STEP_FAILURE
+                break
+    last_state = np.zeros(d)
+    last_state[live] = np.exp(u)
+    if termination != ig.TERMINATION_COMPLETED:
+        grid, states = grid[:next_i], states[:next_i]
+    return {"times": grid, "states": states, "last_time": t, "last_state": last_state,
+            "termination": termination, "diverged_coordinate": div_coord,
+            "accepted": accepted, "rejected": rejected, "n_evals": n_evals}

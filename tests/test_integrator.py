@@ -14,8 +14,14 @@ Claims covered:
     - halving tolerances: identical symbolic itinerary, small state shifts
     - time-reversal consistency
     - backward divergence detection with coordinate attribution
-    - step statistics (exact RHS call count) and failure modes; a run
+    - step statistics (exact RHS call count, each call through the
+      module-level growth_rates with two positional arguments, forward,
+      backward, stopped, dense and role-ordered) and failure modes; a run
       whose last step lands on t_end completes, however small the step
+    - integrate is bitwise the plain reference stepper of oracles.py
+      (samples, last state and time, termination, step statistics) on
+      forward, backward, diverging, bounded, stopped, role-ordered and
+      densely sampled runs
     - the until predicate: called once per accepted step, ends the run
       "stopped" at the first step where it holds, changes nothing when
       it never fires
@@ -44,7 +50,14 @@ from hexnet.integrator import (
     TERMINATION_STOPPED,
     integrate,
 )
-from hexnet.analysis import extract_itinerary
+from hexnet.analysis import (
+    WITNESS_TOL,
+    WitnessSpec,
+    _level_state,
+    _witness_problem,
+    extract_itinerary,
+    witness_initial_condition,
+)
 from hexnet.vectorfield import designed_equilibria, eval_field, growth_rates, rate_table
 
 
@@ -267,21 +280,81 @@ def test_backward_divergence_detection(example1):
     assert traj.last_time < 200.0
 
 
+def _stepper_case(example1, case):
+    """(s0, p, cfg, keyword arguments) of an integrate run of example1 for
+    the stepper's checks; each call builds a fresh until predicate."""
+    sc, p, s0 = example1
+    unit = replace(p, phi=1.0, psi=1.0, omega=1.0)
+    if case == "forward":  # three gates
+        return s0, p, IntegratorConfig(t_end=2.0), {}
+    if case == "x_block1":  # paper_verify's critical run, on a short horizon
+        return _level_state(s0, p, 0), p, replace(sc.integrator, t_end=3.0), {}
+    if case == "backward":
+        y0 = np.random.default_rng(1).uniform(0.1, 1.0, p.layout.dimension)
+        return y0, p, IntegratorConfig(t_end=1.0, sample_dt=0.25, direction="backward"), {}
+    if case == "backward_diverged":
+        w0 = witness_initial_condition(WitnessSpec(0, 1, 1e-2), unit)
+        return w0, unit, IntegratorConfig(t_end=200.0, sample_dt=0.5, direction="backward"), {}
+    if case == "bounded":
+        return s0, replace(p, variant="bounded"), IntegratorConfig(t_end=3.0), {}
+    if case == "until":
+        return s0, p, IntegratorConfig(t_end=2.0), {"until": _stop_at_step(40)}
+    if case == "witness_roles":  # the j > k witness run, its coordinates in role order
+        w0, _, _, order = _witness_problem(WitnessSpec(2, 0, 1e-2), unit)
+        cfg = IntegratorConfig(t_end=20.0, rtol=WITNESS_TOL, atol=WITNESS_TOL, sample_dt=20.0)
+        return w0, unit, cfg, {"order": order}
+    assert case == "dense"  # unit timescales, three gates, many samples per step
+    return s0, unit, IntegratorConfig(t_end=2.0, rtol=1e-9, atol=1e-9, sample_dt=0.001), {}
+
+
 def test_step_statistics(example1, monkeypatch):
     # the stepper must reach the RHS through the module-level name, once per
-    # evaluation it counts
-    _, p, s0 = example1
-    calls = 0
+    # evaluation it counts, with the two positional arguments (state, table)
+    # that bench/tracing.py's wrapper takes
+    calls = []
 
-    def counting(v, params):
-        nonlocal calls
-        calls += 1
-        return growth_rates(v, params)
+    def counting(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return growth_rates(*args, **kwargs)
 
     monkeypatch.setattr(integrator, "growth_rates", counting)
-    traj = integrate(s0, p, IntegratorConfig(t_end=2.0))
-    assert traj.stats.accepted > 0
-    assert traj.stats.n_evals == calls
+    for case in ("forward", "backward", "until", "dense", "witness_roles"):
+        calls.clear()
+        s0, p, cfg, kw = _stepper_case(example1, case)
+        traj = integrate(s0, p, cfg, **kw)
+        assert traj.stats.accepted > 0
+        assert traj.stats.n_evals == len(calls), case
+        assert all(call == (2, {}) for call in calls), case
+        if case == "until":
+            assert traj.termination == TERMINATION_STOPPED
+        if case == "dense":  # some step covers more than one sample
+            assert traj.times.size > traj.stats.accepted + 1
+    live = np.flatnonzero(example1[2])
+    assert len(rate_table(example1[1], live).spans) == 3  # "forward" is a 3-gate table
+
+
+@pytest.mark.parametrize("case", ["x_block1", "backward", "backward_diverged", "bounded",
+                                  "until", "witness_roles", "dense"])
+def test_integrate_is_bitwise_the_reference_stepper(example1, case):
+    # the plain DOP853 loop of tests/oracles.py: Python-float scalars, no
+    # preallocated buffers, the same order of operations
+    from oracles import reference_integrate
+
+    s0, p, cfg, kw = _stepper_case(example1, case)
+    traj = integrate(s0, p, cfg, **kw)
+    s0, p, cfg, kw = _stepper_case(example1, case)
+    ref = reference_integrate(s0, p, cfg, **kw)
+    for name in ("times", "states", "last_state"):
+        ours, theirs = getattr(traj, name), ref[name]
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+    assert type(traj.last_time) is float and traj.last_time.hex() == ref["last_time"].hex()
+    assert (traj.termination, traj.diverged_coordinate) == (ref["termination"],
+                                                           ref["diverged_coordinate"])
+    stats = traj.stats
+    assert (stats.accepted, stats.rejected, stats.n_evals) == (
+        ref["accepted"], ref["rejected"], ref["n_evals"])
+    expected = {"backward_diverged": TERMINATION_DIVERGED, "until": TERMINATION_STOPPED}
+    assert traj.termination == expected.get(case, TERMINATION_COMPLETED)
 
 
 @pytest.mark.parametrize("t_end", [1e-13, 2e-13])

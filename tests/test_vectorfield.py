@@ -24,6 +24,8 @@ Claims covered:
     - growth_rates is bitwise equal to the earlier per-block gate arithmetic
       on random live sets: masked X_j with a live block, gates closed, open,
       and exactly 0 or 1 (|w| > 700), forward, backward, bounded and N = 10
+    - two growth_rates calls at different open gates return independent
+      arrays: the second leaves the first's rates and the table unchanged
     - log-chart rates (clamp, exp, growth_rates): equilibrium value,
       cross-chart identity, deep underflow at exp(-745), masked coordinates
       contribute nothing
@@ -659,6 +661,38 @@ def test_growth_rates_bitwise_equal_reference(example1, case):
             else:
                 seen.add("plateau" if z[b] <= 0.0 else "closed")
     assert seen == {"masked X", 1.0, 0.0, "open", "plateau", "closed"}
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_growth_rates_at_two_open_gates_are_independent(example1, bounded):
+    # the open-gate operands are scratch shared by every call: a second call
+    # at another open gate leaves the first call's rates, and the table the
+    # witness runs are keyed on, as they were
+    from dataclasses import fields
+
+    _, p, _ = example1
+    p = replace(p, variant="bounded") if bounded else p
+    n, d, eps = p.layout.n_super, p.layout.dimension, p.epsilon
+    live = np.arange(d)
+    table = rate_table(p, live)
+    key = [np.asarray(getattr(table, f.name)).tobytes() for f in fields(table)]
+    states = []
+    for z in (0.3 * eps, 0.6 * eps):  # X at squared distance z from e_1
+        s = np.full(d, 0.4)
+        s[:n] = 0.0
+        s[0], s[1] = 0.9, math.sqrt(z - 0.01)
+        assert 0.0 < bump(gate_distances(s[:n])[0], eps) < 1.0
+        states.append(s)
+    first = growth_rates(states[0], table)
+    kept = first.copy()
+    second = growth_rates(states[1], table)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    for s, rates in zip(states, (first, second)):
+        assert np.array_equal(rates, _reference_growth_rates(s, table, p, live))
+    block = p.layout.sub_slice(0)
+    assert not np.array_equal(first[block], second[block])
+    assert [np.asarray(getattr(table, f.name)).tobytes() for f in fields(table)] == key
 
 
 def test_eval_field_multiplicative_invariance(example1):

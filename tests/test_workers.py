@@ -1,12 +1,13 @@
 """Forked workers: outcomes, failures, cleanup and the split of the work.
 
 Claims covered:
-    - run returns each call's value in call order; every call but the first
-      is computed in another process, which sees one available CPU, so it
-      never forks again
-    - the first call sees the CPUs its k workers leave, max(1, cpus - k),
-      and every CPU is available again once run returns or raises; so a
-      deal nested in a dealt call forks only onto free CPUs
+    - run returns each call's value in call order; it cuts the calls into
+      min(cpus, calls) contiguous groups, so it never runs more processes
+      than CPUs; every group but the first is computed in another process,
+      which sees one available CPU, so it never forks again
+    - the first call sees the CPUs its k workers leave, cpus - k, and every
+      CPU is available again once run returns or raises; so a deal nested
+      in a dealt call forks only onto free CPUs
     - with one CPU, run forks nothing and makes the calls here, in order;
       with no calls it returns [] and forks nothing at any CPU count
     - a worker that raises gives the same exception type and message in the
@@ -53,12 +54,42 @@ def test_worker_returns_the_value_from_another_process(force_cpus):
 @pytest.mark.parametrize("cpus", [2, 3, 4])
 @pytest.mark.parametrize("n_calls", [2, 3, 5])
 def test_first_call_sees_the_cpus_its_workers_leave(force_cpus, cpus, n_calls):
+    # one group per process, at most one process per CPU: with more calls
+    # than CPUs the calls after the first share the processes, and every
+    # call but the first sees 1 CPU (here the first group's later calls
+    # run beside cpus - 1 workers)
     forks = force_cpus(cpus)
+    n_workers = min(cpus, n_calls) - 1
     here, *there = workers.run([(_tagged, tag) for tag in range(n_calls)])
-    assert here[2] == max(1, cpus - (n_calls - 1))
+    assert here[2] == cpus - n_workers
     assert [cpus_seen for _, _, cpus_seen in there] == [1] * (n_calls - 1)
     assert workers.available_cpus() == cpus  # every worker reaped
-    assert len(forks()) == n_calls - 1
+    assert len(forks()) == n_workers
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_run_cuts_the_calls_into_one_contiguous_group_per_cpu(force_cpus, cpus):
+    forks = force_cpus(cpus)
+    values = workers.run([(_tagged, tag) for tag in range(7)])
+    assert [tag for tag, _, _ in values] == list(range(7))
+    bounds = [7 * i // cpus for i in range(cpus + 1)]  # the slices of shares(7)
+    pids = [pid for _, pid, _ in values]
+    groups = [pids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    assert groups[0] == [os.getpid()] * len(groups[0])
+    assert [len(set(group)) for group in groups] == [1] * cpus
+    assert len({group[0] for group in groups}) == cpus
+    assert forks() == [str(os.getpid())] * (cpus - 1)
+
+
+def test_first_exception_in_call_order_from_a_shared_worker(force_cpus):
+    # at 2 CPUs calls 0 and 1 run here and calls 2-4 share one worker
+    force_cpus(2)
+    made = []
+    with pytest.raises(KeyError, match="third"):
+        workers.run([(made.append, 0), (made.append, 1), (_fail, "third"), (_fail, "fourth"),
+                     (made.append, 4)])
+    assert made == [0, 1]
+    assert workers.available_cpus() == 2
 
 
 def _deal_inside(n_calls):
