@@ -15,11 +15,11 @@ windows. simulate, verify and the SVG shading all read that one list, and
 _active_runs is the only place that decides where a gate is active.
 
 The witness runs depend on the field alone, not on each other or on a
-scenario's trajectory, so each distinct run is one job of workers.deal,
-which spreads the jobs over up to one process per available CPU. A run's
-forward and backward halves are independent too, and run_witness deals
-them onto a CPU the outer deal left free, if there is one. The results are
-bitwise those of a serial run.
+scenario's trajectory, and a run's forward and backward halves are
+independent too. So each half of each distinct run is one integrate job of
+a command's one workers.deal call, which spreads the jobs over up to one
+process per available CPU; each result is read from its two trajectories
+after that call. The results are bitwise those of a serial run.
 
 verify_realization integrates each scenario level by level. The field is a
 skew product: X's rates read only X, and block j's read only x^j and,
@@ -85,6 +85,7 @@ DEFAULT_MIN_DWELL = 1.0
 DEFAULT_WITNESS_DELTAS = (1e-1, 1e-2, 1e-3)
 WITNESS_CONVERGENCE_TOL = 1e-6
 WITNESS_TOL = 1e-10  # rtol and atol of every witness run
+WITNESS_MAX_TIME = 400.0  # model-time budget of each witness run, per direction
 
 _ANALYSIS_VALUE_RULES = {  # name: (test, rule)
     "near_tol": (lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)"),
@@ -417,33 +418,32 @@ def _with_unit_timescales(p: FieldParams) -> FieldParams:
     return replace(p, phi=1.0, psi=1.0, omega=1.0)
 
 
-def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> WitnessResult:
-    """Forward run to the target equilibrium plus a backward run.
+def run_witness(w: WitnessSpec, p: FieldParams) -> WitnessResult:
+    """run_witnesses([w], p)[0]: w's forward run to the target equilibrium
+    plus its backward run."""
+    return run_witnesses([w], p)[0]
 
-    Witness dynamics uses unit timescales; convergence needs no timescale
-    separation and the realization statement is scale-neutral. Each
-    direction is one integrate run of at most max_time, at rtol = atol =
-    WITNESS_TOL, on the four live coordinates in role order (X_j, X_k,
-    x^j_1, x^k_1), so that an edge j -> k runs as any other edge whose
-    subsystem has the same coefficients, whichever of j and k is larger.
-    Forward: it stops once the sup-distance to Sub(k, 1) is
-    below 1e-7 (reported against the 1e-6 criterion). Backward: the
-    standard variant must reach the divergence bound in a gated-off
-    substructure coordinate; the bounded variant stays in [0, 1] and stops
-    once its live substructure coordinates are within 1e-4 of 1.
 
-    The two runs are independent, so they are two jobs of weight 0 of
-    workers.deal, forward first: with a free CPU the backward run is made
-    in a forked worker while this process makes the forward one; with
-    none, both run here, in that order. Either way the results are bitwise
-    those of a serial run.
+def _witness_run(w: WitnessSpec, p_run: FieldParams):
+    """The two integrate jobs of w's run, forward then backward, and the
+    function that reads w's WitnessResult from their two trajectories.
+
+    Witness dynamics uses unit timescales (p_run); convergence needs no
+    timescale separation and the realization statement is scale-neutral.
+    Each direction is one integrate run of at most WITNESS_MAX_TIME, at
+    rtol = atol = WITNESS_TOL, on the four live coordinates in role order
+    (X_j, X_k, x^j_1, x^k_1), so that an edge j -> k runs as any other edge
+    whose subsystem has the same coefficients, whichever of j and k is
+    larger. Forward: it stops once the sup-distance to Sub(k, 1) is below
+    1e-7 (reported against the 1e-6 criterion). Backward: the standard
+    variant must reach the divergence bound in a gated-off substructure
+    coordinate; the bounded variant stays in [0, 1] and stops once its
+    live substructure coordinates are within 1e-4 of 1.
     """
-    if not 0.0 < max_time < np.inf:
-        raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
-    p_run = _with_unit_timescales(p)
     s0, target, sub_live, order = _witness_problem(w, p_run)
     h = p_run.hierarchy
-    cfg = IntegratorConfig(t_end=max_time, rtol=WITNESS_TOL, atol=WITNESS_TOL, sample_dt=max_time)
+    cfg = IntegratorConfig(t_end=WITNESS_MAX_TIME, rtol=WITNESS_TOL, atol=WITNESS_TOL,
+                           sample_dt=WITNESS_MAX_TIME)
 
     def near_target(state):
         return float(np.abs(state - target).max()) <= 0.1 * WITNESS_CONVERGENCE_TOL
@@ -452,41 +452,44 @@ def run_witness(w: WitnessSpec, p: FieldParams, max_time: float = 400.0) -> Witn
         return float(np.abs(state[sub_live] - 1.0).max()) <= 1e-4
 
     back_until = near_unit if p_run.variant == VARIANT_BOUNDED else None
-    ftraj, btraj = workers.deal([
+    jobs = [
         (partial(integrate, until=near_target, order=order), s0, p_run, cfg),
         (partial(integrate, until=back_until, order=order), s0, p_run,
          replace(cfg, direction="backward")),
-    ], [0.0, 0.0])
-    fdist = float(np.abs(ftraj.last_state - target).max())
-    bstate = btraj.last_state
-    diverged = btraj.termination == TERMINATION_DIVERGED
-    coord = btraj.diverged_coordinate
-    name = gate = None
-    if coord is not None:
-        name = h.coord_names()[coord]
-        if coord >= h.n_super:  # a substructure coordinate: the gate of its block
-            j = int(h.sub_block_index()[coord - h.n_super])
-            gate = bump_j(bstate[h.super_slice], j, p_run.epsilon)
-    gap = float(np.abs(bstate[sub_live] - 1.0).max()) if sub_live.any() else None
+    ]
 
-    return WitnessResult(
-        spec=w,
-        variant=p_run.variant,
-        forward_converged=fdist <= WITNESS_CONVERGENCE_TOL,
-        forward_distance=fdist,
-        forward_time=ftraj.last_time,
-        backward_diverged=diverged,
-        backward_time=btraj.last_time,
-        backward_coordinate=coord,
-        backward_coordinate_name=name,
-        backward_coordinate_gate=gate,
-        backward_inactive_gap=gap,
-    )
+    def read(ftraj: Trajectory, btraj: Trajectory) -> WitnessResult:
+        fdist = float(np.abs(ftraj.last_state - target).max())
+        bstate = btraj.last_state
+        coord = btraj.diverged_coordinate
+        name = gate = None
+        if coord is not None:
+            name = h.coord_names()[coord]
+            if coord >= h.n_super:  # a substructure coordinate: the gate of its block
+                j = int(h.sub_block_index()[coord - h.n_super])
+                gate = bump_j(bstate[h.super_slice], j, p_run.epsilon)
+        gap = float(np.abs(bstate[sub_live] - 1.0).max()) if sub_live.any() else None
+        return WitnessResult(
+            spec=w,
+            variant=p_run.variant,
+            forward_converged=fdist <= WITNESS_CONVERGENCE_TOL,
+            forward_distance=fdist,
+            forward_time=ftraj.last_time,
+            backward_diverged=btraj.termination == TERMINATION_DIVERGED,
+            backward_time=btraj.last_time,
+            backward_coordinate=coord,
+            backward_coordinate_name=name,
+            backward_coordinate_gate=gate,
+            backward_inactive_gap=gap,
+        )
+
+    return jobs, read
 
 
-def _witness_plans(specs, p: FieldParams) -> tuple[list[tuple], list[int]]:
-    """The distinct runs of specs, each a job (run_witness, spec, p at unit
-    timescales), and the index of each spec's job; checks every spec.
+def _witness_plans(specs, p: FieldParams):
+    """The jobs of the distinct runs of specs, two integrate jobs each
+    (_witness_run), and the function that reads every spec's result from
+    those jobs' values; checks every spec.
 
     A run is keyed on delta and the rate table of its _roles: the log
     initial state, the target and the live mask on them follow from delta
@@ -495,54 +498,54 @@ def _witness_plans(specs, p: FieldParams) -> tuple[list[tuple], list[int]]:
     p_run = _with_unit_timescales(p)
     h = p_run.hierarchy
     index: dict[tuple, int] = {}
-    jobs, runs = [], []
+    jobs, readers, runs = [], [], []
     for w in specs:
         witness_initial_condition(w, p_run)  # checks w
         table = rate_table(p_run, _roles(w, h))
         key = (w.delta, *(np.asarray(getattr(table, f.name)).tobytes() for f in fields(table)))
         if key not in index:
-            index[key] = len(jobs)
-            jobs.append((run_witness, w, p_run))
+            index[key] = len(readers)
+            run_jobs, read = _witness_run(w, p_run)
+            jobs += run_jobs
+            readers.append(read)
         runs.append(index[key])
-    return jobs, runs
 
-
-def _by_role(specs, runs, done, h) -> list[WitnessResult]:
-    """The result of each spec, given the index of its job (_witness_plans)
-    in runs and the jobs' values in done: its job's result with the
-    backward coordinate mapped by role (_roles) into the spec's blocks."""
-    names = h.coord_names()
-    results = []
-    for w, i in zip(specs, runs):
-        res = done[i]
-        coord = res.backward_coordinate
-        if coord is not None:
-            coord = int(_roles(w, h)[_roles(res.spec, h).tolist().index(coord)])
-        results.append(replace(res, spec=w, backward_coordinate=coord,
+    def results(done) -> list[WitnessResult]:
+        made = [read(*done[2 * i:2 * i + 2]) for i, read in enumerate(readers)]
+        names = h.coord_names()
+        out = []
+        for w, res in zip(specs, (made[i] for i in runs)):
+            coord = res.backward_coordinate
+            if coord is not None:
+                coord = int(_roles(w, h)[_roles(res.spec, h).tolist().index(coord)])
+            out.append(replace(res, spec=w, backward_coordinate=coord,
                                backward_coordinate_name=None if coord is None else names[coord]))
-    return results
+        return out
+
+    return jobs, results
 
 
 def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
-    """run_witness(w, p) for each spec w, integrating each distinct run once.
+    """The WitnessResult of each spec, integrating each distinct run once.
 
     A run reads only its live coordinates, those nonzero at the start, in
     role order (X_j, X_k, x^j_1, x^k_1). Two specs share a run when their
     deltas are equal and so are the forward rate tables of those
     coordinates, byte for byte (_witness_plans). The runs are then bitwise
     the same, so each spec takes its group's result with the backward
-    coordinate mapped by role to its own; the gate of that coordinate is
+    coordinate mapped by role (_roles) to its own; the gate of that coordinate is
     equal too, because the table fixes which live X gates it. Under a
     uniform coefficient rule every edge, j < k or j > k, has one subsystem,
     so one run per delta serves them all. The grouping lasts for this one
     call. Every spec is checked before any run.
 
-    Each distinct run is one job of weight 0 of workers.deal, which shares
-    the jobs between this process and forked workers. integrate is
-    deterministic, so the results are bitwise those of a serial run.
+    Each distinct run is two jobs of weight 0, forward then backward, of
+    one workers.deal call, which shares the jobs between this process and
+    forked workers. integrate is deterministic, so the results are bitwise
+    those of a serial run.
     """
-    jobs, runs = _witness_plans(specs, p)
-    return _by_role(specs, runs, workers.deal(jobs, [0.0] * len(jobs)), p.hierarchy)
+    jobs, results = _witness_plans(specs, p)
+    return results(workers.deal(jobs, [0.0] * len(jobs)))
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +603,9 @@ def verify_realization(
     eigen = check_edge_eigen_correspondence(p)
     gamma = p.hierarchy.superstructure
     specs = [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas]
-    jobs, witness_runs = _witness_plans(specs, p)
+    jobs, results = _witness_plans(specs, p)
     runs, itineraries, done = _check_itineraries(p, scenarios, jobs, near_tol, min_dwell)
-    witnesses = _by_role(specs, witness_runs, done, p.hierarchy)
+    witnesses = results(done)
     return RealizationReport(residuals, eigen, runs, itineraries, witnesses)
 
 

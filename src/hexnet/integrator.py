@@ -17,16 +17,17 @@ loop makes as few calls as the arithmetic allows, each at the dispatch
 floor. numpy converts a Python-float operand anew on every call, so every
 operand of a per-stage or per-step ufunc is an array: h is a 0-d array set
 once per step, rtol, atol and _EXP_CLAMP are arrays of the live length, and
-the row views and the ufuncs are made and bound once per run. A stage is one pass of a single stage loop over preallocated buffers:
-hA[i, :i] @ K[:i] plus the base, clamped, then exp, then growth_rates into
-the stage's row of K. The two stages at the base itself, the first and the
-FSAL one, skip the dot and the add. Error control reuses |u| from the
-accepted step before. Step-size control runs on Python floats, so the
-times a run returns are floats too. An accepted step finds the samples it
-covers with one binary search of the grid, and only a step that covers one
-evaluates the dense stages. None of this moves a rounding: every sum and
-product is taken in the order of a plain loop with Python-float scalars
-(reference_integrate in the tests' oracles), and gives its bits.
+the row views and the ufuncs are made and bound once per run. A stage is
+one pass of a single stage loop over preallocated buffers: hA[i, :i] @ K[:i]
+plus the base, clamped, then exp, then growth_rates into the stage's row of
+K. The two stages at the base itself, the first and the FSAL one, skip the
+dot and the add. Error control reuses |u| from the accepted step before.
+Step-size control runs on Python floats, so the times a run returns are
+floats too. An accepted step finds the samples it covers with one binary
+search of the grid, and only a step that covers one evaluates the dense
+stages. None of this moves a rounding: every sum and product is taken in
+the order of a plain loop with Python-float scalars (reference_integrate in
+the tests' oracles), and gives its bits.
 
 A run ends "completed" at t_end, "diverged" when a live coordinate passes
 DIVERGENCE_BOUND, "step_failure" when the step size underflows before

@@ -5,7 +5,7 @@ analysis.extract_itinerary; nothing here decides where a gate is active.
 
 Every file is published whole or not at all (publish). The timeseries rows
 are formatted by up to one process per available CPU, this one and forked
-workers (workers.run); the bytes do not depend on how many ran. Each process
+workers (workers.deal); the bytes do not depend on how many ran. Each process
 formats its rows in blocks with format17.format_rows, whose bytes are
 format(x, ".17g") of every value.
 """
@@ -89,14 +89,15 @@ def write_timeseries(traj: Trajectory, layout: HierarchySpec, path) -> None:
     The file is written through publish, so on error path is left as it
     was; the header and the rows go through its one binary handle, flushed
     before any fork. The rows are split into contiguous chunks
-    (workers.shares), no more than one per _ROWS_PER_WRITER rows, written
-    through workers.run: this process writes the first chunk and forked
+    (workers.shares), no more than one per _ROWS_PER_WRITER rows, dealt
+    with equal weights by workers.deal, which keeps the first chunk in
+    this process: it writes that chunk through the handle, and forked
     children write the others into unnamed part files in the same
     directory, which are then appended in order. Each writer formats its
     chunk _BLOCK_ROWS rows at a time (_write_rows). The bytes do not depend
     on the number of writers, no part file is left behind, and every child
     has exited when this returns. A child's failure is raised here as
-    workers.run raises it.
+    workers.deal raises it.
     """
     n = traj.times.shape[0]
     if n == 0:
@@ -109,8 +110,8 @@ def write_timeseries(traj: Trajectory, layout: HierarchySpec, path) -> None:
         out.flush()  # a child must not inherit buffered bytes
         parts = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
                  for _ in chunks[1:]]
-        workers.run([(_write_rows, f, traj.times[rows], traj.states[rows])
-                     for f, rows in zip([out, *parts], chunks)])
+        workers.deal([(_write_rows, f, traj.times[rows], traj.states[rows])
+                      for f, rows in zip([out, *parts], chunks)], [1.0] * len(chunks))
         for part in parts:
             _append(part, out.fileno())
 

@@ -1,12 +1,42 @@
 """Shared fixtures. The two bundled example simulations are expensive
 (tens of seconds each at rtol=atol=1e-12), so they are session-scoped and
-shared between the module tests and the acceptance suite."""
+shared between the module tests and the acceptance suite.
+
+pyproject.toml's pythonpath puts this checkout's src/ ahead of PYTHONPATH,
+so a run meant for another tree (PYTHONPATH=<other tree>/src) would test
+this one without a word: the session names the hexnet it imported in its
+header, and refuses to start when PYTHONPATH names another tree first."""
 import os
+from pathlib import Path
 
 import pytest
 
+import hexnet
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.scenario import bundled_scenario_path, load_scenario
+
+
+def shadowed_tree(pythonpath: str, imported) -> Path | None:
+    """The first entry of pythonpath (os.pathsep-separated) that holds
+    hexnet/__init__.py, when that file is not the imported one; else None."""
+    for entry in filter(None, pythonpath.split(os.pathsep)):
+        init = Path(entry) / "hexnet" / "__init__.py"
+        if init.is_file():
+            return None if init.resolve() == Path(imported).resolve() else Path(entry)
+    return None
+
+
+def pytest_configure(config):
+    other = shadowed_tree(os.environ.get("PYTHONPATH", ""), hexnet.__file__)
+    if other is not None:
+        raise pytest.UsageError(
+            f"PYTHONPATH names the hexnet tree {other}, but the tests import"
+            f" {hexnet.__file__} (pyproject.toml's pythonpath comes first)"
+        )
+
+
+def pytest_report_header(config):
+    return f"hexnet: {hexnet.__file__}"
 
 
 @pytest.fixture(autouse=True)

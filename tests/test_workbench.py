@@ -32,6 +32,8 @@ Claims covered:
     - report.txt bytes do not depend on the number of available CPUs
     - simulate, verify and witness report a killed worker as WorkerError,
       not as an input error (exit 2)
+    - simulate, verify and witness each make one workers.deal call, and
+      every fork comes from the main process
     - two CLI calls in one process share no state: an option given to the
       first does not reach the second, and a replaced command function is
       the one called
@@ -56,7 +58,7 @@ from hypothesis import strategies as st
 import yaml
 
 import hexnet
-from hexnet import analysis, cli, format17, output, vectorfield
+from hexnet import analysis, cli, format17, output, vectorfield, workers
 from hexnet.cli import main
 from hexnet.errors import (
     ScenarioParseError, ScenarioSchemaError, ScenarioValidationError, WorkerError,
@@ -739,17 +741,17 @@ def test_report_bytes_do_not_depend_on_cpus(small_scenario, force_cpus):
 @pytest.mark.parametrize("command", ["simulate", "verify", "witness"])
 def test_cli_killed_worker_is_not_an_input_error(tmp_path, small_scenario_file, monkeypatch,
                                                   force_cpus, command):
-    # a worker (a CSV writer or a witness run) killed by a signal, as by the
-    # OOM killer, is no fault of the input, so it must not leave through the
-    # exit-2 OSError path
+    # a worker (a CSV writer or a level or witness run) killed by a signal,
+    # as by the OOM killer, is no fault of the input, so it must not leave
+    # through the exit-2 OSError path
     parent = os.getpid()
-    module, name = (output, "_write_rows") if command == "simulate" else (analysis, "run_witness")
+    module, name = (output, "_write_rows") if command == "simulate" else (analysis, "integrate")
     call = getattr(module, name)
 
-    def killed_in_worker(*args):
+    def killed_in_worker(*args, **kwargs):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return call(*args)
+        return call(*args, **kwargs)
 
     monkeypatch.setattr(module, name, killed_in_worker)
     if command == "simulate":
@@ -764,6 +766,64 @@ def test_cli_killed_worker_is_not_an_input_error(tmp_path, small_scenario_file, 
     with pytest.raises(WorkerError, match=f"exited with status {-signal.SIGKILL}"):
         main(argv)
     assert forks() == [str(parent)]
+
+
+def _uniform_n10_file(directory):
+    """N = 10: a Hamiltonian cycle plus the chords i -> i+3 (20 edges) over
+    cycles of 3 to 6 vertices, coefficients from the uniform rule, as a
+    scenario file with one witness delta."""
+    sizes = (3, 3, 4, 4, 4, 5, 5, 5, 6, 6)
+    doc = {
+        "hierarchy": {
+            "superstructure": {"vertices": 10, "edges": [[i + 1, (i + step) % 10 + 1]
+                                                         for step in (1, 3) for i in range(10)]},
+            "substructures": [{"vertices": m, "edges": [[i + 1, (i + 1) % m + 1] for i in range(m)]}
+                              for m in sizes],
+        },
+        "coefficients": {"c_plus": 1.0, "c_minus": -1.5},
+        "field": {"epsilon": 0.2},
+        "initial_state": {"X": [0.9] + [0.1] * 9, "x": [[0.9] + [0.1] * (m - 1) for m in sizes]},
+        "integrator": {"t_end": 10.0},
+        "analysis": {"witness_deltas": [0.01]},
+    }
+    path = directory / "uniform_n10.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("command, case", [
+    ("simulate", "small"), ("verify", "small"),
+    ("witness", "small"), ("witness", "example1"), ("witness", "uniform_n10"),
+])
+def test_each_command_deals_once_from_the_main_process(tmp_path, small_scenario_file, monkeypatch,
+                                                       force_cpus, command, case, cpus):
+    # one flat job list per command: a deal inside a dealt call would log
+    # a second line, and a fork in a worker a second pid
+    log = tmp_path / "deal.log"
+    deal = workers.deal
+
+    def counting(calls, weights):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return deal(calls, weights)
+
+    monkeypatch.setattr(workers, "deal", counting)
+    path = {"small": small_scenario_file, "example1": bundled_scenario_path("example1"),
+            "uniform_n10": _uniform_n10_file(tmp_path)}[case]
+    if command == "simulate":
+        forks = _force_writers(monkeypatch, force_cpus, 51, cpus)  # t_end 5 at sample_dt 0.1
+    else:
+        forks = force_cpus(cpus)
+    argv = [command, str(path)]
+    if command != "witness":
+        argv += ["--out", str(tmp_path / "out"), "--t-end", "5"]
+    assert main(argv) == 0
+    me = str(os.getpid())
+    assert log.read_text(encoding="utf-8").split() == [me]
+    # a witness command on small or uniform_n10 has one run: 2 jobs
+    n_jobs = 2 if command == "witness" and case != "example1" else cpus
+    assert forks() == [me] * (min(cpus, n_jobs) - 1)
 
 
 def test_svg_panels(tmp_path, small_scenario):

@@ -1,26 +1,25 @@
 """Forked workers: outcomes, failures, cleanup and the split of the work.
 
 Claims covered:
-    - run returns each call's value in call order; it cuts the calls into
-      min(cpus, calls) contiguous groups, so it never runs more processes
-      than CPUs; every group but the first is computed in another process,
-      which sees one available CPU, so it never forks again
-    - the first call sees the CPUs its k workers leave, cpus - k, and every
-      CPU is available again once run returns or raises; so a deal nested
-      in a dealt call forks only onto free CPUs
-    - with one CPU, run forks nothing and makes the calls here, in order;
+    - deal returns each call's value in call order; it deals the calls into
+      min(cpus, calls) bins, so it never runs more processes than CPUs;
+      every bin but the first is computed in another process, which sees
+      one available CPU, so it never forks again, while the caller sees
+      every CPU before, during and after the deal
+    - with one CPU, deal forks nothing and makes the calls here, in order;
       with no calls it returns [] and forks nothing at any CPU count
     - a worker that raises gives the same exception type and message in the
-      parent, and leaves no child; a scenario error keeps its field path
+      parent, and leaves no child; a scenario error keeps its field path;
+      of the bins that raise, the first in bin order raises, and a bin stops
+      at its first exception
     - a worker that exits with a nonzero status raises WorkerError, which is
       not an OSError
-    - a first call that raises while a worker runs kills and reaps it, and
+    - a first bin that raises while a worker runs kills and reaps it, and
       so does an exception that interrupts the wait for a worker
     - shares cuts range(n) into contiguous slices, as many as the CPUs
       allow with at least min_size items each, and at least one
-    - deal returns each call's value in call order over min(cpus, calls)
-      processes; its schedule deals the calls heaviest first into the
-      least-loaded bin, so the heaviest call runs in this process
+    - deal's schedule deals the calls heaviest first into the least-loaded
+      bin, so the heaviest call runs in this process
 """
 import os
 import signal
@@ -40,11 +39,15 @@ def _fail(message):
     raise KeyError(message)
 
 
+def _deal(calls):
+    return workers.deal(calls, [0.0] * len(calls))
+
+
 def test_worker_returns_the_value_from_another_process(force_cpus):
     forks = force_cpus(4)
     assert workers.available_cpus() == 4
-    here, *there = workers.run([(_tagged, tag) for tag in range(3)])
-    assert here == (0, os.getpid(), 4 - 2)  # the first call runs beside 2 workers
+    here, *there = _deal([(_tagged, tag) for tag in range(3)])
+    assert here == (0, os.getpid(), 4)  # the caller sees every CPU beside its 2 workers
     assert [tag for tag, _, _ in there] == [1, 2]
     assert len({pid for _, pid, _ in there} | {os.getpid()}) == 3
     assert [cpus for _, _, cpus in there] == [1, 1]
@@ -52,79 +55,41 @@ def test_worker_returns_the_value_from_another_process(force_cpus):
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 4])
-@pytest.mark.parametrize("n_calls", [2, 3, 5])
-def test_first_call_sees_the_cpus_its_workers_leave(force_cpus, cpus, n_calls):
-    # one group per process, at most one process per CPU: with more calls
-    # than CPUs the calls after the first share the processes, and every
-    # call but the first sees 1 CPU (here the first group's later calls
-    # run beside cpus - 1 workers)
+def test_deal_forks_one_worker_per_bin_past_the_first(force_cpus, cpus):
+    # more calls than CPUs: one bin per CPU, every bin but this process's
+    # in a worker that sees 1 CPU, while the caller sees all of them
     forks = force_cpus(cpus)
-    n_workers = min(cpus, n_calls) - 1
-    here, *there = workers.run([(_tagged, tag) for tag in range(n_calls)])
-    assert here[2] == cpus - n_workers
-    assert [cpus_seen for _, _, cpus_seen in there] == [1] * (n_calls - 1)
-    assert workers.available_cpus() == cpus  # every worker reaped
-    assert len(forks()) == n_workers
-
-
-@pytest.mark.parametrize("cpus", [2, 3, 4])
-def test_run_cuts_the_calls_into_one_contiguous_group_per_cpu(force_cpus, cpus):
-    forks = force_cpus(cpus)
-    values = workers.run([(_tagged, tag) for tag in range(7)])
+    values = _deal([(_tagged, tag) for tag in range(7)])
     assert [tag for tag, _, _ in values] == list(range(7))
-    bounds = [7 * i // cpus for i in range(cpus + 1)]  # the slices of shares(7)
-    pids = [pid for _, pid, _ in values]
-    groups = [pids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    assert groups[0] == [os.getpid()] * len(groups[0])
-    assert [len(set(group)) for group in groups] == [1] * cpus
-    assert len({group[0] for group in groups}) == cpus
-    assert forks() == [str(os.getpid())] * (cpus - 1)
+    assert {cpus_seen for _, pid, cpus_seen in values if pid == os.getpid()} == {cpus}
+    assert {cpus_seen for _, pid, cpus_seen in values if pid != os.getpid()} == {1}
+    assert len({pid for _, pid, _ in values}) == cpus
+    assert forks() == [str(os.getpid())] * (min(cpus, 7) - 1)
+    assert workers.available_cpus() == cpus
 
 
 def test_first_exception_in_call_order_from_a_shared_worker(force_cpus):
-    # at 2 CPUs calls 0 and 1 run here and calls 2-4 share one worker
+    # at 2 CPUs these weights deal calls 0 and 1 here and calls 2-4, in
+    # that order, to one worker, which stops at call 2
     force_cpus(2)
     made = []
     with pytest.raises(KeyError, match="third"):
-        workers.run([(made.append, 0), (made.append, 1), (_fail, "third"), (_fail, "fourth"),
-                     (made.append, 4)])
+        workers.deal([(made.append, 0), (made.append, 1), (_fail, "third"), (_fail, "fourth"),
+                      (made.append, 4)], [5.0, 0.0, 3.0, 1.0, 1.0])
     assert made == [0, 1]
     assert workers.available_cpus() == 2
-
-
-def _deal_inside(n_calls):
-    return workers.deal([(_tagged, tag) for tag in range(n_calls)], [0.0] * n_calls)
-
-
-def test_nested_deal_forks_only_onto_free_cpus(force_cpus):
-    # an outer deal of 2 calls at 3 CPUs leaves its first call 2: that call's
-    # own deal of 2 forks 1 worker, so 3 processes run at most; the outer
-    # worker sees 1 CPU and forks nothing
-    forks = force_cpus(3)
-    here, there = workers.deal([(_deal_inside, 2), (_deal_inside, 2)], [0.0, 0.0])
-    assert len({pid for _, pid, _ in here}) == 2
-    assert len({pid for _, pid, _ in there}) == 1
-    assert forks() == [str(os.getpid())] * 2
-    assert workers.available_cpus() == 3
-    # at 2 CPUs the first call has 1 left and deals its calls here
-    forks = force_cpus(2)
-    n_forks = len(forks())
-    here, there = workers.deal([(_deal_inside, 2), (_deal_inside, 2)], [0.0, 0.0])
-    assert {pid for _, pid, _ in here} == {os.getpid()}
-    assert len(forks()) - n_forks == 1
 
 
 def test_one_cpu_forks_nothing_and_runs_in_order(force_cpus):
     forks = force_cpus(1)
     made = []
-    assert workers.run([(made.append, i) for i in range(3)]) == [None] * 3
+    assert _deal([(made.append, i) for i in range(3)]) == [None] * 3
     assert made == [0, 1, 2]
     assert forks() == []
 
 
 def test_no_calls_return_nothing_and_fork_nothing(force_cpus):
     forks = force_cpus(2)
-    assert workers.run([]) == []
     assert workers.deal([], []) == []
     assert forks() == []
 
@@ -132,9 +97,8 @@ def test_no_calls_return_nothing_and_fork_nothing(force_cpus):
 def test_worker_exception_is_raised_in_the_parent(force_cpus):
     forks = force_cpus(2)
     with pytest.raises(KeyError, match="no such run"):
-        workers.run([(int,), (_fail, "no such run")])
+        _deal([(int,), (_fail, "no such run")])
     assert len(forks()) == 1
-    assert workers.available_cpus() == 2  # the worker is reaped
 
 
 def _invalid(path, message):
@@ -144,7 +108,7 @@ def _invalid(path, message):
 def test_worker_scenario_error_keeps_its_path(force_cpus):
     force_cpus(2)
     with pytest.raises(ScenarioValidationError) as err:
-        workers.run([(int,), (_invalid, "field.phi", "must be positive")])
+        _deal([(int,), (_invalid, "field.phi", "must be positive")])
     assert err.value.path == "field.phi"
     assert str(err.value) == "field.phi: must be positive"
 
@@ -152,7 +116,7 @@ def test_worker_scenario_error_keeps_its_path(force_cpus):
 def test_worker_exit_status_raises_worker_error(force_cpus):
     force_cpus(2)
     with pytest.raises(WorkerError, match="exited with status 3") as err:
-        workers.run([(int,), (os._exit, 3)])
+        _deal([(int,), (os._exit, 3)])
     assert not isinstance(err.value, OSError)
 
 
@@ -164,11 +128,10 @@ def test_parent_error_kills_and_reaps_the_worker(force_cpus):
     force_cpus(3)
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="parent failed"):
-        workers.run([(_parent_fails,), (time.sleep, 60.0), (time.sleep, 60.0)])
+        _deal([(_parent_fails,), (time.sleep, 60.0), (time.sleep, 60.0)])
     assert time.monotonic() - t0 < 30.0  # killed, not waited for
     with pytest.raises(ChildProcessError):  # and reaped
         os.waitpid(-1, os.WNOHANG)
-    assert workers.available_cpus() == 3
 
 
 class _Interrupt(Exception):
@@ -180,20 +143,19 @@ def _interrupt(signum, frame):
 
 
 def test_an_interrupted_wait_kills_and_reaps_the_worker(force_cpus):
-    # the alarm fires while this process waits for the worker: run still
-    # kills and reaps it, and every CPU is available again
+    # the alarm fires while this process waits for the worker: deal still
+    # kills and reaps it
     force_cpus(2)
     previous = signal.signal(signal.SIGALRM, _interrupt)
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.5)
         t0 = time.monotonic()
         with pytest.raises(_Interrupt):
-            workers.run([(time.sleep, 0.0), (time.sleep, 60.0)])
+            _deal([(time.sleep, 0.0), (time.sleep, 60.0)])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - t0 < 30.0
-    assert workers.available_cpus() == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
