@@ -21,8 +21,8 @@ a command's one workers.deal call, which spreads the jobs over up to one
 process per available CPU; each result is read from its two trajectories
 after that call. The results are bitwise those of a serial run.
 
-verify_realization integrates each scenario level by level. The field is a
-skew product: X's rates read only X, and block j's read only x^j and,
+verify_realization integrates its one scenario level by level. The field is
+a skew product: X's rates read only X, and block j's read only x^j and,
 through its gate, X. So X alone, with every block masked, follows the
 coupled run's X, and each "X + block j" run follows its (X, x^j); the block
 runs are independent of each other. One workers.deal call runs them with
@@ -438,7 +438,9 @@ def _witness_run(w: WitnessSpec, p_run: FieldParams):
     1e-7 (reported against the 1e-6 criterion). Backward: the standard
     variant must reach the divergence bound in a gated-off substructure
     coordinate; the bounded variant stays in [0, 1] and stops once its
-    live substructure coordinates are within 1e-4 of 1.
+    live substructure coordinates are within 1e-4 of 1. read leaves
+    backward_coordinate_name to _witness_plans, which names the coordinate
+    of each spec that shares the run.
     """
     s0, target, sub_live, order = _witness_problem(w, p_run)
     h = p_run.hierarchy
@@ -462,13 +464,11 @@ def _witness_run(w: WitnessSpec, p_run: FieldParams):
         fdist = float(np.abs(ftraj.last_state - target).max())
         bstate = btraj.last_state
         coord = btraj.diverged_coordinate
-        name = gate = None
-        if coord is not None:
-            name = h.coord_names()[coord]
-            if coord >= h.n_super:  # a substructure coordinate: the gate of its block
-                j = int(h.sub_block_index()[coord - h.n_super])
-                gate = bump_j(bstate[h.super_slice], j, p_run.epsilon)
-        gap = float(np.abs(bstate[sub_live] - 1.0).max()) if sub_live.any() else None
+        gate = None
+        if coord is not None and coord >= h.n_super:  # a substructure coordinate: its block's gate
+            j = int(h.sub_block_index()[coord - h.n_super])
+            gate = bump_j(bstate[h.super_slice], j, p_run.epsilon)
+        gap = float(np.abs(bstate[sub_live] - 1.0).max())  # x^j_1 = 1 and x^k_1 = eta are live
         return WitnessResult(
             spec=w,
             variant=p_run.variant,
@@ -478,7 +478,6 @@ def _witness_run(w: WitnessSpec, p_run: FieldParams):
             backward_diverged=btraj.termination == TERMINATION_DIVERGED,
             backward_time=btraj.last_time,
             backward_coordinate=coord,
-            backward_coordinate_name=name,
             backward_coordinate_gate=gate,
             backward_inactive_gap=gap,
         )
@@ -554,23 +553,26 @@ def run_witnesses(specs, p: FieldParams) -> list[WitnessResult]:
 
 @dataclass(eq=False)
 class ItineraryOutcome:
-    scenario_index: int
     report: ItineraryReport
     check: ItineraryCheck
 
 
 @dataclass(eq=False)
 class RealizationReport:
+    """Every check of verify_realization, and how its scenario's run ended:
+    the termination and last time of the level run that stopped first."""
+
     residuals: ResidualReport
     eigen: CorrespondenceReport
-    runs: list[tuple[str, float]]  # termination and last time of each scenario run
+    termination: str
+    last_time: float
     itineraries: list[ItineraryOutcome]
     witnesses: list[WitnessResult]
 
     @property
     def completed(self) -> bool:
-        """Whether every scenario run reached its t_end."""
-        return all(termination == TERMINATION_COMPLETED for termination, _ in self.runs)
+        """Whether the scenario run reached its t_end."""
+        return self.termination == TERMINATION_COMPLETED
 
     @property
     def passed(self) -> bool:
@@ -581,32 +583,6 @@ class RealizationReport:
             and all(o.check.passed for o in self.itineraries)
             and all(w.passed for w in self.witnesses)
         )
-
-
-def verify_realization(
-    p: FieldParams,
-    scenarios: list[tuple[np.ndarray, IntegratorConfig]],
-    near_tol: float = DEFAULT_NEAR_TOL,
-    min_dwell: float = DEFAULT_MIN_DWELL,
-    deltas: tuple[float, ...] = DEFAULT_WITNESS_DELTAS,
-) -> RealizationReport:
-    """Aggregate residual, eigenvalue, itinerary and witness verification.
-
-    Each scenario is integrated level by level (_check_itineraries): X alone,
-    then one "X + block j" run per block with a live initial coordinate. The
-    superstructure report comes from the X run and block j's from its own
-    run; a block whose initial coordinates are all 0 is masked and reads the
-    X run. The witness specs are checked first; their distinct runs
-    (_witness_plans) go through one workers.deal call with the block runs.
-    """
-    residuals = verify_equilibria(p)
-    eigen = check_edge_eigen_correspondence(p)
-    gamma = p.hierarchy.superstructure
-    specs = [WitnessSpec(j, k, delta) for j, k in sorted(gamma.edges) for delta in deltas]
-    jobs, results = _witness_plans(specs, p)
-    runs, itineraries, done = _check_itineraries(p, scenarios, jobs, near_tol, min_dwell)
-    witnesses = results(done)
-    return RealizationReport(residuals, eigen, runs, itineraries, witnesses)
 
 
 def _level_state(s0: np.ndarray, p: FieldParams, j: int | None) -> np.ndarray:
@@ -624,45 +600,56 @@ def _first_samples(traj: Trajectory, n: int) -> Trajectory:
     return replace(traj, times=traj.times[:n], states=traj.states[:n])
 
 
-def _check_itineraries(p: FieldParams, scenarios, witness_jobs, near_tol: float,
-                       min_dwell: float):
-    """The level runs of each scenario, and the values of witness_jobs.
+def verify_realization(
+    p: FieldParams,
+    s0: np.ndarray,
+    cfg: IntegratorConfig,
+    near_tol: float = DEFAULT_NEAR_TOL,
+    min_dwell: float = DEFAULT_MIN_DWELL,
+    deltas: tuple[float, ...] = DEFAULT_WITNESS_DELTAS,
+) -> RealizationReport:
+    """Aggregate residual, eigenvalue, itinerary and witness verification of
+    the scenario that starts at s0 and integrates under cfg.
 
-    Returns how each scenario ended, its itinerary checks level by level
-    against [superstructure, substructure 1, ..., substructure N], and the
-    witness jobs' values. The X runs come first, in this process. Then one
-    workers.deal call runs the block runs, each weighing the model time its
-    gate is active in the X run's report windows, and the witness jobs, 0.
+    The witness specs are checked first (_witness_plans). The scenario is
+    integrated level by level: X alone, here, then one "X + block j" run per
+    block with a live initial coordinate. One workers.deal call runs the
+    block runs, each weighing the model time its gate is active in the X
+    run's report windows, and the distinct witness runs' jobs, weighing 0.
+    The superstructure report comes from the X run and block j's from its
+    own run; a block whose initial coordinates are all 0 is masked and reads
+    the X run. The itineraries are checked against [superstructure,
+    substructure 1, ..., substructure N].
 
-    A scenario ends at the earliest last time among its level runs, and
+    The scenario ends at the earliest last time among its level runs, and
     records that run's termination and time (the first level on ties, X
     before the blocks); every level is read only up to that time.
     """
+    residuals = verify_equilibria(p)
+    eigen = check_edge_eigen_correspondence(p)
     h = p.hierarchy
+    specs = [WitnessSpec(j, k, delta) for j, k in sorted(h.superstructure.edges)
+             for delta in deltas]
+    witness_jobs, results = _witness_plans(specs, p)
 
     def extract(traj):
         return extract_itinerary(traj, p, near_tol=near_tol, min_dwell=min_dwell)
 
-    x_runs = [integrate(_level_state(s0, p, None), p, cfg) for s0, cfg in scenarios]
-    x_reports = [extract(traj) for traj in x_runs]
-    blocks = [(idx, j) for idx, (s0, _) in enumerate(scenarios)
-              for j in range(h.n_super) if s0[h.sub_slice(j)].any()]
-    jobs = [(integrate, _level_state(scenarios[idx][0], p, j), p, scenarios[idx][1])
-            for idx, j in blocks]
-    weights = [sum(b - a for a, b in x_reports[idx][1 + j].active_windows) for idx, j in blocks]
+    x_run = integrate(_level_state(s0, p, None), p, cfg)
+    x_read = extract(x_run)
+    live = [j for j in range(h.n_super) if s0[h.sub_slice(j)].any()]
+    jobs = [(integrate, _level_state(s0, p, j), p, cfg) for j in live]
+    weights = [sum(b - a for a, b in x_read[1 + j].active_windows) for j in live]
     values = workers.deal(jobs + witness_jobs, weights + [0.0] * len(witness_jobs))
 
-    block_run = dict(zip(blocks, values))
-    graphs = [h.superstructure, *h.substructures]
-    runs, itineraries = [], []
-    for idx, x_run in enumerate(x_runs):
-        level = {j: traj for (i, j), traj in block_run.items() if i == idx}
-        ended = min([x_run, *level.values()], key=lambda traj: traj.last_time)
-        runs.append((ended.termination, ended.last_time))
-        n = ended.times.shape[0]
-        x_read = x_reports[idx] if x_run.times.shape[0] == n else extract(_first_samples(x_run, n))
-        read = {j: extract(_first_samples(traj, n)) for j, traj in level.items()}
-        reports = [x_read[0]] + [read.get(j, x_read)[1 + j] for j in range(h.n_super)]
-        itineraries += [ItineraryOutcome(idx, rep, check_itinerary_against(rep, g))
-                        for rep, g in zip(reports, graphs)]
-    return runs, itineraries, values[len(blocks):]
+    level = dict(zip(live, values))
+    ended = min([x_run, *level.values()], key=lambda traj: traj.last_time)
+    n = ended.times.shape[0]
+    if x_run.times.shape[0] != n:
+        x_read = extract(_first_samples(x_run, n))
+    read = {j: extract(_first_samples(traj, n)) for j, traj in level.items()}
+    reports = [x_read[0]] + [read.get(j, x_read)[1 + j] for j in range(h.n_super)]
+    itineraries = [ItineraryOutcome(rep, check_itinerary_against(rep, g))
+                   for rep, g in zip(reports, [h.superstructure, *h.substructures])]
+    return RealizationReport(residuals, eigen, ended.termination, ended.last_time,
+                             itineraries, results(values[len(live):]))

@@ -111,13 +111,8 @@ def cmd_verify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = sc.field_params()
-    report = verify_realization(
-        params,
-        [(sc.initial_state(), sc.integrator)],
-        near_tol=sc.near_tol,
-        min_dwell=sc.min_dwell,
-        deltas=sc.witness_deltas,
-    )
+    report = verify_realization(params, sc.initial_state(), sc.integrator, near_tol=sc.near_tol,
+                                min_dwell=sc.min_dwell, deltas=sc.witness_deltas)
     text = render_report(report)
     with publish(out / "report.txt") as fh:
         fh.write(text)

@@ -21,7 +21,7 @@ import numpy as np
 from . import workers
 from .analysis import LEVEL_SUPER, RealizationReport, ItineraryReport, WitnessResult
 from .hierarchy import HierarchySpec
-from .integrator import TERMINATION_COMPLETED, Trajectory
+from .integrator import Trajectory
 from .vectorfield import VARIANT_BOUNDED
 
 __all__ = [
@@ -187,10 +187,10 @@ def render_report(report: RealizationReport) -> str:
         )
     lines.append("")
 
-    lines.append("[itineraries]")
-    for idx, (termination, t) in enumerate(report.runs):
-        if termination != TERMINATION_COMPLETED:
-            lines.append(f"  scenario {idx + 1}: termination {termination} at t={t:g}: FAIL")
+    lines.append("[itineraries]")  # of the report's one scenario, labelled scenario 1
+    if not report.completed:
+        lines.append(f"  scenario 1: termination {report.termination}"
+                     f" at t={report.last_time:g}: FAIL")
     for o in report.itineraries:
         head = "super" if o.report.level == LEVEL_SUPER else f"sub {o.report.j + 1}"
         seq = ",".join(str(v.vertex + 1) for v in o.report.visits) or "(none)"
@@ -200,7 +200,7 @@ def render_report(report: RealizationReport) -> str:
         else:
             status = "PASS" if o.check.passed else "FAIL"
         lines.append(
-            f"  scenario {o.scenario_index + 1} {head}: visits {seq}"
+            f"  scenario 1 {head}: visits {seq}"
             f" ({o.check.n_pairs} transitions checked): {status}"
         )
         for i, k, t in o.check.violations:

@@ -36,13 +36,14 @@ Claims covered:
       checks at least one transition, including the deliberately transposed
       orientation failing; a scenario run that does not complete fails the
       verdict
-    - verify_realization integrates each scenario level by level: its
+    - verify_realization integrates its one scenario level by level: its
       reports equal those of one coupled run in both orientations; it makes
       one X run, one run per block with a live initial coordinate and the
       witness runs, over min(cpus, bins) processes with reports bitwise
       independent of the CPU count; a block whose initial coordinates are
-      all 0 reads the X run; each level run's itinerary is extracted once
-      and checked against [superstructure, blocks 1..N]
+      all 0 reads the X run; the X run's itinerary is extracted once before
+      the deal and each block run's once after it, and they are checked
+      against [superstructure, blocks 1..N]
     - verify_realization's witnesses equal run_witnesses' field for field
       at any CPU count; on example1 with two CPUs this process runs block
       1, and the worker blocks 2 and 3 and the witness runs
@@ -643,7 +644,7 @@ def test_run_witnesses_integrates_each_subsystem_once(request, monkeypatch, tmp_
     specs = _all_specs(p, deltas)
     log = tmp_path / "integrate.log"
     calls = _count_integrate(monkeypatch, log)
-    for cpus in (1, 2, 3):  # the workers' calls are counted too
+    for cpus in (1, 2, 3, 4):  # the workers' calls are counted too
         forks = force_cpus(cpus)
         log.unlink(missing_ok=True)
         first = run_witnesses(specs, p)
@@ -653,9 +654,10 @@ def test_run_witnesses_integrates_each_subsystem_once(request, monkeypatch, tmp_
         assert len(calls()) == 2 * n_calls, cpus
         for a, b in zip(first, second, strict=True):
             _assert_same_fields(a, b)
-    # each call forked one worker fewer than it had processes: one per
-    # distinct run, and a lone run's backward half takes a second CPU
-    assert len(forks()) == 2 * sum(min(cpus, max(2, n_calls // 2)) - 1 for cpus in (1, 2, 3))
+    # each call is one deal over its n_calls jobs, which forks one worker
+    # fewer than its min(cpus, n_calls) bins; at 4 CPUs example1's 6 jobs
+    # fork 3 workers per call
+    assert len(forks()) == 2 * sum(min(cpus, n_calls) - 1 for cpus in (1, 2, 3, 4))
 
 
 def test_a_lone_witness_run_makes_its_backward_half_in_a_worker(example1, monkeypatch, tmp_path,
@@ -721,11 +723,7 @@ def test_run_witnesses_checks_every_spec_first(example1, monkeypatch, tmp_path):
 
 def test_verify_realization_small_scenario(small_scenario):
     sc, p, s0 = small_scenario
-    report = verify_realization(
-        p,
-        [(s0, sc.integrator)],
-        deltas=(0.01,),
-    )
+    report = verify_realization(p, s0, sc.integrator, deltas=(0.01,))
     assert report.residuals.passed
     assert report.eigen.passed
     assert all(o.check.passed for o in report.itineraries)
@@ -733,14 +731,14 @@ def test_verify_realization_small_scenario(small_scenario):
     assert [o.check.n_pairs > 0 for o in report.itineraries] == [True] * 4
     assert all(w.passed for w in report.witnesses)
     assert len(report.witnesses) == 3
-    assert report.runs == [("completed", 80.0)]
+    assert (report.termination, report.last_time) == ("completed", 80.0)
     assert report.passed
 
 
 def _report_rows(report):
     """Every itinerary of a RealizationReport, with its check, as plain values."""
     return [
-        (o.scenario_index, o.report.level, o.report.j,
+        (o.report.level, o.report.j,
          [(v.vertex, v.t_enter, v.t_exit, v.window) for v in o.report.visits],
          o.report.active_windows, o.check.n_pairs, o.check.violations)
         for o in report.itineraries
@@ -748,7 +746,7 @@ def _report_rows(report):
 
 
 def _assert_reads_as_coupled(report, coupled):
-    """The itinerary reports of a one-scenario RealizationReport equal
+    """The itinerary reports of a RealizationReport equal
     extract_itinerary's reports of a coupled run."""
     for outcome, ref in zip(report.itineraries, coupled, strict=True):
         rep = outcome.report
@@ -767,7 +765,7 @@ def test_verify_realization_level_runs_read_as_coupled_run(small_scenario_file, 
 
     sc = replace(load_scenario(small_scenario_file), orientation=orientation)
     p, s0 = sc.field_params(), sc.initial_state()
-    report = verify_realization(p, [(s0, sc.integrator)], deltas=(0.01,))
+    report = verify_realization(p, s0, sc.integrator, deltas=(0.01,))
     _assert_reads_as_coupled(report, extract_itinerary(integrate(s0, p, sc.integrator), p))
 
 
@@ -778,8 +776,8 @@ def test_verify_realization_ends_at_the_first_level_run_that_stops(example1):
     sc, p, s0 = example1
     cfg = replace(sc.integrator, direction="backward", t_end=50.0)
     coupled = integrate(s0, p, cfg)
-    report = verify_realization(p, [(s0, cfg)], deltas=(0.01,))
-    [(termination, t)] = report.runs
+    report = verify_realization(p, s0, cfg, deltas=(0.01,))
+    termination, t = report.termination, report.last_time
     assert termination == coupled.termination == "step_failure"
     assert t == integrate(hexnet.analysis._level_state(s0, p, 0), p, cfg).last_time
     assert f"{t:g}" == f"{coupled.last_time:g}" == "0.00958219"
@@ -801,8 +799,8 @@ def test_verify_realization_reads_every_level_up_to_the_first_stop(small_scenari
         return integrate_(state, p_, cfg, **kwargs)
 
     monkeypatch.setattr(hexnet.analysis, "integrate", stopping)
-    report = verify_realization(p, [(s0, sc.integrator)], deltas=())  # no witness runs
-    assert report.runs == [("stopped", 40.0)]
+    report = verify_realization(p, s0, sc.integrator, deltas=())  # no witness runs
+    assert (report.termination, report.last_time) == ("stopped", 40.0)
     coupled = integrate(s0, p, sc.integrator)
     n = int(np.searchsorted(coupled.times, 40.0)) + 1
     cut = replace(coupled, times=coupled.times[:n], states=coupled.states[:n])
@@ -835,13 +833,14 @@ def test_verify_realization_integrates_each_level_once(small_scenario, monkeypat
         forks = force_cpus(cpus)
         n_forks = len(forks())
         log.unlink(missing_ok=True)
-        reports.append(verify_realization(p, [(s0, cfg)], deltas=(0.01,)))
+        reports.append(verify_realization(p, s0, cfg, deltas=(0.01,)))
         assert len(calls()) == 1 + n_blocks + 2, cpus
         assert len(forks()) - n_forks == min(cpus, n_blocks + 1) - 1, cpus
     first, *others = reports
     assert first.passed
     for other in others:  # bitwise the same for any CPU count
-        assert (_report_rows(other), other.runs) == (_report_rows(first), first.runs)
+        assert (_report_rows(other), other.termination, other.last_time) == (
+            _report_rows(first), first.termination, first.last_time)
         for a, b in zip(other.witnesses, first.witnesses, strict=True):
             _assert_same_fields(a, b)
 
@@ -853,7 +852,7 @@ def test_verify_realization_witnesses_equal_run_witnesses(request, force_cpus, c
     specs = _all_specs(p, DEFAULT_WITNESS_DELTAS)
     for cpus in (1, 2, 3):
         force_cpus(cpus)
-        report = verify_realization(p, [(s0, cfg)])
+        report = verify_realization(p, s0, cfg)
         for res, ref in zip(report.witnesses, run_witnesses(specs, p), strict=True):
             _assert_same_fields(res, ref)
 
@@ -877,7 +876,7 @@ def test_verify_realization_keeps_the_heaviest_block_here(example1, monkeypatch,
 
     monkeypatch.setattr(hexnet.analysis, "integrate", logged)
     force_cpus(2)
-    assert verify_realization(p, [(s0, replace(sc.integrator, t_end=33.0))]).passed
+    assert verify_realization(p, s0, replace(sc.integrator, t_end=33.0)).passed
     runs = [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
     here = [run for pid, run in runs if pid == str(os.getpid())]
     there = [run for pid, run in runs if pid != str(os.getpid())]
@@ -890,7 +889,7 @@ def test_verify_realization_dead_block_reads_the_x_run(small_scenario):
     # run too: no visits, and the gate windows of X
     p, s0, cfg = _small_input(small_scenario, dead=1)
     coupled = extract_itinerary(integrate(s0, p, cfg), p)
-    report = verify_realization(p, [(s0, cfg)], deltas=(0.01,))
+    report = verify_realization(p, s0, cfg, deltas=(0.01,))
     dead = report.itineraries[2].report
     assert (dead.j, dead.visits) == (1, [])
     assert dead.active_windows == coupled[2].active_windows
@@ -910,18 +909,11 @@ def test_verify_realization_extracts_each_level_run_once(small_scenario, monkeyp
         return extract(traj, *args, **kwargs)
 
     monkeypatch.setattr(hexnet.analysis, "extract_itinerary", counting)
-    scenarios_ = [(s0, replace(sc.integrator, t_end=t)) for t in (5.0, 10.0)]
-    report = verify_realization(p, scenarios_, deltas=(0.01,))
-    # the X runs first, for the schedule; then each scenario's block runs
-    assert seen == [(5.0, []), (10.0, [])] + [
-        (t, [j]) for t in (5.0, 10.0) for j in range(h.n_super)
-    ]
-    n = h.n_super
-    assert [(o.scenario_index, o.report.level, o.report.j) for o in report.itineraries] == [
-        (idx, level, j)
-        for idx in range(2)
-        for level, j in [(LEVEL_SUPER, None)] + [(LEVEL_SUB, j) for j in range(n)]
-    ]
+    report = verify_realization(p, s0, replace(sc.integrator, t_end=10.0), deltas=(0.01,))
+    # the X run first, for the schedule; then each block run after the deal
+    assert seen == [(10.0, [])] + [(10.0, [j]) for j in range(h.n_super)]
+    assert [(o.report.level, o.report.j) for o in report.itineraries] == [
+        (LEVEL_SUPER, None)] + [(LEVEL_SUB, j) for j in range(h.n_super)]
 
 
 def test_verify_realization_literal_orientation_fails(small_scenario, small_scenario_file):
@@ -929,11 +921,7 @@ def test_verify_realization_literal_orientation_fails(small_scenario, small_scen
 
     sc = load_scenario(small_scenario_file)
     p_lit = replace(sc, orientation="literal").field_params()
-    report = verify_realization(
-        p_lit,
-        [(sc.initial_state(), sc.integrator)],
-        deltas=(0.01,),
-    )
+    report = verify_realization(p_lit, sc.initial_state(), sc.integrator, deltas=(0.01,))
     assert not report.eigen.passed
     itinerary_failed = any(not o.check.passed for o in report.itineraries)
     witness_failed = any(not w.passed for w in report.witnesses)

@@ -27,7 +27,9 @@ Claims covered:
       shades exactly the active windows of the blocks' itinerary reports;
       its polylines render byte for byte as one f-string per point would,
       .xx5 ties included;
-      report.txt marks an itinerary with no checked pair "not exercised"
+      report.txt marks an itinerary with no checked pair "not exercised",
+      and names a run that did not complete right after [itineraries],
+      failing the verdict though every level and witness passes
     - simulate extracts the itinerary once for itinerary.txt and plot.svg
     - report.txt bytes do not depend on the number of available CPUs
     - simulate, verify and witness report a killed worker as WorkerError,
@@ -692,7 +694,7 @@ def test_render_itinerary_and_report(small_scenario):
     rep = extract_itinerary(traj, p)[0]
     text = render_itinerary(rep)
     assert "superstructure" in text and "visits:" in text
-    full = verify_realization(p, [(s0, sc.integrator)], deltas=(0.01,))
+    full = verify_realization(p, s0, sc.integrator, deltas=(0.01,))
     report_text = render_report(full)
     assert "verdict: PASS" in report_text
     assert "Super(1)" in report_text
@@ -702,8 +704,14 @@ def test_render_itinerary_and_report(small_scenario):
 def _outcome(level, j, vertices, n_pairs, violations=()):
     visits = [analysis.Visit(v, float(i), i + 1.0) for i, v in enumerate(vertices)]
     report = analysis.ItineraryReport(level, j, visits, None, 0.1, 1.0)
-    return analysis.ItineraryOutcome(0, report,
+    return analysis.ItineraryOutcome(report,
                                      analysis.ItineraryCheck(not violations, list(violations), n_pairs))
+
+
+def _report(outcomes, termination="completed", last_time=1.0, witnesses=()):
+    return analysis.RealizationReport(analysis.ResidualReport([], 0.0, 1e-12, True),
+                                      analysis.CorrespondenceReport([], True),
+                                      termination, last_time, outcomes, list(witnesses))
 
 
 def test_render_report_marks_itineraries_without_pairs_not_exercised():
@@ -714,10 +722,7 @@ def test_render_report_marks_itineraries_without_pairs_not_exercised():
         _outcome(analysis.LEVEL_SUB, 2, [0, 2], 1, [(0, 2, 1.0)]),
     ]
     for checked, verdict in [(outcomes[:3], "PASS"), (outcomes, "FAIL")]:
-        report = analysis.RealizationReport(analysis.ResidualReport([], 0.0, 1e-12, True),
-                                            analysis.CorrespondenceReport([], True),
-                                            [("completed", 1.0)], checked, [])
-        lines = render_report(report).splitlines()
+        lines = render_report(_report(checked)).splitlines()
         # the verdict still counts a level with no checked pair as passed
         assert lines[1] == f"verdict: {verdict}"
         assert lines[lines.index("[itineraries]") + 1:][:len(checked)] == [
@@ -726,6 +731,19 @@ def test_render_report_marks_itineraries_without_pairs_not_exercised():
             "  scenario 1 sub 2: visits 3 (0 transitions checked): not exercised",
             "  scenario 1 sub 3: visits 1,3 (1 transitions checked): FAIL",
         ][:len(checked)]
+    # a run that stopped short: its line comes right after the heading, and
+    # it fails the verdict though every level and witness passes
+    witness = analysis.WitnessResult(
+        analysis.WitnessSpec(0, 1, 0.01), "standard", forward_converged=True,
+        forward_distance=1e-8, forward_time=10.0, backward_diverged=True, backward_time=5.0,
+        backward_coordinate=3, backward_coordinate_name="x1_1", backward_coordinate_gate=0.0)
+    lines = render_report(_report(outcomes[:3], "step_failure", 0.5, [witness])).splitlines()
+    assert lines[1] == "verdict: FAIL"
+    assert lines[lines.index("[itineraries]") + 1:][:2] == [
+        "  scenario 1: termination step_failure at t=0.5: FAIL",
+        "  scenario 1 super: visits 1,2 (1 transitions checked): PASS",
+    ]
+    assert witness.passed and lines[-1].endswith(": PASS")
 
 
 def test_report_bytes_do_not_depend_on_cpus(small_scenario, force_cpus):
@@ -733,7 +751,7 @@ def test_report_bytes_do_not_depend_on_cpus(small_scenario, force_cpus):
     texts = []
     for cpus in (1, 2):  # witnesses after the itineraries, then in a worker alongside them
         force_cpus(cpus)
-        report = verify_realization(p, [(s0, sc.integrator)], deltas=(0.1, 0.01))
+        report = verify_realization(p, s0, sc.integrator, deltas=(0.1, 0.01))
         texts.append(render_report(report).encode())
     assert texts[0] == texts[1]
 
