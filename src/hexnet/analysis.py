@@ -86,6 +86,9 @@ DEFAULT_WITNESS_DELTAS = (1e-1, 1e-2, 1e-3)
 WITNESS_CONVERGENCE_TOL = 1e-6
 WITNESS_TOL = 1e-10  # rtol and atol of every witness run
 WITNESS_MAX_TIME = 400.0  # model-time budget of each witness run, per direction
+# rows per step of the passes over a trajectory's samples (_row_chunks): a
+# step's temporaries hold at most this many rows of one level
+_CHUNK_ROWS = 4096
 
 _ANALYSIS_VALUE_RULES = {  # name: (test, rule)
     "near_tol": (lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)"),
@@ -202,17 +205,31 @@ class ItineraryReport:
         return [v.vertex + 1 for v in self.visits]
 
 
-def _vertex_stream(block: np.ndarray, near_tol: float) -> np.ndarray:
-    """Per-sample visited vertex (or -1): the dominant coordinate, provided it
-    exceeds 1 - near_tol.
+def _row_chunks(n: int) -> list[slice]:
+    """Slices of _CHUNK_ROWS consecutive rows that cover n rows, in order."""
+    return [slice(a, a + _CHUNK_ROWS) for a in range(0, n, _CHUNK_ROWS)]
+
+
+def _vertex_stream(block: np.ndarray, near_tol: float, active=None) -> np.ndarray:
+    """Per-sample visited vertex (or -1): the dominant coordinate (the first
+    on ties, as argmax), provided it exceeds 1 - near_tol and, if an active
+    mask is given, the sample is active. The stream has the smallest signed
+    integer type that holds every vertex, and is built _CHUNK_ROWS rows at a
+    time.
 
     Deliberately weaker than a sup-norm ball test: trajectories enter the
     saturation phase of a vertex while the previously dominant coordinate is
     still of order near_tol, and the figures' shading reads exactly this way.
     """
-    am = block.argmax(axis=1)
-    top = block[np.arange(block.shape[0]), am]
-    return np.where(top > 1.0 - near_tol, am, -1)
+    vert = np.empty(block.shape[0], dtype=np.min_scalar_type(-block.shape[1]))
+    for rows in _row_chunks(block.shape[0]):
+        b = block[rows]
+        am = b.argmax(axis=1)
+        keep = b[np.arange(b.shape[0]), am] > 1.0 - near_tol
+        if active is not None:
+            keep &= active[rows]
+        vert[rows] = np.where(keep, am, -1)
+    return vert
 
 
 def run_bounds(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +252,19 @@ def _active_runs(X: np.ndarray, epsilon: float):
     bump, not bump(z) > 0: just below epsilon, where w > 700, bump is
     exactly 0 and the sample is still active. ROADMAP item 4 owns any
     change to this rule.
+
+    |X|^2 is summed once, _CHUNK_ROWS rows at a time, as gate_distances sums
+    it (numpy reduces each row alike, pairwise from 8 terms); each block's
+    distances are then formed in chunks and only its mask is kept.
     """
-    for active in (gate_distances(X) < epsilon).T:
+    n = X.shape[0]
+    sq = np.empty(n)
+    for rows in _row_chunks(n):
+        sq[rows] = (X[rows] * X[rows]).sum(axis=-1)
+    for j in range(X.shape[1]):
+        active = np.empty(n, dtype=bool)
+        for rows in _row_chunks(n):
+            active[rows] = gate_distances(X[rows, j], sq[rows]) < epsilon
         starts, ends = run_bounds(active)
         on = active[starts]
         yield active, starts[on], ends[on]
@@ -279,7 +307,10 @@ def extract_itinerary(
 
     A block's visits are read only inside its active windows (gate distance
     below epsilon, see _active_runs), so a visit never spans a window
-    boundary. The gate distances of all blocks come from one pass over X.
+    boundary. Beside the trajectory, the passes keep a few bytes per sample:
+    |X|^2 (8), one block's active mask and its vertex stream (1 each, for
+    fewer than 128 vertices), and run_bounds' differences (1); every other
+    temporary holds at most _CHUNK_ROWS rows.
     """
     check_analysis_value("near_tol", near_tol)
     check_analysis_value("min_dwell", min_dwell)
@@ -290,7 +321,7 @@ def extract_itinerary(
     reports = [ItineraryReport(LEVEL_SUPER, None, visits, None, near_tol, min_dwell)]
     for j, (active, starts, ends) in enumerate(_active_runs(X, p.epsilon)):
         windows = list(zip(times[starts].tolist(), times[ends - 1].tolist()))
-        vert = np.where(active, _vertex_stream(traj.states[:, h.sub_slice(j)], near_tol), -1)
+        vert = _vertex_stream(traj.states[:, h.sub_slice(j)], near_tol, active)
         visits = _runs_to_visits(vert, times, min_dwell, starts)
         reports.append(ItineraryReport(LEVEL_SUB, j, visits, windows, near_tol, min_dwell))
     return reports

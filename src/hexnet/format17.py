@@ -68,7 +68,8 @@ def _templates():
         cats.append(slots)
     cats.append([(_ZERO, _ALWAYS)])
     cats.append([(k, k) for k in range(_WIDTH - 1)])
-    index = np.zeros((len(cats), _WIDTH), np.int32)
+    # intp, take()'s index type: int32 indices would be cast to a copy twice their size
+    index = np.zeros((len(cats), _WIDTH), np.intp)
     rank = np.full((len(cats), _WIDTH), _NEVER, np.int8)
     for c, slots in enumerate(cats):
         slots = slots + [(_SEP, _ALWAYS)]
@@ -104,9 +105,8 @@ _INDEX, _RANK = _templates()
 
 
 def format_rows(values: np.ndarray) -> bytes:
-    """The CSV rows of a 2-D float64 array of fewer than 2^26 values:
-    format(x, ".17g") of each value, "," between the values of a row and
-    "\n" after each row."""
+    """The CSV rows of a 2-D float64 array: format(x, ".17g") of each
+    value, "," between the values of a row and "\n" after each row."""
     rows, cols = values.shape
     x = values.ravel()
     n = x.size
@@ -123,6 +123,9 @@ def format_rows(values: np.ndarray) -> bytes:
     D = prod.astype(np.int64) + np.rint(rest).astype(np.int64)
     spliced = (~(fast | zero) | ((prod - 1e16) + rest < 0) | (D >= 10**17)
                | (np.abs(rest - np.floor(rest) - 0.5) < 1e-9))
+    # each stage's scratch is freed once read, so the peak holds one stage's
+    # arrays at a time, about 330 bytes a value
+    del fast, xs, p, prod, xh, xl, hh, hl, rest
 
     top, low = np.divmod(D, 10**8)
     top, g2 = np.divmod(top, 10**4)
@@ -140,6 +143,7 @@ def format_rows(values: np.ndarray) -> bytes:
     zeros = _ZEROS4[g4] + (g4 == 0) * (_ZEROS4[g3] + (g3 == 0) * (
         _ZEROS4[g2] + (g2 == 0) * _ZEROS4[g1]))
     limit = 17 - zeros
+    del D, top, low, d0, g1, g2, g3, g4, zeros
     cat = np.where(e >= -4, e + 4, np.where(e >= -99, _SCI2, _SCI3))
     cat[zero] = _ZERO_CAT
     cat[spliced] = _SPLICED
@@ -149,6 +153,6 @@ def format_rows(values: np.ndarray) -> bytes:
         limit[i] = len(text)
 
     at = _INDEX.take(cat, axis=0)
-    at += np.arange(0, n * _ROW, _ROW, dtype=np.int32)[:, None]
+    at += np.arange(0, n * _ROW, _ROW)[:, None]
     keep = _RANK.take(cat, axis=0) < limit[:, None]
     return src.ravel().take(at)[keep].tobytes()

@@ -67,7 +67,10 @@ _LOG_DIVERGENCE = np.log(DIVERGENCE_BOUND)
 _EXP_CLAMP = 150.0
 
 # Most rows a sample grid may have; checked from t_end / sample_dt before
-# anything is allocated. 10 million rows of a d = 13 state take about 1 GB.
+# anything is allocated. 10 million rows of a d = 13 state take about 1.1 GB
+# (14 floats a row with the time); reading their itinerary adds about 12 bytes
+# a row (0.12 GB, analysis.extract_itinerary), and the CSV and SVG writers a
+# few MB whatever the row count.
 MAX_SAMPLES = 10_000_000
 
 TERMINATION_COMPLETED = "completed"

@@ -117,15 +117,21 @@ def bump_derivative(z, epsilon: float):
     return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 
-def gate_distances(X) -> np.ndarray:
+def gate_distances(X, sq=None) -> np.ndarray:
     """Squared distances |X - e_j|^2 = |X|^2 - 2 X_j + 1 for every j.
 
     X is one superstructure state (length N) or a (samples x N) array; the
     result has the same shape. Gate j is bump(z_j); it is positive only where
     z_j < epsilon, but exactly 0 just below epsilon, where w > 700.
+
+    sq is |X|^2, by default (X * X).sum(axis=-1, keepdims=True). A caller
+    that has summed it already may pass it with X narrowed to column j, a
+    sample array: the result is then z_j of each sample.
     """
     X = np.asarray(X, dtype=float)
-    return (X * X).sum(axis=-1, keepdims=True) - 2.0 * X + 1.0
+    if sq is None:
+        sq = (X * X).sum(axis=-1, keepdims=True)
+    return sq - 2.0 * X + 1.0
 
 
 def bump_j(X, j: int, epsilon: float) -> float:

@@ -1,11 +1,13 @@
 """Independent reference implementations used only as test oracles.
 
-Everything here but reference_integrate is written as plain scalar Python
-against the defining formulas, with its own bump evaluation, so it shares no
-code path with the package internals it checks. reference_integrate is a
-bitwise reference for the stepper's loop: it shares the package's tableau
-and rates, and makes the stepper's floating-point operations in the same
-order, but plainly.
+Everything here but reference_integrate and reference_itinerary is written
+as plain scalar Python against the defining formulas, with its own bump
+evaluation, so it shares no code path with the package internals it checks.
+reference_integrate is a bitwise reference for the stepper's loop: it shares
+the package's tableau and rates, and makes the stepper's floating-point
+operations in the same order, but plainly. reference_itinerary is the
+whole-array itinerary extraction that extract_itinerary's row chunks must
+reproduce.
 """
 import math
 
@@ -141,6 +143,42 @@ def naive_runs(labels):
         else:
             runs.append([label, idx, idx + 1])
     return [tuple(r) for r in runs]
+
+
+def reference_itinerary(traj, p, near_tol: float, min_dwell: float):
+    """extract_itinerary's levels read from whole arrays: every gate's
+    distances at once (gate_distances(X) < epsilon) and argmax vertex
+    streams, split into runs by naive_runs. Returns, per level (the
+    superstructure, then blocks 1..N), the 1-based labels, the visits as
+    (vertex, t_enter, t_exit, window) and the active windows (None for the
+    superstructure)."""
+    import numpy as np
+
+    from hexnet.vectorfield import gate_distances
+
+    h = p.hierarchy
+    times = traj.times.tolist()
+    X = traj.states[:, h.super_slice]
+
+    def stream(block):
+        am = block.argmax(axis=1)
+        top = block[np.arange(block.shape[0]), am]
+        return np.where(top > 1.0 - near_tol, am, -1)
+
+    def level(vert, window_starts, windows):
+        visits = []
+        for v, a, b in naive_runs(vert.tolist()):
+            if v >= 0 and times[b - 1] - times[a] >= min_dwell:
+                win = None if window_starts is None else sum(s <= a for s in window_starts) - 1
+                visits.append((v, times[a], times[b - 1], win))
+        return [v + 1 for v, *_ in visits], visits, windows
+
+    levels = [level(stream(X), None, None)]
+    for j, active in enumerate((gate_distances(X) < p.epsilon).T):
+        on = [(a, b) for flag, a, b in naive_runs(active.tolist()) if flag]
+        vert = np.where(active, stream(traj.states[:, h.sub_slice(j)]), -1)
+        levels.append(level(vert, [a for a, _ in on], [(times[a], times[b - 1]) for a, b in on]))
+    return levels
 
 
 def central_difference_jacobian(f, x0, h: float = 1e-6):

@@ -20,6 +20,10 @@ Claims covered:
       below epsilon, also where the bump is already exactly 0; constant
       trajectories, window bookkeeping, edge checks skipping
       window-crossing continuations
+    - the row-chunked extraction equals the whole-array oracle at any chunk
+      size on drawn trajectories (N up to 11, blocks up to 9, ties, tops at
+      exactly 1 - near_tol, gate distances at exactly epsilon), and keeps at
+      most 28 bytes of scratch a row
     - witness construction and runs (forward convergence, backward
       divergence / bounded backward saturation), convergence monotone in t
     - witness runs keep within WITNESS_MAX_TIME, and their forward times
@@ -51,12 +55,15 @@ Claims covered:
       once, and not at all when the field's timescales are already 1
 """
 import os
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from dataclasses import fields, replace
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hexnet.analysis
 from hexnet.analysis import (
@@ -77,7 +84,13 @@ from hexnet.analysis import (
 )
 from hexnet.errors import CoefficientSignError, NotAnEdgeError, ScenarioValidationError
 from hexnet.hierarchy import HierarchySpec, digraph_from_edges
-from hexnet.integrator import IntegratorConfig, integrate
+from hexnet.integrator import (
+    TERMINATION_COMPLETED,
+    IntegratorConfig,
+    StepStats,
+    Trajectory,
+    integrate,
+)
 from hexnet.vectorfield import (
     FieldParams,
     build_coefficients,
@@ -89,7 +102,7 @@ from hexnet.vectorfield import (
     jacobian,
 )
 
-from oracles import naive_runs
+from oracles import naive_runs, reference_itinerary
 from strategies import scenarios
 
 THREE_CYCLE = [(0, 1), (1, 2), (2, 0)]
@@ -305,6 +318,94 @@ def test_gate_active_below_epsilon_where_bump_is_zero():
     assert active.tolist() == [False, True, False, True]
     assert starts.tolist() == [1, 3] and ends.tolist() == [2, 4]
     assert not other.any()
+
+
+def _trajectory(states: np.ndarray, dt: float = 0.5) -> Trajectory:
+    """A completed run's record of the samples states, dt apart."""
+    times = np.arange(states.shape[0]) * dt
+    return Trajectory(times, states, StepStats(), TERMINATION_COMPLETED,
+                      np.ones(states.shape[1], dtype=bool), float(times[-1]), states[-1])
+
+
+@st.composite
+def _itinerary_cases(draw):
+    """(trajectory, params, near_tol, min_dwell, row-chunk size): N in
+    {1, 3, 8, 11} blocks of up to 9 vertices, runs of repeated samples whose
+    values include exact ties, tops exactly at 1 - near_tol and X near unit
+    vectors, and mostly an epsilon equal to one of the gate distances."""
+    n = draw(st.sampled_from([1, 3, 8, 11]))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    near_tol = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, distinct = n + sum(sizes), draw(st.integers(1, 40))
+    exact = np.array([0.0, 0.1, 0.5, 1.0 - near_tol, 1.0])
+    pool = np.where(rng.random((distinct, d)) < 0.6, rng.choice(exact, (distinct, d)),
+                    rng.uniform(0.0, 1.1, (distinct, d)))
+    near_unit = rng.random(distinct) < 0.6  # X = a top on e_j plus sparse small terms
+    X = np.where(rng.random((distinct, n)) < 0.3, rng.uniform(0.0, 0.3, (distinct, n)), 0.0)
+    X[np.arange(distinct), rng.integers(0, n, distinct)] = rng.choice(exact[3:], distinct)
+    pool[near_unit, :n] = X[near_unit]
+    states = np.repeat(pool, rng.integers(1, 6, distinct), axis=0)
+    # prefer a gate distance whose |X|^2 another order of summation changes:
+    # only numpy's order leaves that sample inactive
+    Xs = states[:, :n]
+    z = gate_distances(Xs)
+    sq = (Xs * Xs).sum(axis=-1)
+    ordered = (sq != sum(Xs[:, k] * Xs[:, k] for k in range(n)))[:, None]
+    ordered |= (sq != sum(Xs[:, k] * Xs[:, k] for k in reversed(range(n))))[:, None]
+    fits = (z > 0.0) & (z < 0.5)
+    z = z[fits & ordered] if (fits & ordered).any() else z[fits]
+    if z.size and draw(st.booleans()):
+        epsilon = float(z[draw(st.integers(0, z.size - 1))])
+    else:
+        epsilon = 0.2
+    h = HierarchySpec(digraph_from_edges(n, []), tuple(digraph_from_edges(m, []) for m in sizes))
+    return (_trajectory(states), FieldParams(build_coefficients(h), epsilon=epsilon), near_tol,
+            draw(st.sampled_from([0.0, 1.0, 2.5])), draw(st.sampled_from([1, 2, 3, 7, 4096])))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(case=_itinerary_cases())
+def test_extract_itinerary_matches_the_whole_array_oracle(case):
+    # the row-chunked passes read every level as the whole-array extraction
+    # does: the same |X|^2 bits at any chunk size (a gate distance equal to
+    # epsilon stays inactive), argmax's first index on ties, and tops at
+    # exactly 1 - near_tol not visits
+    traj, p, near_tol, min_dwell, chunk = case
+    with mock.patch.object(hexnet.analysis, "_CHUNK_ROWS", chunk):
+        got = extract_itinerary(traj, p, near_tol=near_tol, min_dwell=min_dwell)
+    want = reference_itinerary(traj, p, near_tol, min_dwell)
+    assert [(rep.labels(), [(v.vertex, v.t_enter, v.t_exit, v.window) for v in rep.visits],
+             rep.active_windows) for rep in got] == want
+
+
+def _cycling_states(rows: int, layout) -> np.ndarray:
+    """rows samples in which X and each block dwell on their vertices in
+    turn, X every rows // 6 samples and the blocks three times as often."""
+    states = np.full((rows, layout.dimension), 0.05)
+    at = np.arange(rows)
+    for part, period in [(layout.super_slice, rows // 6)] + [
+            (layout.sub_slice(j), rows // 18) for j in range(layout.n_super)]:
+        size = part.stop - part.start
+        states[at, part.start + (at // period) % size] = 0.97
+    return states
+
+
+def test_extract_itinerary_keeps_a_few_bytes_a_row(small_scenario):
+    # beside the trajectory the passes keep |X|^2 (8 B a row), one block's
+    # mask and vertex stream and run_bounds' differences (1 B each) and
+    # row-chunk temporaries; the whole-array extraction took 56 B a row
+    _, p, _ = small_scenario
+    rows = 200_000
+    traj = _trajectory(_cycling_states(rows, p.layout), dt=1e-3)
+    tracemalloc.start()
+    try:
+        reports = extract_itinerary(traj, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [rep.labels() for rep in reports] == [[1, 2, 3, 1, 2, 3]] * 4
+    assert peak <= 28 * rows, peak / rows
 
 
 def test_itinerary_lists_super_then_blocks_in_order(small_scenario):

@@ -11,7 +11,9 @@ Claims covered:
     - CSV layout, full precision, bitwise-zero columns, determinism; the
       same bytes from 1, 2 or 3 writer processes, with no child process or
       part file left behind, also when a writer fails; a writer child's
-      exception is raised in the parent as itself
+      exception is raised in the parent as itself; the same bytes at any
+      number of rows per formatting block, with edge values inside blocks,
+      across block ends and across the writers' boundary
     - the CSV's numpy formatter gives the bytes of format(x, ".17g") on
       finite float64 bit patterns of either sign, on zeros, subnormals,
       powers of ten and their neighbours, 17th-digit ties, values out of
@@ -26,7 +28,9 @@ Claims covered:
     - itinerary/report rendering and SVG output are well-formed; the SVG
       shades exactly the active windows of the blocks' itinerary reports;
       its polylines render byte for byte as one f-string per point would,
-      .xx5 ties included;
+      .xx5 ties included; it draws the samples np.unique of the linspace
+      indices picks, at 1 to 80,001 rows; its scratch stays under 1 MB
+      however many rows it reads;
       report.txt marks an itinerary with no checked pair "not exercised",
       and names a run that did not complete right after [itineraries],
       failing the verdict though every level and witness passes
@@ -49,6 +53,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,7 +70,13 @@ from hexnet.cli import main
 from hexnet.errors import (
     ScenarioParseError, ScenarioSchemaError, ScenarioValidationError, WorkerError,
 )
-from hexnet.integrator import IntegratorConfig, integrate
+from hexnet.integrator import (
+    TERMINATION_COMPLETED,
+    IntegratorConfig,
+    StepStats,
+    Trajectory,
+    integrate,
+)
 from hexnet.output import (
     publish,
     render_itinerary,
@@ -496,14 +507,16 @@ _TIES = ([1e13 + m / 16 for m in (1, 3, 5, 7, 9, 11, 13, 15)] + [1e14 - 1 / 16, 
          + [m * 2.0**-24 for m in (3, 5, 7, 9, 11, 13, 15)] + [2.0**-25, 3 * 2.0**-25])
 
 
+# values the numpy kernel formats and values it splices in (ties, out of
+# range, negative, a power of ten whose float64 lies just below it)
+_EDGE = np.array([0.0, 1e-300, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0, -0.0,
+                  1 / 3, _TIES[0], _TIES[-1], 1e17, 1e-275, 1e-7, -2.5])
+
+
 def _with_edge_rows(traj, dimension):
-    """traj with four rows of formatting edge cases appended: values the
-    numpy kernel formats and values it splices in (ties, out of range,
-    negative, a power of ten whose float64 lies just below it)."""
-    edge = [0.0, 1e-300, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0, -0.0, 1 / 3,
-            _TIES[0], _TIES[-1], 1e17, 1e-275, 1e-7, -2.5]
-    extra = np.resize(np.array(edge), (4, dimension))
-    times = np.concatenate([traj.times, edge[:4]])
+    """traj with four rows of formatting edge cases appended."""
+    extra = np.resize(_EDGE, (4, dimension))
+    times = np.concatenate([traj.times, _EDGE[:4]])
     return replace(traj, times=times, states=np.vstack([traj.states, extra]))
 
 
@@ -630,6 +643,28 @@ def test_timeseries_writers_give_the_same_bytes(tmp_path, monkeypatch, force_cpu
     assert (out / "ts.csv").read_bytes() == _per_value_csv(traj, p.layout)
     _assert_no_child_left()
     assert [f.name for f in out.iterdir()] == ["ts.csv"]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 512])
+def test_timeseries_bytes_do_not_depend_on_block_rows(tmp_path, monkeypatch, force_cpus,
+                                                      small_scenario, block_rows):
+    # 1,601 rows in two writers, the child's from row 800; edge rows inside
+    # blocks, across the ends of 512-row blocks (512 and 800 + 512) and
+    # across the writers' boundary, each rotated to put other values in
+    # each column
+    sc, p, s0 = small_scenario
+    traj = integrate(s0, p, IntegratorConfig(t_end=16.0, sample_dt=0.01, rtol=1e-9, atol=1e-9))
+    n = traj.times.shape[0]
+    states = traj.states.copy()
+    for k, row in enumerate([0, 1, 2, 300, 510, 511, 512, 513, 798, 799, 800, 801,
+                             1310, 1311, 1312, 1313, n - 2, n - 1]):
+        states[row] = np.resize(np.roll(_EDGE, k), p.layout.dimension)
+    traj = replace(traj, states=states)
+    forks = _force_writers(monkeypatch, force_cpus, n, 2)
+    monkeypatch.setattr(output, "_BLOCK_ROWS", block_rows)
+    write_timeseries(traj, p.layout, tmp_path / "ts.csv")
+    assert n == 1_601 and len(forks()) == 1
+    assert (tmp_path / "ts.csv").read_bytes() == _per_value_csv(traj, p.layout)
 
 
 # a child's exception is raised in the parent as itself, like the parent's own
@@ -867,6 +902,50 @@ def test_svg_panels(tmp_path, small_scenario):
         assert float(width) == pytest.approx(
             max((t1 - t0) / t_max * output._PANEL_W, 0.5), abs=0.006
         )
+
+
+def _wavy_trajectory(rows: int, dimension: int) -> Trajectory:
+    """rows samples 1e-3 apart, coordinate c a sine wave in [0.05, 0.95] of
+    c + 1 periods, so X stays far from the unit vectors and the gates open
+    rarely; each coordinate's largest value (above 1.05) is in row 0."""
+    times = np.arange(rows) * 1e-3
+    phase = 2.0 * np.pi * np.arange(rows)[:, None] / rows
+    states = 0.5 + 0.45 * np.sin(phase * np.arange(1, dimension + 1) + np.arange(dimension))
+    states[0] = np.random.default_rng(rows).uniform(1.1, 1.5, dimension)
+    return Trajectory(times, states, StepStats(), TERMINATION_COMPLETED,
+                      np.ones(dimension, dtype=bool), float(times[-1]), states[-1])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1_999, 2_000, 2_001, 80_001])
+def test_svg_panels_draw_the_unique_linspace_samples(tmp_path, small_scenario, rows):
+    # the np.unique rule as reference: the plot equals, byte for byte, the
+    # plot of exactly the samples it picks, of which every one is drawn;
+    # both hold the last sample (t_max) and row 0 (the y scale of each panel)
+    _, p, _ = small_scenario
+    traj = _wavy_trajectory(rows, p.layout.dimension)
+    itinerary = extract_itinerary(traj, p)
+    picked = np.unique(np.linspace(0, rows - 1, min(output._MAX_POINTS, rows)).astype(int))
+    write_svg_panels(traj, p.layout, itinerary, tmp_path / "all.svg")
+    write_svg_panels(replace(traj, times=traj.times[picked], states=traj.states[picked]),
+                     p.layout, itinerary, tmp_path / "picked.svg")
+    assert (tmp_path / "all.svg").read_bytes() == (tmp_path / "picked.svg").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [2_001, 200_000])
+def test_svg_panels_scratch_does_not_grow_with_rows(tmp_path, small_scenario, rows):
+    # the drawn samples and the parts of the text, written one by one: 0.57
+    # MB; joining and encoding the whole text took 1.05 MB, and the first
+    # np.unique call 1.1 MB more (it imports numpy.ma)
+    _, p, _ = small_scenario
+    traj = _wavy_trajectory(rows, p.layout.dimension)
+    itinerary = extract_itinerary(traj, p)
+    tracemalloc.start()
+    try:
+        write_svg_panels(traj, p.layout, itinerary, tmp_path / "plot.svg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak
 
 
 def _polyline_by_fstrings(ts, ys, x0, y0, w, h, t_max, y_max, color):
