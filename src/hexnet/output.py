@@ -5,9 +5,10 @@ analysis.extract_itinerary; nothing here decides where a gate is active.
 
 Every file is published whole or not at all (publish). The timeseries rows
 are formatted by up to one process per available CPU, this one and forked
-workers (workers.deal); the bytes do not depend on how many ran. Each process
-formats its rows in blocks with format17.format_rows, whose bytes are
-format(x, ".17g") of every value.
+workers, in one workers.deal call that can make one more job beside them
+(simulate's itinerary and SVG); the bytes do not depend on how many ran.
+Each process formats its rows in blocks with format17.format_rows, whose
+bytes are format(x, ".17g") of every value.
 """
 from __future__ import annotations
 
@@ -80,29 +81,34 @@ def _append(part, fd: int) -> None:
         offset += os.sendfile(fd, part.fileno(), offset, size - offset)
 
 
-def write_timeseries(traj: Trajectory, layout: HierarchySpec, path) -> None:
+def write_timeseries(traj: Trajectory, layout: HierarchySpec, path,
+                     job=None, job_cost: float = 0.0) -> None:
     """CSV with header t, X1..XN, x1_1..; each value as format(x, ".17g")
-    renders it, 17 significant digits.
+    renders it, 17 significant digits. job, a call (fn, *args) that reads
+    the trajectory too, is made in the same deal as the rows; job_cost
+    estimates its cost a row, as a share of formatting that row (at most 1).
 
     Coordinates masked to the invariant zero subspace print as exactly "0".
 
     The file is written through publish, so on error path is left as it
     was; the header and the rows go through its one binary handle, flushed
     before any fork. The rows are split into contiguous chunks
-    (workers.shares), no more than one per _ROWS_PER_WRITER rows, dealt
-    with equal weights by workers.deal, which keeps the first chunk in
-    this process: it writes that chunk through the handle, and forked
-    children write the others into unnamed part files in the same
-    directory, which are then appended in order. Each writer formats its
-    chunk _BLOCK_ROWS rows at a time (_write_rows). The bytes do not depend
-    on the number of writers, no part file is left behind, and every child
-    has exited when this returns. A child's failure is raised here as
+    (workers.cut), no more than one per _ROWS_PER_WRITER rows and each
+    weighed by its rows, and dealt with job by workers.deal so that the
+    bins' loads come out even. deal keeps the first chunk in this
+    process: it writes that chunk through the handle, and forked children
+    write the others into unnamed part files in the same directory, which
+    are then appended in order. Each writer formats its chunk _BLOCK_ROWS
+    rows at a time (_write_rows). The bytes do not depend on the number of
+    writers, no part file is left behind, and every child has exited when
+    this returns. A child's failure, or job's, is raised here as
     workers.deal raises it.
     """
     n = traj.times.shape[0]
     if n == 0:
         raise ValueError("trajectory has no samples")
-    chunks = workers.shares(n, _ROWS_PER_WRITER)
+    extra = job_cost * n if job is not None else 0.0
+    chunks = workers.cut(n, _ROWS_PER_WRITER, extra)
     path = Path(path)
     with publish(path) as fh, contextlib.ExitStack() as stack:
         out = fh.buffer
@@ -110,8 +116,13 @@ def write_timeseries(traj: Trajectory, layout: HierarchySpec, path) -> None:
         out.flush()  # a child must not inherit buffered bytes
         parts = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
                  for _ in chunks[1:]]
-        workers.deal([(_write_rows, f, traj.times[rows], traj.states[rows])
-                      for f, rows in zip([out, *parts], chunks)], [1.0] * len(chunks))
+        calls = [(_write_rows, f, traj.times[rows], traj.states[rows])
+                 for f, rows in zip([out, *parts], chunks)]
+        weights = [rows.stop - rows.start for rows in chunks]
+        if job is not None:
+            calls.append(job)
+            weights.append(extra)
+        workers.deal(calls, weights)
         for part in parts:
             _append(part, out.fileno())
 

@@ -12,15 +12,25 @@ unnamed temporary file. With one CPU, or without fork, the calls run here,
 one after another. Either way a call's exception is raised in the caller,
 and no worker outlives deal.
 
+Each worker runs on a CPU of its own: at the deal, before any fork, deal
+reads this process's affinity set and the CPU it runs on now, and gives
+each worker another CPU of that set, which the worker pins itself to
+(os.sched_setaffinity) right after the fork. Where the kernel never
+migrates a forked process (a cpuset whose sched_load_balance is 0), a
+worker would otherwise share its parent's CPU for the whole deal. This
+process is never pinned. Where a CPU cannot be read or set, a worker runs
+unpinned: where it runs never changes a value.
+
 deal is the only scheduler. Each command makes one deal call, over one flat
 list of jobs, and no dealt call deals again: a worker sees one available
-CPU, so it never forks. shares(n, min_size) cuts range(n) into contiguous
-slices, one per process that deal would use, for work of even cost per
-item; dealt with equal weights, slice i lands in bin i, so the first slice
-is made here.
+CPU, so it never forks. cut(n, min_size, extra) cuts range(n) into
+contiguous slices for work of even cost per item, dealt beside one more
+call that costs as much as extra items, so that the bins come out even;
+slice 0 is the heaviest call, so deal makes it here.
 """
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -28,7 +38,7 @@ import tempfile
 
 from hexnet.errors import WorkerError
 
-__all__ = ["available_cpus", "deal", "shares"]
+__all__ = ["available_cpus", "cut", "deal"]
 
 # set in a worker right after the fork: a worker runs its calls serially
 _in_worker = False
@@ -43,19 +53,34 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def shares(n: int, min_size: int = 1) -> list[slice]:
-    """Contiguous slices covering range(n) in order, one per process: as many
-    as there are available CPUs, but fewer where a slice would hold fewer
-    than min_size items, and at least one."""
-    k = max(1, min(available_cpus(), n // min_size))
-    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+def cut(n: int, min_size: int, extra: float) -> list[slice]:
+    """Contiguous slices covering range(n) in order, for work of even cost
+    per item that deal makes beside one more call costing as much as extra
+    items (0 <= extra <= n; 0 for no such call): no more slices than
+    available CPUs, and fewer where a slice would hold fewer than min_size
+    items. Dealt with their sizes as weights, and that call last with
+    weight extra, the bins' loads come out even. Slice 0 is the heaviest
+    of these calls and comes first, so deal makes it in this process.
+    """
+    cpus = available_cpus()
+    k = max(1, min(cpus, n // min_size))
+    share = (n + extra) / cpus
+    if k == cpus and extra <= share:
+        # one share a bin; the call joins the last slice, which holds the rest
+        bounds = [min(n, math.ceil(i * share)) for i in range(k)] + [n]
+    else:
+        # the call has a bin of its own, and no slice weighs less than it
+        if extra:
+            k = max(1, min(k, cpus - 1, int(n // extra)))
+        bounds = [-(-n * i // k) for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def deal(calls: list, weights: list[float]) -> list:
     """[fn(*args) for fn, *args in calls], the calls dealt by weight, an
     estimate of their cost, into min(available_cpus(), len(calls)) bins
     (_schedule), each bin's calls made in order, every bin but the first in
-    a forked worker.
+    a forked worker, each worker on a CPU of its own (_worker_cpus).
 
     Of the bins that raise, the first in bin order raises its exception
     here; a worker that exits without reporting (it was killed, or its
@@ -67,8 +92,8 @@ def deal(calls: list, weights: list[float]) -> list:
     bins = _schedule(weights, max(1, min(available_cpus(), len(calls))))
     pending = []  # (pid, outcome file) of each worker not yet reaped, in bin order
     try:
-        for b in bins[1:]:
-            pending.append(_fork([calls[i] for i in b]))
+        for b, cpu in zip(bins[1:], _worker_cpus(len(bins) - 1)):
+            pending.append(_fork([calls[i] for i in b], cpu))
         got = [_run_bin([calls[i] for i in bins[0]])]
         while pending:
             pid, outcome = pending[0]
@@ -101,13 +126,30 @@ def _schedule(weights: list[float], n_bins: int) -> list[list[int]]:
     return bins
 
 
+def _worker_cpus(n: int) -> list:
+    """A CPU for each of n workers: the first n CPUs of this process's
+    affinity set but the one it runs on now (the processor field of
+    /proc/self/stat); None for each where that CPU cannot be read or a
+    process cannot be pinned."""
+    if n == 0 or not hasattr(os, "sched_setaffinity"):
+        return [None] * n
+    try:
+        with open("/proc/self/stat", "rb") as fh:  # the name, in (), may hold spaces
+            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return [None] * n
+    free = sorted(os.sched_getaffinity(0) - {here})[:n]
+    return free + [None] * (n - len(free))
+
+
 def _run_bin(calls) -> list:
     return [fn(*args) for fn, *args in calls]
 
 
-def _fork(calls) -> tuple[int, object]:
-    """Fork a child that makes calls (_run_bin) and pickles its outcome to
-    a fresh temporary file; return the child's pid and that file."""
+def _fork(calls, cpu) -> tuple[int, object]:
+    """Fork a child that pins itself to cpu (unless None), makes calls
+    (_run_bin) and pickles its outcome to a fresh temporary file; return
+    the child's pid and that file."""
     global _in_worker
     outcome = tempfile.TemporaryFile()
     try:
@@ -120,6 +162,11 @@ def _fork(calls) -> tuple[int, object]:
     status = 1
     try:
         _in_worker = True
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:  # the CPU left the set since the deal read it
+                pass
         try:
             reported = (True, _run_bin(calls))
         except Exception as exc:  # sent to the parent, which raises it

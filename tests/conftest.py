@@ -47,23 +47,53 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def current_cpu() -> int:
+    """The CPU this process runs on now: the processor field of
+    /proc/self/stat, or -1 without it."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except OSError:
+        return -1
+
+
 @pytest.fixture
 def force_cpus(monkeypatch, tmp_path):
     """force_cpus(n) makes n CPUs available to hexnet's workers and returns
-    a function that lists the pid of the caller of every os.fork since the
-    first force_cpus call, in this process or in any forked one."""
-    log = tmp_path / "forks.log"
+    a function forks() that lists the pid of the caller of every os.fork
+    since the first force_cpus call, in this process or in any forked one.
+
+    os.sched_setaffinity only logs what it is asked for, so forcing more
+    CPUs than the machine has pins nothing: forks.pins() lists each
+    (pid, requested set), and forks.cpus() the CPU each fork's caller ran
+    on at the fork, both in call order."""
+    forks_log, pins_log = tmp_path / "forks.log", tmp_path / "pins.log"
     fork = os.fork
 
     def logged():
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
+        with open(forks_log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {current_cpu()}\n")
         return fork()
+
+    def pin(pid, cpus):
+        with open(pins_log, "a", encoding="utf-8") as fh:
+            fh.write(f"{pid or os.getpid()} {' '.join(map(str, sorted(cpus)))}\n")
+
+    def lines(log):
+        return [line.split() for line in log.read_text(encoding="utf-8").splitlines()] \
+            if log.exists() else []
+
+    def forks():
+        return [pid for pid, _ in lines(forks_log)]
+
+    forks.cpus = lambda: [int(cpu) for _, cpu in lines(forks_log)]
+    forks.pins = lambda: [(pid, {int(c) for c in cpus}) for pid, *cpus in lines(pins_log)]
 
     def force(n: int):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
         monkeypatch.setattr(os, "fork", logged)
-        return lambda: log.read_text(encoding="utf-8").split() if log.exists() else []
+        return forks
 
     return force
 

@@ -11,6 +11,9 @@ Claims covered:
     - a lone witness run with a free CPU traces one integrate span, its
       forward half; the RHS calls the tracer counts are that span's
       evaluations, so a traced benchmark run stays consistent
+    - simulate at two CPUs traces its one integrate span's evaluations, and
+      its csv span, while the itinerary and the SVG, made in a worker,
+      trace nothing
 """
 import importlib.util
 import sys
@@ -93,3 +96,27 @@ def test_a_lone_witness_run_traces_its_forward_half_here(monkeypatch, force_cpus
     assert tracer.rhs_calls == integ.counts["rhs_calls"] == integ.counts["n_evals"] > 0
     metrics = tracing.layer_metrics(tracer.spans, 1.0)
     assert metrics["vectorfield.evals"] == metrics["_n_evals"]
+
+
+def test_simulate_traces_its_evaluations_beside_a_worker(monkeypatch, force_cpus, capsys,
+                                                         tmp_path, small_scenario_file):
+    # at 2 CPUs simulate's one deal makes the 801 rows here and the
+    # itinerary job (itinerary.txt, plot.svg) in a worker, which the tracer
+    # does not see: its itinerary and svg spans read 0, the wait for the
+    # worker sits in the csv span, and the RHS calls counted are the one
+    # integrate span's evaluations, as bench/run.py's trace check reads
+    tracing = _load_tracing(monkeypatch)
+    forks = force_cpus(2)
+    tracer = tracing.Tracer()
+    with tracer.installed(hexnet):
+        argv = ["simulate", str(small_scenario_file), "--out", str(tmp_path / "out"), "--plots"]
+        assert hexnet.cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("simulated to t=80:")
+    assert len(forks()) == 1
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
+        "itinerary.txt", "plot.svg", "timeseries.csv"]
+    metrics = tracing.layer_metrics(tracer.spans, 1.0)
+    assert metrics["vectorfield.evals"] == metrics["_n_evals"] > 0
+    assert metrics["integrator.calls"] == 1 and metrics["integrator.samples"] == 801
+    assert metrics["output.csv_s"] > 0.0
+    assert metrics["analysis.itinerary_s"] == metrics["output.svg_s"] == 0.0

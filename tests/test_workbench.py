@@ -35,6 +35,10 @@ Claims covered:
       and names a run that did not complete right after [itineraries],
       failing the verdict though every level and witness passes
     - simulate extracts the itinerary once for itinerary.txt and plot.svg
+    - simulate makes one deal of its row chunks and its itinerary job, and
+      its files, stdout and exit code are the same at 1, 2 and 3 CPUs, with
+      and without plots; a failing itinerary job's error is raised in the
+      parent as itself, in a worker or here, and leaves no part file
     - report.txt bytes do not depend on the number of available CPUs
     - simulate, verify and witness report a killed worker as WorkerError,
       not as an input error (exit 2)
@@ -975,19 +979,78 @@ def test_polyline_matches_fstring_rendering():
 
 def test_cli_simulate_extracts_the_itinerary_once(tmp_path, monkeypatch, small_scenario_file,
                                                   capsys):
-    # itinerary.txt and plot.svg render one list (verify: see test_analysis)
-    calls = []
+    # itinerary.txt and plot.svg render one list (verify: see test_analysis);
+    # the calls are logged to a file, so one made in a worker counts too
+    log = tmp_path / "calls.log"
     extract = cli.extract_itinerary
 
     def counting(traj, *args, **kwargs):
-        calls.append(traj.last_time)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{traj.last_time}\n")
         return extract(traj, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "extract_itinerary", counting)
     monkeypatch.setattr(cli, "extract_itinerary", counting)
-    argv = ["simulate", str(small_scenario_file), "--out", str(tmp_path), "--t-end", "5.0"]
+    argv = ["simulate", str(small_scenario_file), "--out", str(tmp_path / "out"), "--t-end", "5.0"]
     assert main(argv + ["--plots"]) == 0
-    assert calls == [5.0]
+    assert log.read_text(encoding="utf-8").split() == ["5.0"]
+
+
+@pytest.mark.parametrize("plots", [False, True])
+def test_simulate_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, force_cpus, capsys,
+                                              small_scenario_file, plots):
+    # one deal, from this process, of the row chunks and the itinerary job:
+    # 2,001 rows in chunks of at least 400 make 1, 2 and 3 chunks beside it
+    log = tmp_path / "deal.log"
+    deal = workers.deal
+
+    def counting(calls, weights):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {len(calls)}\n")
+        return deal(calls, weights)
+
+    monkeypatch.setattr(workers, "deal", counting)
+    monkeypatch.setattr(output, "_ROWS_PER_WRITER", 400)
+    argv = ["simulate", str(small_scenario_file), "--t-end", "200", "--sample-dt", "0.1"]
+    runs = []
+    for cpus in (1, 2, 3):
+        forks = force_cpus(cpus)
+        n_forks = len(forks())
+        out = tmp_path / f"out-{cpus}"
+        code = main(argv + ["--out", str(out)] + (["--plots"] if plots else []))
+        assert len(forks()) - n_forks == cpus - 1
+        runs.append((code, capsys.readouterr().out,
+                     {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    names = ["itinerary.txt", "plot.svg", "timeseries.csv"] if plots else \
+        ["itinerary.txt", "timeseries.csv"]
+    assert list(runs[0][2]) == names and runs[0][0] == 0
+    assert log.read_text(encoding="utf-8").split("\n") == [f"{os.getpid()} {n}"
+                                                           for n in (2, 3, 4)] + [""]
+    assert runs[1:] == [runs[0]] * 2
+
+
+def _svg_fails(*args):
+    raise RuntimeError("svg failed")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_itinerary_job_failure_reaches_the_parent(tmp_path, monkeypatch, force_cpus,
+                                                          small_scenario_file, cpus):
+    # the job raises in this process at 1 CPU and in the worker at 2: the
+    # error is raised as itself, no child is left, and the output directory
+    # holds no part or temporary file, only the itinerary published before
+    reference = tmp_path / "reference"
+    argv = ["simulate", str(small_scenario_file), "--t-end", "20", "--plots"]
+    assert main(argv + ["--out", str(reference)]) == 0
+    forks = force_cpus(cpus)
+    monkeypatch.setattr(cli, "write_svg_panels", _svg_fails)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="svg failed"):
+        main(argv + ["--out", str(out)])
+    assert len(forks()) == cpus - 1
+    _assert_no_child_left()
+    assert [f.name for f in out.iterdir()] == ["itinerary.txt"]
+    assert (out / "itinerary.txt").read_bytes() == (reference / "itinerary.txt").read_bytes()
 
 
 def test_import_loads_no_scipy():

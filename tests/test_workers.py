@@ -16,8 +16,16 @@ Claims covered:
       not an OSError
     - a first bin that raises while a worker runs kills and reaps it, and
       so does an exception that interrupts the wait for a worker
-    - shares cuts range(n) into contiguous slices, as many as the CPUs
-      allow with at least min_size items each, and at least one
+    - cut splits range(n) into contiguous slices, as many as the CPUs allow
+      with at least min_size items each; dealt with their sizes as weights
+      beside one call weighing extra, slice 0 runs here and the bins'
+      loads come out even, the call joining the last slice or, heavier than
+      a share, in a bin of its own
+    - each worker pins itself to one CPU of the affinity set, a CPU of its
+      own that is not the one this process ran on at the fork; this
+      process is never pinned, also when a call raises or the wait is
+      interrupted; a pin that fails, or no way to read or set a CPU, runs
+      the worker unpinned with the same values
     - deal's schedule deals the calls heaviest first into the least-loaded
       bin, so the heaviest call runs in this process
 """
@@ -29,6 +37,7 @@ import pytest
 
 from hexnet import workers
 from hexnet.errors import ScenarioValidationError, WorkerError
+from hexnet.workers import _schedule
 
 
 def _tagged(tag):
@@ -163,13 +172,60 @@ def test_an_interrupted_wait_kills_and_reaps_the_worker(force_cpus):
 @pytest.mark.parametrize("min_size", [1, 7, 10])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_shares_cover_range_contiguously(force_cpus, cpus, min_size):
+    # cut's shares of range(n): with no call beside them, an even cut whose
+    # first slice is the largest
     force_cpus(cpus)
     for n in range(51):
-        chunks = workers.shares(n, min_size)
+        chunks = workers.cut(n, min_size, 0.0)
         assert [i for s in chunks for i in range(n)[s]] == list(range(n))
-        k = min(cpus, max(1, n // min_size))  # slices, with bounds n * w // k
-        bounds = [n * w // k for w in range(k + 1)]
-        assert chunks == [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        k = min(cpus, max(1, n // min_size))  # slices, with bounds ceil(n * w / k)
+        bounds = [-(-n * w // k) for w in range(k + 1)]
+        assert chunks == [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _loads(chunks, extra, cpus):
+    """The bins deal makes of the chunks, weighed by size, and one call
+    weighed extra: (bins, load of each bin)."""
+    weights = [s.stop - s.start for s in chunks] + ([extra] if extra else [])
+    bins = _schedule(weights, max(1, min(cpus, len(weights))))
+    return bins, [sum(weights[i] for i in b) for b in bins]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 16])
+def test_cut_keeps_slice_0_here_beside_a_call(force_cpus, cpus):
+    # at any size of the call beside them, up to all the rows' cost, the
+    # slices cover range(n) in order, no more than one a CPU, and slice 0
+    # is the heaviest call, so deal makes it in this process
+    force_cpus(cpus)
+    for n in (1, 2, 5, 49, 50, 51, 99, 400, 2_001, 80_001):
+        for extra in sorted({0.0, 1.0, 0.05 * n, 0.14 * n, 0.5 * n, n - 0.5, float(n)}):
+            if not 0.0 <= extra <= n:
+                continue
+            chunks = workers.cut(n, 25, extra)
+            assert [i for s in chunks for i in range(n)[s]] == list(range(n))
+            assert 1 <= len(chunks) <= cpus
+            bins, _ = _loads(chunks, extra, cpus)
+            assert bins[0][0] == 0, (n, extra)
+
+
+@pytest.mark.parametrize("n, min_size, extra, cpus, loads", [
+    # one share a bin: the call joins the last, lightest slice
+    (80_001, 2_500, 11_200.14, 2, [45_601, 34_400 + 11_200.14]),
+    (80_001, 2_500, 11_200.14, 3, [30_401, 30_400, 19_200 + 11_200.14]),
+    (80_001, 2_500, 11_200.14, 8, [11_401] + [11_400] * 6 + [200 + 11_200.14]),
+    # a call heavier than one share has its bin alone, beside 7 slices
+    (80_001, 2_500, 11_200.14, 16, [11_429] * 7 + [11_200.14]),
+    # too few rows for two slices of min_size: one slice, the call alone
+    (4_000, 2_500, 560.0, 2, [4_000, 560.0]),
+    (7_500, 2_500, 1_050.0, 4, [2_500] * 3 + [1_050.0]),
+    # no call beside them: an even cut
+    (80_001, 2_500, 0.0, 2, [40_001, 40_000]),
+])
+def test_cut_evens_the_loads_of_the_bins(force_cpus, n, min_size, extra, cpus, loads):
+    force_cpus(cpus)
+    chunks = workers.cut(n, min_size, extra)
+    _, got = _loads(chunks, extra, cpus)
+    assert sorted(got, reverse=True) == pytest.approx(sorted(loads, reverse=True), abs=1.0)
 
 
 def test_deal_returns_values_in_call_order(force_cpus):
@@ -187,8 +243,6 @@ def test_deal_returns_values_in_call_order(force_cpus):
 
 
 def test_schedule_keeps_the_heaviest_run_here():
-    from hexnet.workers import _schedule
-
     # heaviest first into the least-loaded bin (then the one with fewest
     # calls, then the first); a witness run weighs 0
     assert _schedule([1.0, 5.0, 2.0, 2.5, 0.0], 2) == [[1, 4], [3, 2, 0]]
@@ -196,3 +250,76 @@ def test_schedule_keeps_the_heaviest_run_here():
     assert _schedule([0.0] * 4, 2) == [[0, 2], [1, 3]]
     assert _schedule([3.0, 0.0], 2) == [[0], [1]]
     assert _schedule([], 0) == []
+
+
+def _affinity():
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
+def test_each_worker_pins_itself_to_a_cpu_of_its_own(force_cpus):
+    # 3 workers at 4 CPUs: each asks, once, for one CPU of the set, none
+    # shared and none the one this process ran on at the forks
+    forks = force_cpus(4)
+    values = _deal([(_tagged, tag) for tag in range(4)])
+    workers_pids = {str(pid) for _, pid, _ in values[1:]}
+    pins = forks.pins()
+    assert {pid for pid, _ in pins} == workers_pids and len(pins) == 3
+    cpus = [cpu for _, cpu_set in pins for cpu in cpu_set]
+    assert all(len(cpu_set) == 1 for _, cpu_set in pins)
+    assert len(set(cpus)) == 3 and set(cpus) <= set(range(4))
+    assert set(cpus).isdisjoint(forks.cpus())
+
+
+@pytest.mark.parametrize("case", ["returns", "raises", "interrupted"])
+def test_the_parent_is_never_pinned(force_cpus, case):
+    forks = force_cpus(3)
+    calls = {"returns": [(int,), (int,), (int,)],
+             "raises": [(_parent_fails,), (time.sleep, 60.0), (time.sleep, 60.0)],
+             "interrupted": [(time.sleep, 0.0), (time.sleep, 60.0)]}[case]
+    raised = None
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5 if case == "interrupted" else 0.0)
+        try:
+            _deal(calls)
+        except (RuntimeError, _Interrupt) as exc:
+            raised = type(exc)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert raised is {"returns": None, "raises": RuntimeError, "interrupted": _Interrupt}[case]
+    assert len(forks()) == len(calls) - 1
+    assert str(os.getpid()) not in {pid for pid, _ in forks.pins()}
+
+
+def test_the_parent_keeps_its_affinity_set():
+    # unforced: the worker really runs on one CPU of this process's set,
+    # and this process's set is the same after the deal
+    before = os.sched_getaffinity(0)
+    here, there = _deal([(_affinity,), (_affinity,)])
+    assert here == (os.getpid(), sorted(before)) and os.sched_getaffinity(0) == before
+    if len(before) > 1:
+        assert there[0] != os.getpid() and len(there[1]) == 1 and set(there[1]) <= before
+
+
+def _pin_fails(pid, cpus):
+    raise OSError(22, "Invalid argument")
+
+
+def _no_stat(*args, **kwargs):
+    raise FileNotFoundError("/proc/self/stat")
+
+
+@pytest.mark.parametrize("case", ["pin raises", "no setaffinity", "no stat"])
+def test_an_unpinned_worker_returns_the_same_values(monkeypatch, force_cpus, case):
+    forks = force_cpus(3)
+    if case == "pin raises":
+        monkeypatch.setattr(os, "sched_setaffinity", _pin_fails)
+    elif case == "no setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        monkeypatch.setattr(workers, "open", _no_stat, raising=False)
+    values = _deal([(_tagged, tag) for tag in range(5)])
+    assert [tag for tag, _, _ in values] == list(range(5))
+    assert len({pid for _, pid, _ in values}) == 3 and len(forks()) == 2
+    assert forks.pins() == []
