@@ -81,11 +81,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-# the itinerary job's cost a row, as a share of formatting the row's CSV line
-# (write_timeseries' job_cost): extracting the itinerary takes about 0.07, and
-# drawing plot.svg about 0.07 more at 80,001 rows (it is mostly a fixed 10 ms)
-_ITINERARY_COST = 0.07
-_SVG_COST = 0.07
+# the itinerary job's cost as (fixed, a row), in units of formatting one CSV
+# row (write_timeseries' job_cost), fitted to its time on one CPU at 20,001
+# and 80,001 rows, when a row takes 2.1 us: 3.4 and 12.0 ms without plot.svg,
+# 13.6 and 23.5 ms with it (drawing it is mostly a fixed 10 ms)
+_ITINERARY_COST = (280.0, 0.067)
+_PLOTS_COST = (4_900.0, 0.078)
 
 
 def cmd_simulate(args) -> int:
@@ -93,11 +94,12 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = sc.field_params()
-    traj = integrate(sc.initial_state(), params, sc.integrator)
-    # one deal for the CSV rows and the itinerary job, which read traj alike
-    write_timeseries(traj, params.hierarchy, out / "timeseries.csv",
-                     job=(_write_itinerary, traj, params, sc, out, args.plots),
-                     job_cost=_ITINERARY_COST + (_SVG_COST if args.plots else 0.0))
+    # one deal makes the run, the CSV rows as they are sampled, and the
+    # itinerary job, which reads the trajectory once the run has ended
+    traj = write_timeseries((integrate, sc.initial_state(), params, sc.integrator),
+                            params.hierarchy, out / "timeseries.csv",
+                            job=(_write_itinerary, params, sc, out, args.plots),
+                            job_cost=_PLOTS_COST if args.plots else _ITINERARY_COST)
     print(
         f"simulated to t={traj.last_time:g}: {traj.stats.accepted} steps accepted,"
         f" {traj.stats.rejected} rejected, termination {traj.termination}"

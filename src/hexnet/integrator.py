@@ -33,6 +33,12 @@ A run ends "completed" at t_end, "diverged" when a live coordinate passes
 DIVERGENCE_BOUND, "step_failure" when the step size underflows before
 t_end, or "stopped" when the caller's `until` predicate first holds after an
 accepted step.
+
+The samples go into a states array that integrate allocates, or that the
+caller passes, zero-filled, in memory shared with another process. A
+progress hook then hears how many rows are final, after each step that
+writes samples, so that process can read the rows while the run goes on
+(output.write_timeseries formats the CSV that way).
 """
 from __future__ import annotations
 
@@ -50,6 +56,7 @@ __all__ = [
     "StepStats",
     "Trajectory",
     "integrate",
+    "sample_times",
     "DIVERGENCE_BOUND",
     "MAX_SAMPLES",
     "TERMINATION_COMPLETED",
@@ -233,6 +240,15 @@ def _sample_grid(t_end: float, dt: float) -> np.ndarray:
     return grid
 
 
+def sample_times(cfg: IntegratorConfig) -> np.ndarray:
+    """The times of integrate's samples: 0, sample_dt, 2 sample_dt, ..., t_end."""
+    return _sample_grid(cfg.t_end, cfg.sample_dt)
+
+
+def _no_progress(count: int) -> None:
+    pass
+
+
 def _dense_output(u, u_new, h, K, F, theta) -> np.ndarray:
     """Log-states at t + theta*h, one row per theta, for an accepted step
     from u to u_new whose 16 stages are in K; F is scratch of shape (7, d)."""
@@ -244,8 +260,9 @@ def _dense_output(u, u_new, h, K, F, theta) -> np.ndarray:
     F[2] += 2.0 * F[0]
     np.dot(_D, K, out=F[3:])
     F[3:] *= h
-    theta = theta[:, None]
-    out = np.cumprod(np.where(_THETA_FACTOR, theta, 1.0 - theta), axis=1) @ F
+    # the weights, one row a k, cumprod down the samples' columns: a
+    # (7, samples) array, whose transpose goes into the product with F
+    out = np.cumprod(np.where(_THETA_FACTOR[:, None], theta, 1.0 - theta), axis=0).T @ F
     out += u
     return out
 
@@ -257,6 +274,8 @@ def integrate(
     *,
     until: Callable[[np.ndarray], bool] | None = None,
     order: np.ndarray | None = None,
+    states: np.ndarray | None = None,
+    progress: Callable[[int], None] | None = None,
 ) -> Trajectory:
     """Integrate from a nonnegative state; exact zeros define the mask.
 
@@ -276,6 +295,16 @@ def integrate(
     how their coordinates are numbered are bitwise the same when each lists
     them in one shared role. The default is ascending flat order. An order
     that breaks these rules raises ValueError before any step.
+
+    states is the array the samples are written into, float64 of shape
+    (len(sample_times(cfg)), d) and zero-filled (every masked value stays
+    as it is); by default integrate allocates it. A buffer the caller
+    shares with another process lets that process read the rows while the
+    run goes on: progress(count) is called once the first count rows of
+    states are final, with row 0 before the first step and again after each
+    step that writes samples, so the counts never decrease and end at the
+    number of rows the trajectory keeps. A buffer of another shape or
+    dtype, or one not zero-filled, raises ValueError before any evaluation.
     """
     d = p.hierarchy.dimension
     s0 = np.asarray(s0, dtype=float)
@@ -296,14 +325,22 @@ def integrate(
         live = order
     # The stepper works on the m live coordinates only; masked ones stay 0.
     table = rate_table(p, live, backward=cfg.direction == "backward")
-    grid = _sample_grid(cfg.t_end, cfg.sample_dt)
+    grid = sample_times(cfg)
     n_samples = grid.shape[0]
-    states = np.zeros((n_samples, d))
+    if states is None:
+        states = np.zeros((n_samples, d))
+    elif (states.shape != (n_samples, d) or states.dtype != np.float64
+          or states.view(np.uint64).any()):
+        raise ValueError(f"states must be a zero-filled float64 array of shape"
+                         f" {(n_samples, d)}, got {states.dtype} {states.shape}")
+    if progress is None:
+        progress = _no_progress
     states[0] = s0
     stats = StepStats()
 
     if cfg.t_end == 0.0 or live.size == 0:
         # nothing to integrate: time span empty or every coordinate pinned at 0
+        progress(n_samples)
         return Trajectory(
             times=grid,
             states=states[: 1] if cfg.t_end == 0.0 else states,
@@ -370,6 +407,7 @@ def integrate(
     termination = TERMINATION_COMPLETED
     div_coord: int | None = None
 
+    progress(1)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         base_stage(u, K0)
         while t < t_end:
@@ -413,6 +451,7 @@ def integrate(
                     interp = _dense_output(u, u_new, h, K, F, theta)
                     states[next_i:j_end][:, live] = np.exp(interp)
                     next_i = j_end
+                    progress(next_i)
                 t = t_new
                 u, u_new = u_new, u
                 abs_u, abs_new = abs_new, abs_u

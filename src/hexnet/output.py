@@ -5,15 +5,20 @@ analysis.extract_itinerary; nothing here decides where a gate is active.
 
 Every file is published whole or not at all (publish). The timeseries rows
 are formatted by up to one process per available CPU, this one and forked
-workers, in one workers.deal call that can make one more job beside them
-(simulate's itinerary and SVG); the bytes do not depend on how many ran.
-Each process formats its rows in blocks with format17.format_rows, whose
-bytes are format(x, ".17g") of every value.
+followers, in one workers.deal call, which can also make the run that
+samples the rows and one more job on its trajectory (simulate's itinerary
+and SVG): while this process integrates, follower 1 formats the rows
+already sampled, and the rows left when the run ends, and the job, are cut
+over all the processes (write_timeseries). The bytes do not depend on how
+many ran. Each process formats its rows in blocks with format17.format_rows,
+whose bytes are format(x, ".17g") of every value.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -22,7 +27,7 @@ import numpy as np
 from . import workers
 from .analysis import LEVEL_SUPER, RealizationReport, ItineraryReport, WitnessResult
 from .hierarchy import HierarchySpec
-from .integrator import Trajectory
+from .integrator import Trajectory, sample_times
 from .vectorfield import VARIANT_BOUNDED
 
 __all__ = [
@@ -35,11 +40,14 @@ __all__ = [
 ]
 
 
-# rows per writer process: a writer process costs about 6 ms (fork, part file,
-# append); formatting 2,500 rows of 13 values about 13 ms
-_ROWS_PER_WRITER = 2_500
+# rows per writer process: forking and reaping a process costs about 2.8 ms,
+# and formatting a row of 13 values 2.1 us (appending it from a part file 0.1
+# us more), so a second process pays for itself from about 2 x 1,400 rows
+_ROWS_PER_WRITER = 1_400
 # rows per format17.format_rows call; its temporaries peak near 330 bytes a value
 _BLOCK_ROWS = 512
+# a message between the processes of write_timeseries: a row count or a row
+_ROW = struct.Struct("=q")
 
 
 @contextlib.contextmanager
@@ -81,50 +89,205 @@ def _append(part, fd: int) -> None:
         offset += os.sendfile(fd, part.fileno(), offset, size - offset)
 
 
-def write_timeseries(traj: Trajectory, layout: HierarchySpec, path,
-                     job=None, job_cost: float = 0.0) -> None:
-    """CSV with header t, X1..XN, x1_1..; each value as format(x, ".17g")
-    renders it, 17 significant digits. job, a call (fn, *args) that reads
-    the trajectory too, is made in the same deal as the rows; job_cost
-    estimates its cost a row, as a share of formatting that row (at most 1).
+def _shared_zeros(shape: tuple[int, int]) -> np.ndarray:
+    """A zero-filled float64 array in anonymous memory that stays shared
+    with the processes forked after it is made: each sees the others' writes."""
+    # imported here, as select in _receive: a command that forks no CSV
+    # follower never loads them
+    import mmap
 
-    Coordinates masked to the invariant zero subspace print as exactly "0".
+    return np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1], flags=mmap.MAP_SHARED),
+                         dtype=np.float64).reshape(shape)
+
+
+def write_timeseries(traj, layout: HierarchySpec, path, job=None,
+                     job_cost: tuple[float, float] = (0.0, 0.0)) -> Trajectory:
+    """CSV with header t, X1..XN, x1_1..; each value as format(x, ".17g")
+    renders it, 17 significant digits. Returns the trajectory.
+
+    traj is a Trajectory, or a run: a call (integrate, s0, p, cfg) that
+    makes one as integrate(s0, p, cfg, states=..., progress=...). job, a
+    call (fn, *args), is made as fn(traj, *args) once the run has ended;
+    job_cost estimates its cost as a fixed part and a part a row, in units
+    of formatting one row. Coordinates masked to the invariant zero
+    subspace print as exactly "0".
 
     The file is written through publish, so on error path is left as it
-    was; the header and the rows go through its one binary handle, flushed
-    before any fork. The rows are split into contiguous chunks
-    (workers.cut), no more than one per _ROWS_PER_WRITER rows and each
-    weighed by its rows, and dealt with job by workers.deal so that the
-    bins' loads come out even. deal keeps the first chunk in this
-    process: it writes that chunk through the handle, and forked children
-    write the others into unnamed part files in the same directory, which
-    are then appended in order. Each writer formats its chunk _BLOCK_ROWS
-    rows at a time (_write_rows). The bytes do not depend on the number of
-    writers, no part file is left behind, and every child has exited when
-    this returns. A child's failure, or job's, is raised here as
-    workers.deal raises it.
+    was. One workers.deal call makes one process per _ROWS_PER_WRITER rows
+    of the sample grid, at most one per available CPU: this process, which
+    makes the run, and forked followers, each call in a bin of its own,
+    which talk through pipes. The run writes its samples into a states
+    buffer shared with the followers (_shared_zeros) and reports through
+    its progress hook how many rows are final; follower 1 formats them,
+    _BLOCK_ROWS rows at a time, straight into the file after the header
+    (_stream). When the run ends, follower 1 reports the row it has reached
+    and the rest is cut (workers.cut, with job weighed beside the rows):
+    follower 1 formats on to the end of the first slice, each other
+    follower a slice into an unnamed part file, and this process the last
+    slice, if any, into its own part file, then makes job (_lead). The
+    parts are appended in row order. With one process this process makes
+    the run, then writes every row, then makes job. Each process formats
+    its rows _BLOCK_ROWS at a time (_write_rows), so the bytes do not
+    depend on the number of processes; no part file is left behind, and
+    every follower has exited when this returns. A follower's failure, or
+    job's, is raised here as workers.deal raises it.
     """
-    n = traj.times.shape[0]
-    if n == 0:
-        raise ValueError("trajectory has no samples")
-    extra = job_cost * n if job is not None else 0.0
-    chunks = workers.cut(n, _ROWS_PER_WRITER, extra)
+    # grid() gives the sample times: a follower calls it after the fork, so
+    # this process does not hold a run's grid twice
+    if isinstance(traj, Trajectory):
+        run, n, states = traj, traj.times.shape[0], traj.states
+        grid = functools.partial(getattr, traj, "times")
+        if n == 0:
+            raise ValueError("trajectory has no samples")
+    else:
+        integrate, s0, p, cfg = traj
+        run, n, states = functools.partial(integrate, s0, p, cfg), len(sample_times(cfg)), None
+        grid = functools.partial(sample_times, cfg)
+    followers = max(1, min(workers.available_cpus(), n // _ROWS_PER_WRITER)) - 1
+    if states is None and followers:
+        states = _shared_zeros((n, layout.dimension))
+        run = functools.partial(run, states=states)
     path = Path(path)
     with publish(path) as fh, contextlib.ExitStack() as stack:
         out = fh.buffer
         out.write((",".join(["t"] + layout.coord_names()) + "\n").encode())
-        out.flush()  # a child must not inherit buffered bytes
+        out.flush()  # a follower must not inherit buffered bytes
         parts = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                 for _ in chunks[1:]]
-        calls = [(_write_rows, f, traj.times[rows], traj.states[rows])
-                 for f, rows in zip([out, *parts], chunks)]
-        weights = [rows.stop - rows.start for rows in chunks]
-        if job is not None:
-            calls.append(job)
-            weights.append(extra)
-        workers.deal(calls, weights)
+                 for _ in range(followers)]
+        # pipes[0] carries follower 1's reply, pipes[k] the messages to follower k
+        pipes = [_pipe(stack) for _ in range(followers + 1)] if followers else []
+        ends = [end for pipe in pipes for end in pipe]
+        calls = [(_lead, run, parts[-1] if parts else out, [w for _, w in pipes[1:]],
+                  pipes[0][0] if pipes else None, job, job_cost, ends)]
+        if followers:
+            calls.append((_stream, pipes[1][0], pipes[0][1], out, grid, states, ends))
+        calls += [(_take, pipes[k][0], parts[k - 2], grid, states, ends)
+                  for k in range(2, followers + 1)]
+        traj = workers.deal(calls, [1.0] * len(calls))[0]
         for part in parts:
             _append(part, out.fileno())
+    return traj
+
+
+def _pipe(stack) -> tuple:
+    """A pipe's (read end, write end), unbuffered, closed when stack is."""
+    r, w = os.pipe()
+    return (stack.enter_context(open(r, "rb", buffering=0)),
+            stack.enter_context(open(w, "wb", buffering=0)))
+
+
+def _keep(ends, *mine) -> None:
+    """Close every pipe end in ends but mine: a pipe then reads as ended,
+    or fails to write, once the process at its other end has exited."""
+    for end in ends:
+        if all(end is not m for m in mine):
+            end.close()
+
+
+def _send(end, *values: int) -> None:
+    end.write(b"".join(_ROW.pack(v) for v in values))
+
+
+def _receive(end, wait: bool = True) -> list[int]:
+    """The values sent to end since the last call; without wait, [] when
+    none are. EOFError once the sender has exited or closed its end."""
+    import select
+
+    if not wait and not select.select([end], [], [], 0)[0]:
+        return []
+    data = os.read(end.fileno(), 1 << 16)
+    if not data:
+        raise EOFError("the process at the other end of the pipe has ended")
+    return [v for (v,) in _ROW.iter_unpack(data)]
+
+
+def _lead(run, sink, downs, reply, job, job_cost, ends):
+    """This process's part of write_timeseries: make the run (run is a
+    call, or the Trajectory itself), hand the rows out to the followers
+    behind downs when it ends, write its own rows to sink, then make job;
+    return the trajectory, or None once a follower has stopped answering
+    (workers.deal then raises how that follower ended)."""
+    _keep(ends, *downs, reply)
+    try:
+        if isinstance(run, Trajectory):
+            traj = run
+        else:
+            traj = run(progress=_reporter(downs[0]) if downs else None)
+        n = traj.times.shape[0]
+        extra = job_cost[0] + job_cost[1] * n if job is not None else 0.0
+        rows = _hand_out(n, extra, downs, reply) if downs else slice(0, n)
+    except (BrokenPipeError, EOFError):
+        return None
+    _write_rows(sink, traj.times[rows], traj.states[rows])
+    if job is not None:
+        fn, *args = job
+        fn(traj, *args)
+    return traj
+
+
+def _reporter(down):
+    """A progress hook for integrate that tells follower 1, behind down,
+    how many rows are final, once at least _BLOCK_ROWS more are."""
+    sent = 0
+
+    def progress(count: int) -> None:
+        nonlocal sent
+        if count - sent >= _BLOCK_ROWS:
+            _send(down, count)
+            sent = count
+
+    return progress
+
+
+def _hand_out(n: int, extra: float, downs, reply) -> slice:
+    """Tell follower 1 the run has ended with n rows and read the row it
+    has reached; cut the rows from there beside a job that costs extra
+    rows (workers.cut); send follower 1 the end of the first slice and
+    each other follower the next slice; return the rows left to this
+    process, the last slice or none."""
+    _send(downs[0], ~n)  # a negative count: the run has ended
+    [reached] = _receive(reply)
+    starts = [reached + rows.start
+              for rows in workers.cut(n - reached, _ROWS_PER_WRITER, extra)]
+    bounds = (starts + [n] * len(downs))[1:len(downs) + 1]  # each follower's end
+    _send(downs[0], bounds[0])
+    for down, lo, hi in zip(downs[1:], bounds, bounds[1:]):
+        _send(down, lo, hi)
+    return slice(bounds[-1], n)
+
+
+def _stream(inbox, reply, out, grid, states, ends) -> None:
+    """Follower 1: format the rows the run reports final, whole blocks of
+    _BLOCK_ROWS, into out; when the run ends, report the row reached and
+    format on to the row sent back. Ends quietly when this process's
+    leader has gone."""
+    _keep(ends, inbox, reply)
+    times = grid()
+    reached, final, ended = 0, 0, False
+    try:
+        while not ended:
+            for value in _receive(inbox, wait=final - reached < _BLOCK_ROWS):
+                ended, final = (True, ~value) if value < 0 else (False, value)
+            if not ended and final - reached >= _BLOCK_ROWS:
+                block = slice(reached, reached + _BLOCK_ROWS)
+                _write_rows(out, times[block], states[block])
+                reached += _BLOCK_ROWS
+        _send(reply, reached)
+        [stop] = _receive(inbox)
+    except EOFError:
+        return
+    _write_rows(out, times[reached:stop], states[reached:stop])
+
+
+def _take(inbox, part, grid, states, ends) -> None:
+    """Follower k > 1: format the slice of rows it is sent into part. Ends
+    quietly when this process's leader has gone."""
+    _keep(ends, inbox)
+    try:
+        [lo, hi] = _receive(inbox)
+    except EOFError:
+        return
+    _write_rows(part, grid()[lo:hi], states[lo:hi])
 
 
 def render_itinerary(report: ItineraryReport) -> str:

@@ -1,10 +1,9 @@
 """Forked worker processes: the one module that decides how hexnet splits
 work over processes, and the one place it calls os.fork.
 
-deal(calls, weights) makes a list of independent calls and returns their
-values in call order. It deals the calls by weight, an estimate of their
-cost, into one bin per process, as many as there are available CPUs and
-calls (_schedule). The first bin runs in this process. Every other bin runs
+deal(calls, weights) makes a list of calls and returns their values in call
+order. It deals the calls by weight, an estimate of their cost, into one
+bin per process, as many as there are available CPUs and calls (_schedule). The first bin runs in this process. Every other bin runs
 at the same time in a forked copy of this process, so it sees the caller's
 objects as they were at the fork and needs nothing sent to it; its outcome
 (the values, or the exception a call raised) comes back pickled through an
@@ -21,12 +20,20 @@ worker would otherwise share its parent's CPU for the whole deal. This
 process is never pinned. Where a CPU cannot be read or set, a worker runs
 unpinned: where it runs never changes a value.
 
+The calls of one deal are independent, but for one exception: a call may
+talk to another call (through a pipe made before the deal) only when each
+has a bin of its own, or one would wait for a call that its own bin runs
+after it. deal gives each call a bin of its own when there are no more
+calls than available_cpus() and their weights are equal; the first call
+then runs here. simulate's CSV writer makes such a deal
+(output.write_timeseries).
+
 deal is the only scheduler. Each command makes one deal call, over one flat
 list of jobs, and no dealt call deals again: a worker sees one available
 CPU, so it never forks. cut(n, min_size, extra) cuts range(n) into
-contiguous slices for work of even cost per item, dealt beside one more
-call that costs as much as extra items, so that the bins come out even;
-slice 0 is the heaviest call, so deal makes it here.
+contiguous slices for work of even cost per item, shared beside one more
+call that costs as much as extra items, so that the processes' loads come
+out even.
 """
 from __future__ import annotations
 
@@ -55,12 +62,14 @@ def available_cpus() -> int:
 
 def cut(n: int, min_size: int, extra: float) -> list[slice]:
     """Contiguous slices covering range(n) in order, for work of even cost
-    per item that deal makes beside one more call costing as much as extra
-    items (0 <= extra <= n; 0 for no such call): no more slices than
-    available CPUs, and fewer where a slice would hold fewer than min_size
-    items. Dealt with their sizes as weights, and that call last with
-    weight extra, the bins' loads come out even. Slice 0 is the heaviest
-    of these calls and comes first, so deal makes it in this process.
+    per item shared beside one more call costing as much as extra items
+    (0 for no such call): no more slices than available CPUs, and fewer
+    where a slice would hold fewer than min_size items. Dealt with their
+    sizes as weights, and that call last with weight extra, the bins'
+    loads come out even: one slice a bin with the call beside the last,
+    or, when the call outweighs a share, the call alone beside the slices.
+    With extra <= n, slice 0 is the heaviest of these calls and comes
+    first.
     """
     cpus = available_cpus()
     k = max(1, min(cpus, n // min_size))
@@ -69,7 +78,7 @@ def cut(n: int, min_size: int, extra: float) -> list[slice]:
         # one share a bin; the call joins the last slice, which holds the rest
         bounds = [min(n, math.ceil(i * share)) for i in range(k)] + [n]
     else:
-        # the call has a bin of its own, and no slice weighs less than it
+        # the call has a bin of its own, and (extra <= n) no slice weighs less
         if extra:
             k = max(1, min(k, cpus - 1, int(n // extra)))
         bounds = [-(-n * i // k) for i in range(k + 1)]

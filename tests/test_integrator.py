@@ -29,12 +29,19 @@ Claims covered:
       empty runs
     - an explicit ascending coordinate order is bitwise the default run; a
       malformed order is refused before any evaluation
+    - samples written into a zero-filled buffer in shared memory are
+      bitwise the default run's; the progress hook's counts never decrease,
+      name rows that are final when reported, and end at the rows kept
+      (the grid's, or fewer for a stopped or diverged run); a buffer of
+      another shape or dtype, or not zero-filled (-0.0 included), is
+      refused before any evaluation
 """
 import numpy as np
 import pytest
 from dataclasses import replace
 
 import hexnet.integrator as integrator
+from hexnet import output
 from hexnet.integrator import (
     _A,
     _B,
@@ -544,3 +551,77 @@ def test_malformed_order_is_refused_before_any_evaluation(example1, monkeypatch,
     with pytest.raises(ValueError, match="^(order|live) must list"):
         integrate(s, p, IntegratorConfig(t_end=1.0), order=order)
     assert calls == []
+
+
+def _progress_case(example1, case):
+    """(s0, p, cfg, keyword arguments) of a run for the states buffer and
+    progress hook checks: stepper cases, a masked start, and the two runs
+    that integrate nothing."""
+    if case in ("dense", "until", "backward_diverged", "forward"):
+        return _stepper_case(example1, case)
+    _, p, s0 = example1
+    if case == "masked":
+        return _masked_start(s0), p, IntegratorConfig(t_end=5.0, sample_dt=0.1), {}
+    if case == "t_end_zero":
+        return s0, p, IntegratorConfig(t_end=0.0), {}
+    assert case == "all_masked"
+    return np.zeros_like(s0), p, IntegratorConfig(t_end=1.0, sample_dt=0.25), {}
+
+
+@pytest.mark.parametrize("case", ["dense", "forward", "until", "backward_diverged", "masked",
+                                  "t_end_zero", "all_masked"])
+def test_shared_states_and_progress_are_the_default_run(example1, case):
+    # a zero-filled buffer in shared memory gets the default run's samples
+    # bit for bit, and the trajectory reads them from it; each count the
+    # hook reports names rows that are final then, the counts never
+    # decrease, and they end at the rows the trajectory keeps: the grid's
+    # when the run completes, fewer when until stops it or it diverges
+    s0, p, cfg, kw = _progress_case(example1, case)
+    plain = integrate(s0, p, cfg, **kw)
+    s0, p, cfg, kw = _progress_case(example1, case)  # a fresh until predicate
+    grid = integrator.sample_times(cfg)
+    buffer = output._shared_zeros((grid.size, p.hierarchy.dimension))
+    reports = []
+
+    def progress(count):
+        reports.append((count, buffer[:count].copy()))
+
+    traj = integrate(s0, p, cfg, states=buffer, progress=progress, **kw)
+    for name in ("times", "states", "mask", "last_state"):
+        ours, theirs = getattr(traj, name), getattr(plain, name)
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+    assert (traj.termination, traj.last_time.hex(), traj.diverged_coordinate) == (
+        plain.termination, plain.last_time.hex(), plain.diverged_coordinate)
+    assert (traj.stats.accepted, traj.stats.rejected, traj.stats.n_evals) == (
+        plain.stats.accepted, plain.stats.rejected, plain.stats.n_evals)
+    assert np.shares_memory(traj.states, buffer)
+    counts = [count for count, _ in reports]
+    assert counts == sorted(counts) and counts[-1] == traj.times.size
+    for count, rows in reports:
+        assert rows.tobytes() == traj.states[:count].tobytes()
+    if case in ("until", "backward_diverged"):
+        assert counts[-1] < grid.size
+    else:
+        assert traj.termination == TERMINATION_COMPLETED and counts[-1] == grid.size
+    if case == "dense":  # the rows come in as the run goes, not all at its end
+        assert len(set(counts)) > 10
+
+
+@pytest.mark.parametrize("case", ["rows", "columns", "float32", "not_zero", "negative_zero"])
+def test_a_bad_states_buffer_is_refused_before_any_evaluation(example1, monkeypatch, case):
+    _, p, s0 = example1
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.25)
+    shape = (5, p.hierarchy.dimension)
+    buffer = {
+        "rows": np.zeros((6, shape[1])),
+        "columns": np.zeros((5, shape[1] - 1)),
+        "float32": np.zeros(shape, dtype=np.float32),
+        "not_zero": np.zeros(shape),
+        "negative_zero": np.zeros(shape),  # prints "-0" in a masked column
+    }[case]
+    buffer[3, 7] = {"not_zero": 1e-300, "negative_zero": -0.0}.get(case, 0.0)
+    calls, reports = [], []
+    monkeypatch.setattr(integrator, "growth_rates", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^states must be a zero-filled float64 array"):
+        integrate(s0, p, cfg, states=buffer, progress=reports.append)
+    assert calls == [] and reports == []

@@ -11,9 +11,9 @@ Claims covered:
     - a lone witness run with a free CPU traces one integrate span, its
       forward half; the RHS calls the tracer counts are that span's
       evaluations, so a traced benchmark run stays consistent
-    - simulate at two CPUs traces its one integrate span's evaluations, and
-      its csv span, while the itinerary and the SVG, made in a worker,
-      trace nothing
+    - simulate at two CPUs, beside a follower that formats rows, traces
+      its one integrate span's evaluations, and its itinerary and svg
+      spans, all three inside its csv span
 """
 import importlib.util
 import sys
@@ -23,6 +23,7 @@ import hexnet
 import hexnet.analysis
 import hexnet.cli
 import hexnet.integrator
+import hexnet.output
 import hexnet.scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -100,13 +101,15 @@ def test_a_lone_witness_run_traces_its_forward_half_here(monkeypatch, force_cpus
 
 def test_simulate_traces_its_evaluations_beside_a_worker(monkeypatch, force_cpus, capsys,
                                                          tmp_path, small_scenario_file):
-    # at 2 CPUs simulate's one deal makes the 801 rows here and the
-    # itinerary job (itinerary.txt, plot.svg) in a worker, which the tracer
-    # does not see: its itinerary and svg spans read 0, the wait for the
-    # worker sits in the csv span, and the RHS calls counted are the one
-    # integrate span's evaluations, as bench/run.py's trace check reads
+    # at 2 CPUs, 801 rows at 400 rows a process, simulate's one deal makes
+    # the run, the last rows and the itinerary job here, inside the csv
+    # span, while a follower formats the other rows: the tracer sees the
+    # one integrate span, whose evaluations are the RHS calls it counts, as
+    # bench/run.py's trace check reads, and the itinerary, report (the
+    # itinerary's text) and svg spans, all inside the csv span
     tracing = _load_tracing(monkeypatch)
     forks = force_cpus(2)
+    monkeypatch.setattr(hexnet.output, "_ROWS_PER_WRITER", 400)
     tracer = tracing.Tracer()
     with tracer.installed(hexnet):
         argv = ["simulate", str(small_scenario_file), "--out", str(tmp_path / "out"), "--plots"]
@@ -118,5 +121,8 @@ def test_simulate_traces_its_evaluations_beside_a_worker(monkeypatch, force_cpus
     metrics = tracing.layer_metrics(tracer.spans, 1.0)
     assert metrics["vectorfield.evals"] == metrics["_n_evals"] > 0
     assert metrics["integrator.calls"] == 1 and metrics["integrator.samples"] == 801
-    assert metrics["output.csv_s"] > 0.0
-    assert metrics["analysis.itinerary_s"] == metrics["output.svg_s"] == 0.0
+    assert metrics["output.csv_s"] > metrics["integrator.busy_s"] > 0.0
+    assert metrics["analysis.itinerary_s"] > 0.0 and metrics["output.svg_s"] > 0.0
+    [csv] = [s for s in tracer.spans if s.name == "csv"]
+    assert {s.name for s in tracer.spans if s.parent == csv.id} == {
+        "integrate", "itinerary", "report", "svg"}

@@ -35,10 +35,19 @@ Claims covered:
       and names a run that did not complete right after [itineraries],
       failing the verdict though every level and witness passes
     - simulate extracts the itinerary once for itinerary.txt and plot.svg
-    - simulate makes one deal of its row chunks and its itinerary job, and
+    - simulate makes one deal of one call a process, the run, its last
+      rows and the itinerary job here and the other rows in followers, and
       its files, stdout and exit code are the same at 1, 2 and 3 CPUs, with
-      and without plots; a failing itinerary job's error is raised in the
-      parent as itself, in a worker or here, and leaves no part file
+      and without plots; a failing itinerary job's error is raised as
+      itself, alone or beside a follower, and leaves no part file
+    - at 1, 2 and 3 CPUs, when simulate succeeds, or fails in the itinerary
+      job, in the run, in a follower killed while it streams rows or in a
+      follower's full disk, no child is left, no descriptor stays open, no
+      part or temporary file is left, and the previous timeseries.csv
+      stays whenever the command fails
+    - the rows left when the run ends are cut over follower 1, follower 2
+      and this process beside the itinerary job, by their loads, with the
+      bytes of one process; followers exit when the main process is killed
     - report.txt bytes do not depend on the number of available CPUs
     - simulate, verify and witness report a killed worker as WorkerError,
       not as an input error (exit 2)
@@ -51,12 +60,14 @@ Claims covered:
       error, 3 integration failure; a coefficient that loses its sign in
       the rate table is a validation failure or an input error
 """
+import contextlib
 import errno
 import os
 import re
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -69,7 +80,7 @@ from hypothesis import strategies as st
 import yaml
 
 import hexnet
-from hexnet import analysis, cli, format17, output, vectorfield, workers
+from hexnet import analysis, cli, format17, integrator, output, vectorfield, workers
 from hexnet.cli import main
 from hexnet.errors import (
     ScenarioParseError, ScenarioSchemaError, ScenarioValidationError, WorkerError,
@@ -999,8 +1010,10 @@ def test_cli_simulate_extracts_the_itinerary_once(tmp_path, monkeypatch, small_s
 @pytest.mark.parametrize("plots", [False, True])
 def test_simulate_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, force_cpus, capsys,
                                               small_scenario_file, plots):
-    # one deal, from this process, of the row chunks and the itinerary job:
-    # 2,001 rows in chunks of at least 400 make 1, 2 and 3 chunks beside it
+    # one deal, from this process, of one call a process: 2,001 rows at 400
+    # rows a process make 1, 2 and 3 processes, this one (the run, its rows
+    # and the itinerary job) and followers 1 and 2; follower 1 streams
+    # 512-row blocks while the run goes on
     log = tmp_path / "deal.log"
     deal = workers.deal
 
@@ -1025,7 +1038,7 @@ def test_simulate_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, force_cpus,
         ["itinerary.txt", "timeseries.csv"]
     assert list(runs[0][2]) == names and runs[0][0] == 0
     assert log.read_text(encoding="utf-8").split("\n") == [f"{os.getpid()} {n}"
-                                                           for n in (2, 3, 4)] + [""]
+                                                           for n in (1, 2, 3)] + [""]
     assert runs[1:] == [runs[0]] * 2
 
 
@@ -1036,13 +1049,14 @@ def _svg_fails(*args):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_simulate_itinerary_job_failure_reaches_the_parent(tmp_path, monkeypatch, force_cpus,
                                                           small_scenario_file, cpus):
-    # the job raises in this process at 1 CPU and in the worker at 2: the
-    # error is raised as itself, no child is left, and the output directory
-    # holds no part or temporary file, only the itinerary published before
+    # the job raises in this process, alone at 1 CPU and beside a follower
+    # that writes rows at 2: the error is raised as itself, no child is
+    # left, and the output directory holds no part or temporary file, only
+    # the itinerary published before
     reference = tmp_path / "reference"
     argv = ["simulate", str(small_scenario_file), "--t-end", "20", "--plots"]
     assert main(argv + ["--out", str(reference)]) == 0
-    forks = force_cpus(cpus)
+    forks = _force_writers(monkeypatch, force_cpus, 201, cpus)
     monkeypatch.setattr(cli, "write_svg_panels", _svg_fails)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="svg failed"):
@@ -1051,6 +1065,191 @@ def test_simulate_itinerary_job_failure_reaches_the_parent(tmp_path, monkeypatch
     _assert_no_child_left()
     assert [f.name for f in out.iterdir()] == ["itinerary.txt"]
     assert (out / "itinerary.txt").read_bytes() == (reference / "itinerary.txt").read_bytes()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError here if the block has not ended within seconds:
+    a command whose processes wait for each other fails, not hangs."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("cpus, case", [
+    *[(cpus, case) for cpus in (1, 2, 3) for case in ("ok", "job", "integrate")],
+    *[(cpus, case) for cpus in (2, 3) for case in ("killed", "enospc")],
+])
+def test_simulate_fails_cleanly_at_any_cpu_count(tmp_path, monkeypatch, force_cpus, capsys,
+                                                 small_scenario_file, cpus, case):
+    # 801 rows at 801 // cpus rows a process and 16-row blocks: this
+    # process and up to two followers, follower 1 formatting rows while the
+    # run goes on. Whatever fails (follower 1 killed at its first streamed
+    # block, the itinerary job, the run itself, a full disk in a follower),
+    # no child is left, no pipe or file stays open, no part or temporary
+    # file is left, and the previous timeseries.csv stays; a run that
+    # succeeds writes the bytes of one process
+    argv = ["simulate", str(small_scenario_file), "--plots"]
+    out, reference = tmp_path / "out", tmp_path / "reference"
+    forks = force_cpus(1)
+    assert main(argv + ["--out", str(reference)]) == 0
+    assert main(argv + ["--out", str(out), "--t-end", "20"]) == 0
+    previous = (out / "timeseries.csv").read_bytes()
+    capsys.readouterr()
+    force_cpus(cpus)
+    monkeypatch.setattr(output, "_ROWS_PER_WRITER", 801 // cpus)
+    monkeypatch.setattr(output, "_BLOCK_ROWS", 16)
+    parent, write_rows, rates = os.getpid(), output._write_rows, integrator.growth_rates
+    killed = tmp_path / "killed.log"
+    evals = []
+
+    def failing_rows(out, times, states):
+        if os.getpid() != parent:
+            if case == "enospc":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            killed.write_text(f"{times.size} {times[0]}", encoding="utf-8")
+            os.kill(os.getpid(), signal.SIGKILL)
+        write_rows(out, times, states)
+
+    def failing_rates(*args):
+        evals.append(None)
+        if len(evals) == 6_000:  # about half of the run's 11,792
+            raise RuntimeError("integrate failed")
+        return rates(*args)
+
+    if case in ("killed", "enospc"):
+        monkeypatch.setattr(output, "_write_rows", failing_rows)
+    elif case == "job":
+        monkeypatch.setattr(cli, "write_svg_panels", _svg_fails)
+    elif case == "integrate":
+        monkeypatch.setattr(integrator, "growth_rates", failing_rates)
+    n_forks, fds = len(forks()), _open_fds()
+    with _deadline(60.0):
+        if case == "ok":
+            assert main(argv + ["--out", str(out)]) == 0
+        elif case == "enospc":
+            assert main(argv + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        else:
+            error, match = {"killed": (WorkerError, f"exited with status {-signal.SIGKILL}"),
+                            "job": (RuntimeError, "svg failed"),
+                            "integrate": (RuntimeError, "integrate failed")}[case]
+            with pytest.raises(error, match=match):
+                main(argv + ["--out", str(out)])
+    assert len(forks()) - n_forks == cpus - 1
+    _assert_no_child_left()
+    assert _open_fds() == fds
+    assert sorted(f.name for f in out.iterdir()) == ["itinerary.txt", "plot.svg", "timeseries.csv"]
+    if case == "ok":
+        for name in ("itinerary.txt", "plot.svg", "timeseries.csv"):
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+    else:
+        assert (out / "timeseries.csv").read_bytes() == previous
+    if case == "killed":  # follower 1's first block, rows 0 to 15, streamed
+        assert killed.read_text(encoding="utf-8") == "16 0.0"
+
+
+@pytest.mark.parametrize("cpus, plots, mine", [
+    (2, False, slice(1_208, 2_001)), (3, False, slice(1_611, 2_001)),
+    (2, True, slice(2_001, 2_001)), (3, True, slice(2_001, 2_001)),
+])
+def test_simulate_cuts_the_rows_left_when_the_run_ends(tmp_path, monkeypatch, force_cpus, capsys,
+                                                       small_scenario_file, cpus, plots, mine):
+    # with no report during the run, follower 1 is at row 0 when it ends,
+    # so all 2,001 rows are cut beside the itinerary job (414 rows' worth,
+    # 5,056 with plots): without plots follower 1, follower 2 at 3 CPUs and
+    # this process each format a slice; with plots the job outweighs a
+    # share and follower 1 formats every row. The bytes are one process's
+    argv = ["simulate", str(small_scenario_file), "--t-end", "200"] + (["--plots"] if plots else [])
+    force_cpus(1)
+    assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+    forks = force_cpus(cpus)
+    n_forks = len(forks())
+    monkeypatch.setattr(output, "_ROWS_PER_WRITER", 400)
+    monkeypatch.setattr(output, "_reporter", lambda down: None)
+    hand_out, kept = output._hand_out, []
+
+    def logged(*args):
+        kept.append(hand_out(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(output, "_hand_out", logged)
+    assert main(argv + ["--out", str(tmp_path / "many")]) == 0
+    assert len(forks()) - n_forks == cpus - 1 and kept == [mine]
+    one, many = (sorted((f.name, f.read_bytes()) for f in (tmp_path / d).iterdir())
+                 for d in ("one", "many"))
+    assert many == one
+
+
+def test_followers_end_when_the_main_process_is_killed(tmp_path, small_scenario_file):
+    # a simulate of 801 rows at 3 forced CPUs and 100 rows a process,
+    # killed by a signal while it integrates: its followers, waiting for
+    # rows, read their pipes' end and exit, so none outlives it
+    log = tmp_path / "followers.log"
+    script = f"""
+import os, time
+from hexnet import cli, integrator, output
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+os.sched_setaffinity = lambda pid, cpus: None
+output._ROWS_PER_WRITER = 100
+def logged(fn):
+    def call(*args):
+        with open({str(log)!r}, "a") as fh:
+            fh.write(f"{{os.getpid()}}\\n")
+        return fn(*args)
+    return call
+output._stream, output._take = logged(output._stream), logged(output._take)
+rates, calls = integrator.growth_rates, []
+def stalled(*args):
+    calls.append(None)
+    if len(calls) == 1_000:
+        time.sleep(600)
+    return rates(*args)
+integrator.growth_rates = stalled
+cli.main(["simulate", {str(small_scenario_file)!r}, "--out", {str(tmp_path / "out")!r}])
+"""
+    src = str(Path(hexnet.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
+    followers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(followers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            followers = log.read_text(encoding="utf-8").split() if log.exists() else []
+        assert len(followers) == 2
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline and any(_alive(int(pid)) for pid in followers):
+            time.sleep(0.05)
+        assert not any(_alive(int(pid)) for pid in followers)
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in followers:
+            if _alive(int(pid)):
+                os.kill(int(pid), signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rsplit(b")", 1)[1].split()[0] not in (b"Z", b"X")
+    except FileNotFoundError:
+        return False
 
 
 def test_import_loads_no_scipy():
@@ -1139,7 +1338,9 @@ def test_cli_simulate(tmp_path, small_scenario_file, capsys):
 
 def test_cli_simulate_writer_failure(tmp_path, monkeypatch, force_cpus, small_scenario_file,
                                     capsys):
-    # a full disk in a writer child is an OSError, raised in the parent as itself
+    # a full disk in a writer child is an OSError, raised in the parent as
+    # itself; the follower writes every row, beside the itinerary job made
+    # here, which publishes itinerary.txt, and timeseries.csv never appears
     forks = _force_writers(monkeypatch, force_cpus, 51, 2)  # t_end 5 at sample_dt 0.1
     _fail_in(monkeypatch, "child", OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
     out = tmp_path / "simout"
@@ -1148,7 +1349,7 @@ def test_cli_simulate_writer_failure(tmp_path, monkeypatch, force_cpus, small_sc
     captured = capsys.readouterr()
     assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     _assert_no_child_left()
-    assert list(out.iterdir()) == []
+    assert [f.name for f in out.iterdir()] == ["itinerary.txt"]
 
 
 @pytest.mark.parametrize("previous", [None, b"previous report\n"])
