@@ -4,19 +4,21 @@ The itinerary text and the SVG's window shading render the reports of
 analysis.extract_itinerary; nothing here decides where a gate is active.
 
 Every file is published whole or not at all (publish). The timeseries rows
-are formatted by up to one process per available CPU, this one and forked
-followers, in one workers.deal call, which can also make the run that
-samples the rows and one more job on its trajectory (simulate's itinerary
-and SVG): while this process integrates, follower 1 formats the rows
-already sampled, and the rows left when the run ends, and the job, are cut
-over all the processes (write_timeseries). The bytes do not depend on how
-many ran. Each process formats its rows in blocks with format17.format_rows,
-whose bytes are format(x, ".17g") of every value.
+are formatted by this process and, with more than one available CPU and
+enough rows, one forked follower, in one workers.deal call, which can also
+make the run that samples the rows and one more job on its trajectory
+(simulate's itinerary and SVG): while this process integrates, the
+follower formats the rows already sampled, and when the run ends the two
+share the rows left, this process beside the job (write_timeseries). The
+bytes do not depend on how many ran. Each process formats its rows in
+blocks with format17.format_rows, whose bytes are format(x, ".17g") of
+every value.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import os
 import struct
 import tempfile
@@ -113,27 +115,26 @@ def write_timeseries(traj, layout: HierarchySpec, path, job=None,
     subspace print as exactly "0".
 
     The file is written through publish, so on error path is left as it
-    was. One workers.deal call makes one process per _ROWS_PER_WRITER rows
-    of the sample grid, at most one per available CPU: this process, which
-    makes the run, and forked followers, each call in a bin of its own,
-    which talk through pipes. The run writes its samples into a states
-    buffer shared with the followers (_shared_zeros) and reports through
-    its progress hook how many rows are final; follower 1 formats them,
-    _BLOCK_ROWS rows at a time, straight into the file after the header
-    (_stream). When the run ends, follower 1 reports the row it has reached
-    and the rest is cut (workers.cut, with job weighed beside the rows):
-    follower 1 formats on to the end of the first slice, each other
-    follower a slice into an unnamed part file, and this process the last
-    slice, if any, into its own part file, then makes job (_lead). The
-    parts are appended in row order. With one process this process makes
-    the run, then writes every row, then makes job. Each process formats
-    its rows _BLOCK_ROWS at a time (_write_rows), so the bytes do not
-    depend on the number of processes; no part file is left behind, and
-    every follower has exited when this returns. A follower's failure, or
-    job's, is raised here as workers.deal raises it.
+    was. With more than one available CPU and at least 2 x
+    _ROWS_PER_WRITER rows in the sample grid, one workers.deal call makes
+    two calls, each in a process of its own, which talk through pipes:
+    this process makes the run (_lead) and one forked follower formats
+    rows (_stream). The run writes its samples into a states buffer shared
+    with the follower (_shared_zeros) and reports through its progress
+    hook how many rows are final; the follower formats them, _BLOCK_ROWS
+    rows at a time, straight into the file after the header. When the run
+    ends, the follower picks the row it stops at (_share, with job weighed
+    beside this process's rows) and sends it back; it formats on to that
+    row, and this process formats the rest into an unnamed part file,
+    appended once both are done, then makes job. Otherwise this process
+    makes the run, then writes every row, then makes job. Each process
+    formats its rows _BLOCK_ROWS at a time (_write_rows), so the bytes do
+    not depend on the number of processes; no part file is left behind,
+    and the follower has exited when this returns. The follower's failure,
+    or job's, is raised here as workers.deal raises it.
     """
-    # grid() gives the sample times: a follower calls it after the fork, so
-    # this process does not hold a run's grid twice
+    # grid() gives the sample times: the follower calls it after the fork,
+    # so this process does not hold a run's grid twice
     if isinstance(traj, Trajectory):
         run, n, states = traj, traj.times.shape[0], traj.states
         grid = functools.partial(getattr, traj, "times")
@@ -143,28 +144,25 @@ def write_timeseries(traj, layout: HierarchySpec, path, job=None,
         integrate, s0, p, cfg = traj
         run, n, states = functools.partial(integrate, s0, p, cfg), len(sample_times(cfg)), None
         grid = functools.partial(sample_times, cfg)
-    followers = max(1, min(workers.available_cpus(), n // _ROWS_PER_WRITER)) - 1
-    if states is None and followers:
+    follow = workers.available_cpus() > 1 and n >= 2 * _ROWS_PER_WRITER
+    if states is None and follow:
         states = _shared_zeros((n, layout.dimension))
         run = functools.partial(run, states=states)
     path = Path(path)
     with publish(path) as fh, contextlib.ExitStack() as stack:
         out = fh.buffer
         out.write((",".join(["t"] + layout.coord_names()) + "\n").encode())
-        out.flush()  # a follower must not inherit buffered bytes
-        parts = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                 for _ in range(followers)]
-        # pipes[0] carries follower 1's reply, pipes[k] the messages to follower k
-        pipes = [_pipe(stack) for _ in range(followers + 1)] if followers else []
-        ends = [end for pipe in pipes for end in pipe]
-        calls = [(_lead, run, parts[-1] if parts else out, [w for _, w in pipes[1:]],
-                  pipes[0][0] if pipes else None, job, job_cost, ends)]
-        if followers:
-            calls.append((_stream, pipes[1][0], pipes[0][1], out, grid, states, ends))
-        calls += [(_take, pipes[k][0], parts[k - 2], grid, states, ends)
-                  for k in range(2, followers + 1)]
+        out.flush()  # the follower must not inherit buffered bytes
+        calls = [(_lead, run, out, None, None, job, ())]
+        if follow:
+            part = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+            (up, reply), (inbox, down) = _pipe(stack), _pipe(stack)
+            ends = (up, reply, inbox, down)
+            cost = job_cost if job is not None else (0.0, 0.0)
+            calls = [(_lead, run, part, down, up, job, ends),
+                     (_stream, inbox, reply, out, grid, states, cost, ends)]
         traj = workers.deal(calls, [1.0] * len(calls))[0]
-        for part in parts:
+        if follow:
             _append(part, out.fileno())
     return traj
 
@@ -184,8 +182,8 @@ def _keep(ends, *mine) -> None:
             end.close()
 
 
-def _send(end, *values: int) -> None:
-    end.write(b"".join(_ROW.pack(v) for v in values))
+def _send(end, value: int) -> None:
+    end.write(_ROW.pack(value))
 
 
 def _receive(end, wait: bool = True) -> list[int]:
@@ -201,24 +199,26 @@ def _receive(end, wait: bool = True) -> list[int]:
     return [v for (v,) in _ROW.iter_unpack(data)]
 
 
-def _lead(run, sink, downs, reply, job, job_cost, ends):
+def _lead(run, sink, down, up, job, ends):
     """This process's part of write_timeseries: make the run (run is a
-    call, or the Trajectory itself), hand the rows out to the followers
-    behind downs when it ends, write its own rows to sink, then make job;
-    return the trajectory, or None once a follower has stopped answering
-    (workers.deal then raises how that follower ended)."""
-    _keep(ends, *downs, reply)
+    call, or the Trajectory itself); with a follower behind down, tell it
+    the run has ended and read back the row it stops at; write the rows
+    from there to sink, then make job. Returns the trajectory, or None
+    once the follower has stopped answering (workers.deal then raises how
+    it ended)."""
+    _keep(ends, down, up)
     try:
         if isinstance(run, Trajectory):
             traj = run
         else:
-            traj = run(progress=_reporter(downs[0]) if downs else None)
-        n = traj.times.shape[0]
-        extra = job_cost[0] + job_cost[1] * n if job is not None else 0.0
-        rows = _hand_out(n, extra, downs, reply) if downs else slice(0, n)
+            traj = run(progress=_reporter(down) if down else None)
+        start = 0
+        if down:
+            _send(down, ~traj.times.shape[0])  # a negative count: the run has ended
+            [start] = _receive(up)
     except (BrokenPipeError, EOFError):
         return None
-    _write_rows(sink, traj.times[rows], traj.states[rows])
+    _write_rows(sink, traj.times[start:], traj.states[start:])
     if job is not None:
         fn, *args = job
         fn(traj, *args)
@@ -226,7 +226,7 @@ def _lead(run, sink, downs, reply, job, job_cost, ends):
 
 
 def _reporter(down):
-    """A progress hook for integrate that tells follower 1, behind down,
+    """A progress hook for integrate that tells the follower, behind down,
     how many rows are final, once at least _BLOCK_ROWS more are."""
     sent = 0
 
@@ -239,28 +239,23 @@ def _reporter(down):
     return progress
 
 
-def _hand_out(n: int, extra: float, downs, reply) -> slice:
-    """Tell follower 1 the run has ended with n rows and read the row it
-    has reached; cut the rows from there beside a job that costs extra
-    rows (workers.cut); send follower 1 the end of the first slice and
-    each other follower the next slice; return the rows left to this
-    process, the last slice or none."""
-    _send(downs[0], ~n)  # a negative count: the run has ended
-    [reached] = _receive(reply)
-    starts = [reached + rows.start
-              for rows in workers.cut(n - reached, _ROWS_PER_WRITER, extra)]
-    bounds = (starts + [n] * len(downs))[1:len(downs) + 1]  # each follower's end
-    _send(downs[0], bounds[0])
-    for down, lo, hi in zip(downs[1:], bounds, bounds[1:]):
-        _send(down, lo, hi)
-    return slice(bounds[-1], n)
+def _share(rows: int, extra: float) -> int:
+    """The follower's share of the rows left when the run ends, beside this
+    process, which formats the rest and then makes a job that costs extra
+    rows: half of the rows and the job together, rounded up, so the two
+    loads come out even; all the rows when they are fewer than
+    2 x _ROWS_PER_WRITER or the job outweighs them."""
+    if rows < 2 * _ROWS_PER_WRITER or extra > rows:
+        return rows
+    return math.ceil((rows + extra) / 2)
 
 
-def _stream(inbox, reply, out, grid, states, ends) -> None:
-    """Follower 1: format the rows the run reports final, whole blocks of
-    _BLOCK_ROWS, into out; when the run ends, report the row reached and
-    format on to the row sent back. Ends quietly when this process's
-    leader has gone."""
+def _stream(inbox, reply, out, grid, states, cost, ends) -> None:
+    """The follower: format the rows the run reports final, whole blocks
+    of _BLOCK_ROWS, into out; when the run ends, send back the row it
+    stops at, its _share of the rest beside a job that costs cost (a fixed
+    part and a part a row), and format on to it. Ends quietly when this
+    process's leader has gone."""
     _keep(ends, inbox, reply)
     times = grid()
     reached, final, ended = 0, 0, False
@@ -272,22 +267,11 @@ def _stream(inbox, reply, out, grid, states, ends) -> None:
                 block = slice(reached, reached + _BLOCK_ROWS)
                 _write_rows(out, times[block], states[block])
                 reached += _BLOCK_ROWS
-        _send(reply, reached)
-        [stop] = _receive(inbox)
+        stop = reached + _share(final - reached, cost[0] + cost[1] * final)
+        _send(reply, stop)
     except EOFError:
         return
     _write_rows(out, times[reached:stop], states[reached:stop])
-
-
-def _take(inbox, part, grid, states, ends) -> None:
-    """Follower k > 1: format the slice of rows it is sent into part. Ends
-    quietly when this process's leader has gone."""
-    _keep(ends, inbox)
-    try:
-        [lo, hi] = _receive(inbox)
-    except EOFError:
-        return
-    _write_rows(part, grid()[lo:hi], states[lo:hi])
 
 
 def render_itinerary(report: ItineraryReport) -> str:

@@ -3,8 +3,9 @@ work over processes, and the one place it calls os.fork.
 
 deal(calls, weights) makes a list of calls and returns their values in call
 order. It deals the calls by weight, an estimate of their cost, into one
-bin per process, as many as there are available CPUs and calls (_schedule). The first bin runs in this process. Every other bin runs
-at the same time in a forked copy of this process, so it sees the caller's
+bin per process, as many as there are available CPUs and calls
+(_schedule). The first bin runs in this process. Every other bin runs at
+the same time in a forked copy of this process, so it sees the caller's
 objects as they were at the fork and needs nothing sent to it; its outcome
 (the values, or the exception a call raised) comes back pickled through an
 unnamed temporary file. With one CPU, or without fork, the calls run here,
@@ -25,19 +26,15 @@ talk to another call (through a pipe made before the deal) only when each
 has a bin of its own, or one would wait for a call that its own bin runs
 after it. deal gives each call a bin of its own when there are no more
 calls than available_cpus() and their weights are equal; the first call
-then runs here. simulate's CSV writer makes such a deal
-(output.write_timeseries).
+then runs here. simulate's CSV writer makes such a deal of two calls, the
+run here and one follower that formats its rows (output.write_timeseries).
 
 deal is the only scheduler. Each command makes one deal call, over one flat
 list of jobs, and no dealt call deals again: a worker sees one available
-CPU, so it never forks. cut(n, min_size, extra) cuts range(n) into
-contiguous slices for work of even cost per item, shared beside one more
-call that costs as much as extra items, so that the processes' loads come
-out even.
+CPU, so it never forks.
 """
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import signal
@@ -45,7 +42,7 @@ import tempfile
 
 from hexnet.errors import WorkerError
 
-__all__ = ["available_cpus", "cut", "deal"]
+__all__ = ["available_cpus", "deal"]
 
 # set in a worker right after the fork: a worker runs its calls serially
 _in_worker = False
@@ -58,31 +55,6 @@ def available_cpus() -> int:
     if _in_worker or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def cut(n: int, min_size: int, extra: float) -> list[slice]:
-    """Contiguous slices covering range(n) in order, for work of even cost
-    per item shared beside one more call costing as much as extra items
-    (0 for no such call): no more slices than available CPUs, and fewer
-    where a slice would hold fewer than min_size items. Dealt with their
-    sizes as weights, and that call last with weight extra, the bins'
-    loads come out even: one slice a bin with the call beside the last,
-    or, when the call outweighs a share, the call alone beside the slices.
-    With extra <= n, slice 0 is the heaviest of these calls and comes
-    first.
-    """
-    cpus = available_cpus()
-    k = max(1, min(cpus, n // min_size))
-    share = (n + extra) / cpus
-    if k == cpus and extra <= share:
-        # one share a bin; the call joins the last slice, which holds the rest
-        bounds = [min(n, math.ceil(i * share)) for i in range(k)] + [n]
-    else:
-        # the call has a bin of its own, and (extra <= n) no slice weighs less
-        if extra:
-            k = max(1, min(k, cpus - 1, int(n // extra)))
-        bounds = [-(-n * i // k) for i in range(k + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def deal(calls: list, weights: list[float]) -> list:

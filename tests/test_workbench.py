@@ -9,11 +9,12 @@ Claims covered:
     - save/load round trip is field-for-field identical; a save that fails
       leaves the previous file byte for byte, and no temporary file
     - CSV layout, full precision, bitwise-zero columns, determinism; the
-      same bytes from 1, 2 or 3 writer processes, with no child process or
-      part file left behind, also when a writer fails; a writer child's
-      exception is raised in the parent as itself; the same bytes at any
-      number of rows per formatting block, with edge values inside blocks,
-      across block ends and across the writers' boundary
+      same bytes at 1, 2 or 3 CPUs, from one or two writer processes, with
+      no child process or part file left behind, also when a writer fails;
+      a writer child's exception is raised in the parent as itself; the
+      same bytes at any number of rows per formatting block, with edge
+      values inside blocks, across block ends and across the writers'
+      boundary
     - the CSV's numpy formatter gives the bytes of format(x, ".17g") on
       finite float64 bit patterns of either sign, on zeros, subnormals,
       powers of ten and their neighbours, 17th-digit ties, values out of
@@ -36,18 +37,20 @@ Claims covered:
       failing the verdict though every level and witness passes
     - simulate extracts the itinerary once for itinerary.txt and plot.svg
     - simulate makes one deal of one call a process, the run, its last
-      rows and the itinerary job here and the other rows in followers, and
-      its files, stdout and exit code are the same at 1, 2 and 3 CPUs, with
-      and without plots; a failing itinerary job's error is raised as
-      itself, alone or beside a follower, and leaves no part file
+      rows and the itinerary job here and the other rows in one follower at
+      most, and its files, stdout and exit code are the same at 1, 2 and 3
+      CPUs, with and without plots; a failing itinerary job's error is
+      raised as itself, alone or beside a follower, and leaves no part file
     - at 1, 2 and 3 CPUs, when simulate succeeds, or fails in the itinerary
       job, in the run, in a follower killed while it streams rows or in a
       follower's full disk, no child is left, no descriptor stays open, no
       part or temporary file is left, and the previous timeseries.csv
       stays whenever the command fails
-    - the rows left when the run ends are cut over follower 1, follower 2
-      and this process beside the itinerary job, by their loads, with the
-      bytes of one process; followers exit when the main process is killed
+    - the rows left when the run ends are shared by the follower and this
+      process beside the itinerary job, so that the two loads come out
+      even, with the bytes of one process; a follower that has formatted
+      every row by then stops there; the follower exits when the main
+      process is killed
     - report.txt bytes do not depend on the number of available CPUs
     - simulate, verify and witness report a killed worker as WorkerError,
       not as an input error (exit 2)
@@ -91,6 +94,7 @@ from hexnet.integrator import (
     StepStats,
     Trajectory,
     integrate,
+    sample_times,
 )
 from hexnet.output import (
     publish,
@@ -620,7 +624,8 @@ def test_format_rows_calls_format_only_for_spliced_values(monkeypatch):
 
 
 def _force_writers(monkeypatch, force_cpus, rows: int, writers: int):
-    """Make write_timeseries split rows among exactly writers processes;
+    """Force writers CPUs and rows // writers rows a writer process, so that
+    write_timeseries forks its one follower for rows at writers > 1;
     return force_cpus' function that lists the forks."""
     monkeypatch.setattr(output, "_ROWS_PER_WRITER", rows // writers)
     return force_cpus(writers)
@@ -654,7 +659,7 @@ def test_timeseries_writers_give_the_same_bytes(tmp_path, monkeypatch, force_cpu
     out.mkdir()
     forks = _force_writers(monkeypatch, force_cpus, traj.times.shape[0], writers)
     write_timeseries(traj, p.layout, out / "ts.csv")
-    assert len(forks()) == writers - 1
+    assert len(forks()) == min(writers, 2) - 1  # one follower at most
     assert (out / "ts.csv").read_bytes() == _per_value_csv(traj, p.layout)
     _assert_no_child_left()
     assert [f.name for f in out.iterdir()] == ["ts.csv"]
@@ -889,8 +894,10 @@ def test_each_command_deals_once_from_the_main_process(tmp_path, small_scenario_
     assert main(argv) == 0
     me = str(os.getpid())
     assert log.read_text(encoding="utf-8").split() == [me]
-    # a witness command on small or uniform_n10 has one run: 2 jobs
-    n_jobs = 2 if command == "witness" and case != "example1" else cpus
+    # simulate deals the run and one follower, and a witness command on
+    # small or uniform_n10 has one run: 2 jobs
+    n_jobs = 2 if command == "simulate" or (command == "witness" and case != "example1") \
+        else cpus
     assert forks() == [me] * (min(cpus, n_jobs) - 1)
 
 
@@ -1011,9 +1018,9 @@ def test_cli_simulate_extracts_the_itinerary_once(tmp_path, monkeypatch, small_s
 def test_simulate_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, force_cpus, capsys,
                                               small_scenario_file, plots):
     # one deal, from this process, of one call a process: 2,001 rows at 400
-    # rows a process make 1, 2 and 3 processes, this one (the run, its rows
-    # and the itinerary job) and followers 1 and 2; follower 1 streams
-    # 512-row blocks while the run goes on
+    # rows a process make 1, 2 and 2 processes, this one (the run, its rows
+    # and the itinerary job) and the follower, which streams 512-row blocks
+    # while the run goes on
     log = tmp_path / "deal.log"
     deal = workers.deal
 
@@ -1031,14 +1038,14 @@ def test_simulate_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, force_cpus,
         n_forks = len(forks())
         out = tmp_path / f"out-{cpus}"
         code = main(argv + ["--out", str(out)] + (["--plots"] if plots else []))
-        assert len(forks()) - n_forks == cpus - 1
+        assert len(forks()) - n_forks == min(cpus, 2) - 1
         runs.append((code, capsys.readouterr().out,
                      {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
     names = ["itinerary.txt", "plot.svg", "timeseries.csv"] if plots else \
         ["itinerary.txt", "timeseries.csv"]
     assert list(runs[0][2]) == names and runs[0][0] == 0
     assert log.read_text(encoding="utf-8").split("\n") == [f"{os.getpid()} {n}"
-                                                           for n in (1, 2, 3)] + [""]
+                                                           for n in (1, 2, 2)] + [""]
     assert runs[1:] == [runs[0]] * 2
 
 
@@ -1094,9 +1101,9 @@ def _deadline(seconds: float):
 def test_simulate_fails_cleanly_at_any_cpu_count(tmp_path, monkeypatch, force_cpus, capsys,
                                                  small_scenario_file, cpus, case):
     # 801 rows at 801 // cpus rows a process and 16-row blocks: this
-    # process and up to two followers, follower 1 formatting rows while the
-    # run goes on. Whatever fails (follower 1 killed at its first streamed
-    # block, the itinerary job, the run itself, a full disk in a follower),
+    # process and, at 2 and 3 CPUs, one follower, formatting rows while the
+    # run goes on. Whatever fails (the follower killed at its first streamed
+    # block, the itinerary job, the run itself, a full disk in the follower),
     # no child is left, no pipe or file stays open, no part or temporary
     # file is left, and the previous timeseries.csv stays; a run that
     # succeeds writes the bytes of one process
@@ -1148,7 +1155,7 @@ def test_simulate_fails_cleanly_at_any_cpu_count(tmp_path, monkeypatch, force_cp
                             "integrate": (RuntimeError, "integrate failed")}[case]
             with pytest.raises(error, match=match):
                 main(argv + ["--out", str(out)])
-    assert len(forks()) - n_forks == cpus - 1
+    assert len(forks()) - n_forks == min(cpus, 2) - 1
     _assert_no_child_left()
     assert _open_fds() == fds
     assert sorted(f.name for f in out.iterdir()) == ["itinerary.txt", "plot.svg", "timeseries.csv"]
@@ -1157,21 +1164,22 @@ def test_simulate_fails_cleanly_at_any_cpu_count(tmp_path, monkeypatch, force_cp
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
     else:
         assert (out / "timeseries.csv").read_bytes() == previous
-    if case == "killed":  # follower 1's first block, rows 0 to 15, streamed
+    if case == "killed":  # the follower's first block, rows 0 to 15, streamed
         assert killed.read_text(encoding="utf-8") == "16 0.0"
 
 
 @pytest.mark.parametrize("cpus, plots, mine", [
-    (2, False, slice(1_208, 2_001)), (3, False, slice(1_611, 2_001)),
+    (2, False, slice(1_208, 2_001)), (3, False, slice(1_208, 2_001)),
     (2, True, slice(2_001, 2_001)), (3, True, slice(2_001, 2_001)),
 ])
 def test_simulate_cuts_the_rows_left_when_the_run_ends(tmp_path, monkeypatch, force_cpus, capsys,
                                                        small_scenario_file, cpus, plots, mine):
-    # with no report during the run, follower 1 is at row 0 when it ends,
-    # so all 2,001 rows are cut beside the itinerary job (414 rows' worth,
-    # 5,056 with plots): without plots follower 1, follower 2 at 3 CPUs and
-    # this process each format a slice; with plots the job outweighs a
-    # share and follower 1 formats every row. The bytes are one process's
+    # with no report during the run, the follower is at row 0 when it ends,
+    # so all 2,001 rows are shared beside the itinerary job (414 rows'
+    # worth, 5,056 with plots), at 3 CPUs as at 2: without plots the
+    # follower and this process each format a slice; with plots the job
+    # outweighs the rows and the follower formats every row. The bytes are
+    # one process's
     argv = ["simulate", str(small_scenario_file), "--t-end", "200"] + (["--plots"] if plots else [])
     force_cpus(1)
     assert main(argv + ["--out", str(tmp_path / "one")]) == 0
@@ -1179,24 +1187,82 @@ def test_simulate_cuts_the_rows_left_when_the_run_ends(tmp_path, monkeypatch, fo
     n_forks = len(forks())
     monkeypatch.setattr(output, "_ROWS_PER_WRITER", 400)
     monkeypatch.setattr(output, "_reporter", lambda down: None)
-    hand_out, kept = output._hand_out, []
+    parent, write_rows, kept = os.getpid(), output._write_rows, []
 
-    def logged(*args):
-        kept.append(hand_out(*args))
-        return kept[-1]
+    def logged(out, times, states):
+        if os.getpid() == parent:  # this process's rows: the last ones
+            kept.append(slice(2_001 - times.shape[0], 2_001))
+        write_rows(out, times, states)
 
-    monkeypatch.setattr(output, "_hand_out", logged)
+    monkeypatch.setattr(output, "_write_rows", logged)
     assert main(argv + ["--out", str(tmp_path / "many")]) == 0
-    assert len(forks()) - n_forks == cpus - 1 and kept == [mine]
+    assert len(forks()) - n_forks == 1 and kept == [mine]
     one, many = (sorted((f.name, f.read_bytes()) for f in (tmp_path / d).iterdir())
                  for d in ("one", "many"))
     assert many == one
 
 
+@pytest.mark.parametrize("rows, extra, loads", [
+    # half of the rows and the job each: the job joins this process's rows
+    (80_001, 11_200.14, [45_601, 34_400 + 11_200.14]),
+    (80_001, 0.0, [40_001, 40_000]),
+    (5_000, 0.0, [2_500, 2_500]),
+    # too few rows for two writers: the follower formats them all
+    (4_000, 560.0, [4_000, 560.0]),
+    (4_999, 0.0, [4_999, 0]),
+    (0, 0.0, [0, 0]),
+    (0, 414.0, [0, 414.0]),
+    # a job as heavy as every row: the follower still formats them all
+    (6_000, 6_000.0, [6_000, 6_000.0]),
+    (6_000, 6_000.5, [6_000, 6_000.5]),
+])
+def test_share_evens_the_two_loads(monkeypatch, rows, extra, loads):
+    # the follower's share of the rows left when the run ends, and this
+    # process's load, its rows and the job, at 2,500 rows a writer
+    monkeypatch.setattr(output, "_ROWS_PER_WRITER", 2_500)
+    share = output._share(rows, extra)
+    assert isinstance(share, int) and 0 <= share <= rows
+    assert [share, rows - share + extra] == pytest.approx(loads, abs=1e-6)
+
+
+@pytest.mark.parametrize("cpus, rows", [(2, 3_072), (3, 4_608)])
+def test_a_follower_that_has_caught_up_stops_where_it_is(tmp_path, monkeypatch, force_cpus,
+                                                         small_scenario, cpus, rows):
+    # a run that reports every row final and returns only once the follower
+    # has formatted them all, 6 or 9 whole 512-row blocks: the follower
+    # stops at the last row, this process formats none, and the bytes are
+    # one process's; a hang fails at the deadline
+    sc, p, s0 = small_scenario
+    cfg = IntegratorConfig(t_end=(rows - 1) / 10, sample_dt=0.1, rtol=1e-9, atol=1e-9)
+    traj = integrate(s0, p, cfg)
+    assert traj.times.shape[0] == len(sample_times(cfg)) == rows
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "ts.csv"
+    force_cpus(1)
+    write_timeseries(traj, p.layout, path)
+    expected = path.read_bytes()
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # publish's
+
+    def caught_up(s0, p, cfg, states, progress):
+        states[:] = traj.states
+        progress(rows)
+        while partial.stat().st_size < len(expected):
+            time.sleep(0.01)
+        return replace(traj, states=states)
+
+    forks = force_cpus(cpus)
+    with _deadline(20.0):
+        write_timeseries((caught_up, s0, p, cfg), p.layout, path)
+    assert len(forks()) == 1
+    assert path.read_bytes() == expected
+    assert [f.name for f in out.iterdir()] == ["ts.csv"]
+
+
 def test_followers_end_when_the_main_process_is_killed(tmp_path, small_scenario_file):
     # a simulate of 801 rows at 3 forced CPUs and 100 rows a process,
-    # killed by a signal while it integrates: its followers, waiting for
-    # rows, read their pipes' end and exit, so none outlives it
+    # killed by a signal while it integrates: its one follower, waiting for
+    # rows, reads its pipe's end and exits, so it does not outlive it
     log = tmp_path / "followers.log"
     script = f"""
 import os, time
@@ -1210,7 +1276,7 @@ def logged(fn):
             fh.write(f"{{os.getpid()}}\\n")
         return fn(*args)
     return call
-output._stream, output._take = logged(output._stream), logged(output._take)
+output._stream = logged(output._stream)
 rates, calls = integrator.growth_rates, []
 def stalled(*args):
     calls.append(None)
@@ -1225,10 +1291,10 @@ cli.main(["simulate", {str(small_scenario_file)!r}, "--out", {str(tmp_path / "ou
     followers = []
     try:
         deadline = time.monotonic() + 60.0
-        while len(followers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+        while not followers and time.monotonic() < deadline and proc.poll() is None:
             time.sleep(0.05)
             followers = log.read_text(encoding="utf-8").split() if log.exists() else []
-        assert len(followers) == 2
+        assert len(followers) == 1
         proc.kill()
         proc.wait()
         deadline = time.monotonic() + 30.0

@@ -16,11 +16,6 @@ Claims covered:
       not an OSError
     - a first bin that raises while a worker runs kills and reaps it, and
       so does an exception that interrupts the wait for a worker
-    - cut splits range(n) into contiguous slices, as many as the CPUs allow
-      with at least min_size items each; dealt with their sizes as weights
-      beside one call weighing extra, slice 0 runs here and the bins'
-      loads come out even, the call joining the last slice or, heavier than
-      a share, in a bin of its own
     - each worker pins itself to one CPU of the affinity set, a CPU of its
       own that is not the one this process ran on at the fork; this
       process is never pinned, also when a call raises or the wait is
@@ -167,65 +162,6 @@ def test_an_interrupted_wait_kills_and_reaps_the_worker(force_cpus):
     assert time.monotonic() - t0 < 30.0
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("min_size", [1, 7, 10])
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_shares_cover_range_contiguously(force_cpus, cpus, min_size):
-    # cut's shares of range(n): with no call beside them, an even cut whose
-    # first slice is the largest
-    force_cpus(cpus)
-    for n in range(51):
-        chunks = workers.cut(n, min_size, 0.0)
-        assert [i for s in chunks for i in range(n)[s]] == list(range(n))
-        k = min(cpus, max(1, n // min_size))  # slices, with bounds ceil(n * w / k)
-        bounds = [-(-n * w // k) for w in range(k + 1)]
-        assert chunks == [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
-def _loads(chunks, extra, cpus):
-    """The bins deal makes of the chunks, weighed by size, and one call
-    weighed extra: (bins, load of each bin)."""
-    weights = [s.stop - s.start for s in chunks] + ([extra] if extra else [])
-    bins = _schedule(weights, max(1, min(cpus, len(weights))))
-    return bins, [sum(weights[i] for i in b) for b in bins]
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 16])
-def test_cut_keeps_slice_0_here_beside_a_call(force_cpus, cpus):
-    # at any size of the call beside them, up to all the rows' cost, the
-    # slices cover range(n) in order, no more than one a CPU, and slice 0
-    # is the heaviest call, so deal makes it in this process
-    force_cpus(cpus)
-    for n in (1, 2, 5, 49, 50, 51, 99, 400, 2_001, 80_001):
-        for extra in sorted({0.0, 1.0, 0.05 * n, 0.14 * n, 0.5 * n, n - 0.5, float(n)}):
-            if not 0.0 <= extra <= n:
-                continue
-            chunks = workers.cut(n, 25, extra)
-            assert [i for s in chunks for i in range(n)[s]] == list(range(n))
-            assert 1 <= len(chunks) <= cpus
-            bins, _ = _loads(chunks, extra, cpus)
-            assert bins[0][0] == 0, (n, extra)
-
-
-@pytest.mark.parametrize("n, min_size, extra, cpus, loads", [
-    # one share a bin: the call joins the last, lightest slice
-    (80_001, 2_500, 11_200.14, 2, [45_601, 34_400 + 11_200.14]),
-    (80_001, 2_500, 11_200.14, 3, [30_401, 30_400, 19_200 + 11_200.14]),
-    (80_001, 2_500, 11_200.14, 8, [11_401] + [11_400] * 6 + [200 + 11_200.14]),
-    # a call heavier than one share has its bin alone, beside 7 slices
-    (80_001, 2_500, 11_200.14, 16, [11_429] * 7 + [11_200.14]),
-    # too few rows for two slices of min_size: one slice, the call alone
-    (4_000, 2_500, 560.0, 2, [4_000, 560.0]),
-    (7_500, 2_500, 1_050.0, 4, [2_500] * 3 + [1_050.0]),
-    # no call beside them: an even cut
-    (80_001, 2_500, 0.0, 2, [40_001, 40_000]),
-])
-def test_cut_evens_the_loads_of_the_bins(force_cpus, n, min_size, extra, cpus, loads):
-    force_cpus(cpus)
-    chunks = workers.cut(n, min_size, extra)
-    _, got = _loads(chunks, extra, cpus)
-    assert sorted(got, reverse=True) == pytest.approx(sorted(loads, reverse=True), abs=1.0)
 
 
 def test_deal_returns_values_in_call_order(force_cpus):
