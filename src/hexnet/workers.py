@@ -109,18 +109,23 @@ def _schedule(weights: list[float], n_bins: int) -> list[list[int]]:
 
 def _worker_cpus(n: int) -> list:
     """A CPU for each of n workers: the first n CPUs of this process's
-    affinity set but the one it runs on now (the processor field of
-    /proc/self/stat); None for each where that CPU cannot be read or a
-    process cannot be pinned."""
-    if n == 0 or not hasattr(os, "sched_setaffinity"):
-        return [None] * n
-    try:
-        with open("/proc/self/stat", "rb") as fh:  # the name, in (), may hold spaces
-            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
+    affinity set but the one it runs on now (_current_cpu); None for each
+    where that CPU cannot be read or a process cannot be pinned."""
+    here = _current_cpu() if n and hasattr(os, "sched_setaffinity") else None
+    if here is None:
         return [None] * n
     free = sorted(os.sched_getaffinity(0) - {here})[:n]
     return free + [None] * (n - len(free))
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process runs on now, the processor field of
+    /proc/self/stat; None where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:  # the name, in (), may hold spaces
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _run_bin(calls) -> list:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hexnet
+from hexnet import workers
 from hexnet.integrator import IntegratorConfig, integrate
 from hexnet.scenario import bundled_scenario_path, load_scenario
 
@@ -47,16 +48,6 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def current_cpu() -> int:
-    """The CPU this process runs on now: the processor field of
-    /proc/self/stat, or -1 without it."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except OSError:
-        return -1
-
-
 @pytest.fixture
 def force_cpus(monkeypatch, tmp_path):
     """force_cpus(n) makes n CPUs available to hexnet's workers and returns
@@ -65,14 +56,15 @@ def force_cpus(monkeypatch, tmp_path):
 
     os.sched_setaffinity only logs what it is asked for, so forcing more
     CPUs than the machine has pins nothing: forks.pins() lists each
-    (pid, requested set), and forks.cpus() the CPU each fork's caller ran
-    on at the fork, both in call order."""
+    (pid, requested set) in call order. workers._current_cpu reads the
+    last forced CPU, n - 1, wherever the kernel moves this process, and
+    forks.cpus() lists what it read at each fork."""
     forks_log, pins_log = tmp_path / "forks.log", tmp_path / "pins.log"
     fork = os.fork
 
     def logged():
         with open(forks_log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {current_cpu()}\n")
+            fh.write(f"{os.getpid()} {workers._current_cpu()}\n")
         return fork()
 
     def pin(pid, cpus):
@@ -93,6 +85,7 @@ def force_cpus(monkeypatch, tmp_path):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
         monkeypatch.setattr(os, "fork", logged)
+        monkeypatch.setattr(workers, "_current_cpu", lambda: n - 1)
         return forks
 
     return force

@@ -53,6 +53,10 @@ Claims covered:
       1, and the worker blocks 2 and 3 and the witness runs
     - one run_witnesses call builds the unit-timescale parameters at most
       once, and not at all when the field's timescales are already 1
+    - the X runs of two committed generated hierarchies hold the non-edge
+      superstructure pairs measured today (1 -> 3 at t = 25.1; 5 -> 2 at
+      t = 20.9 and 41.0), and no vertex of a path between the two visits
+      peaks above 1 - near_tol in between
 """
 import os
 import tracemalloc
@@ -1028,3 +1032,45 @@ def test_verify_realization_literal_orientation_fails(small_scenario, small_scen
     witness_failed = any(not w.passed for w in report.witnesses)
     assert itinerary_failed or witness_failed
     assert not report.passed
+
+
+# The seed-2 and seed-5 inputs of the generated_witness workload (tests/data),
+# each an N = 10 cycle with chords started at X0 = [0.9, 0.1 x 9], and today's
+# verdict on their X runs: each non-edge pair (from, to, time, 1-based), with
+# the peak between its two visits of every vertex v for which from -> v -> to
+# is a path of the superstructure. No such v comes near a vertex (1 - near_tol
+# = 0.9): the run cuts across the face of from, v and to while three X
+# coordinates are large at once, so verify reads FAIL on valid hierarchies.
+_CORNER_CUTS = {
+    "generated-2": [(1, 3, 25.1, {4: 0.3780013547, 5: 0.8175064986})],
+    "generated-5": [(5, 2, 20.9, {9: 0.4082280986, 10: 0.4082195659}),
+                    (5, 2, 41.0, {9: 0.4538129904, 10: 0.4072233502})],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORNER_CUTS))
+def test_a_generated_x_run_cuts_corners_of_the_superstructure(name):
+    from hexnet.scenario import load_scenario
+
+    sc = load_scenario(os.path.join(os.path.dirname(__file__), "data", f"{name}.yaml"))
+    p = sc.field_params()
+    traj = integrate(hexnet.analysis._level_state(sc.initial_state(), p, None), p, sc.integrator)
+    assert traj.termination == TERMINATION_COMPLETED
+    report = extract_itinerary(traj, p, sc.near_tol, sc.min_dwell)[0]
+    edges = p.hierarchy.superstructure.edges
+    X = traj.states[:, p.hierarchy.super_slice]
+    cuts = []
+    for prev, nxt in zip(report.visits, report.visits[1:]):
+        if (prev.vertex, nxt.vertex) not in edges:
+            between = X[(traj.times > prev.t_exit) & (traj.times < nxt.t_enter)]
+            peaks = {v + 1: between[:, v].max() for v in range(p.hierarchy.n_super)
+                     if (prev.vertex, v) in edges and (v, nxt.vertex) in edges}
+            cuts.append((prev.vertex + 1, nxt.vertex + 1, nxt.t_enter, peaks))
+    want = _CORNER_CUTS[name]
+    assert [(a, b) for a, b, _, _ in cuts] == [(a, b) for a, b, _, _ in want]
+    for (_, _, t, peaks), (_, _, t_want, peaks_want) in zip(cuts, want):
+        assert t == pytest.approx(t_want, abs=1e-9)
+        assert peaks == pytest.approx(peaks_want, abs=1e-6)
+        assert max(peaks.values()) < 1.0 - sc.near_tol
+    check = check_itinerary_against(report, p.hierarchy.superstructure)
+    assert [(a + 1, b + 1, t) for a, b, t in check.violations] == [c[:3] for c in cuts]

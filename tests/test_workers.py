@@ -17,7 +17,7 @@ Claims covered:
     - a first bin that raises while a worker runs kills and reaps it, and
       so does an exception that interrupts the wait for a worker
     - each worker pins itself to one CPU of the affinity set, a CPU of its
-      own that is not the one this process ran on at the fork; this
+      own that is not the one this process runs on (_current_cpu); this
       process is never pinned, also when a call raises or the wait is
       interrupted; a pin that fails, or no way to read or set a CPU, runs
       the worker unpinned with the same values
@@ -32,7 +32,7 @@ import pytest
 
 from hexnet import workers
 from hexnet.errors import ScenarioValidationError, WorkerError
-from hexnet.workers import _schedule
+from hexnet.workers import _current_cpu, _schedule
 
 
 def _tagged(tag):
@@ -194,7 +194,7 @@ def _affinity():
 
 def test_each_worker_pins_itself_to_a_cpu_of_its_own(force_cpus):
     # 3 workers at 4 CPUs: each asks, once, for one CPU of the set, none
-    # shared and none the one this process ran on at the forks
+    # shared and none the one this process runs on (force_cpus fixes it)
     forks = force_cpus(4)
     values = _deal([(_tagged, tag) for tag in range(4)])
     workers_pids = {str(pid) for _, pid, _ in values[1:]}
@@ -232,6 +232,7 @@ def test_the_parent_keeps_its_affinity_set():
     # unforced: the worker really runs on one CPU of this process's set,
     # and this process's set is the same after the deal
     before = os.sched_getaffinity(0)
+    assert _current_cpu() in before
     here, there = _deal([(_affinity,), (_affinity,)])
     assert here == (os.getpid(), sorted(before)) and os.sched_getaffinity(0) == before
     if len(before) > 1:
@@ -253,7 +254,8 @@ def test_an_unpinned_worker_returns_the_same_values(monkeypatch, force_cpus, cas
         monkeypatch.setattr(os, "sched_setaffinity", _pin_fails)
     elif case == "no setaffinity":
         monkeypatch.delattr(os, "sched_setaffinity")
-    else:
+    else:  # the real read, which force_cpus replaced, finds no stat file
+        monkeypatch.setattr(workers, "_current_cpu", _current_cpu)
         monkeypatch.setattr(workers, "open", _no_stat, raising=False)
     values = _deal([(_tagged, tag) for tag in range(5)])
     assert [tag for tag, _, _ in values] == list(range(5))
